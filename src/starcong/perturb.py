@@ -383,24 +383,63 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
 # --- neighborhood sampling -------------------------------------------------------
 
 
-def _ball_sample(seed: int, samples: int, delta: float) -> np.ndarray:
-    """Uniform draws from the Frobenius delta-ball, one sub-stream per sample."""
-    states = substream_seeds(seed, samples)
-    coords = np.zeros((samples, 8))
-    pending = np.ones(samples, dtype=bool)
-    while np.any(pending):
-        active = states[pending]
-        pts = np.empty((active.shape[0], 8))
-        for k in range(8):
-            active, u = uniform_step(active)
-            pts[:, k] = 2.0 * u - 1.0
-        states[pending] = active
-        inside = np.sum(pts * pts, axis=1) <= 1.0
-        idx = np.flatnonzero(pending)
-        coords[idx[inside]] = pts[inside]
-        pending[idx[inside]] = False
-    E = delta * (coords[:, 0::2] + 1j * coords[:, 1::2])
+#: Samples drawn and classified at a time by :func:`sample_neighborhood`.  It
+#: bounds the working memory of a call; the report does not depend on it.
+SAMPLE_CHUNK = 2**14
+
+
+def _ball_sample(seed: int, samples: int, delta: float, start: int = 0) -> np.ndarray:
+    """Uniform draws from the Frobenius delta-ball, one sub-stream per sample.
+
+    Sample i comes from sub-stream ``start + i`` of ``seed``, so the first k
+    draws do not depend on ``samples``.  The four entries are the first four
+    coordinates of a uniform point on the unit sphere of C^5, which are
+    uniform in the unit ball of C^4 = R^8 (Voelker, Gosmann & Stewart 2017):
+    the squared moduli are the first four spacings of four sorted uniforms
+    (Dirichlet(1, ..., 1) weights), and each phase is a point of the unit
+    disk found by rejection (acceptance pi/4), normalized.  Only + - * / and
+    sqrt are used, so the draws are bit-reproducible across platforms.
+    """
+    states = substream_seeds(seed, samples, start)
+    u = np.empty((samples, 4))
+    for k in range(4):
+        states, u[:, k] = uniform_step(states)
+    u.sort(axis=1)
+    weights = np.diff(u, axis=1, prepend=0.0)
+
+    re = np.empty((samples, 4))
+    im = np.empty((samples, 4))
+    for k in range(4):
+        pending = np.arange(samples)
+        while pending.size:
+            active, ux = uniform_step(states[pending])
+            active, uy = uniform_step(active)
+            states[pending] = active
+            x = 2.0 * ux - 1.0
+            y = 2.0 * uy - 1.0
+            r2 = x * x + y * y
+            ok = (r2 > 0.0) & (r2 <= 1.0)
+            idx = pending[ok]
+            scale = np.sqrt(weights[idx, k]) / np.sqrt(r2[ok])
+            re[idx, k] = x[ok] * scale
+            im[idx, k] = y[ok] * scale
+            pending = pending[~ok]
+
+    E = np.empty((samples, 4), dtype=np.complex128)
+    E.real = delta * re
+    E.imag = delta * im
     return E.reshape(samples, 2, 2)
+
+
+def _spectrum_drift(p: np.ndarray, q: np.ndarray, p0: complex, q0: complex) -> np.ndarray:
+    """Hausdorff distance of each spectrum {p, q} from {p0, q0}; NaN where p is."""
+    d_pp = np.abs(p - p0)
+    d_pq = np.abs(p - q0)
+    d_qp = np.abs(q - p0)
+    d_qq = np.abs(q - q0)
+    fwd = np.maximum(np.minimum(d_pp, d_pq), np.minimum(d_qp, d_qq))
+    bwd = np.maximum(np.minimum(d_pp, d_qp), np.minimum(d_pq, d_qq))
+    return np.maximum(fwd, bwd)
 
 
 def _drift_stats(values: np.ndarray) -> dict:
@@ -419,35 +458,35 @@ def sample_neighborhood(
     Samples are classified at family level; samples whose decision margin
     falls below the ambiguity cutoff land in a separate "boundary" bucket.
     For nonsingular samples the Hausdorff drift of the cosquare spectrum from
-    that of the source representative is aggregated per family.
-    Deterministic per (seed, samples).
+    that of the source representative is aggregated per family.  Samples are
+    drawn and classified in chunks of SAMPLE_CHUNK, so memory stays bounded.
+    Deterministic per (seed, samples, version); the first k samples do not
+    depend on n, the number of samples drawn.
     """
     if not 0.0 < delta <= 0.1:
         raise InvalidInput("delta must lie in (0, 0.1]")
     if not 0 <= samples <= 10**7:
         raise InvalidInput("samples must lie in [0, 10^7]")
     R = realize(source)
-    E = _ball_sample(seed, samples, delta)
-    res = classify_many(R[None, :, :] + E, tol=1e-9)
+    fam = np.empty(samples, dtype=np.int8)
+    drift = np.empty(samples) if abs(det2(R)) > 0.0 else None
+    if drift is not None:
+        p0, q0 = _cosquare_spectrum(source)
+    for lo in range(0, samples, SAMPLE_CHUNK):
+        hi = min(lo + SAMPLE_CHUNK, samples)
+        res = classify_many(R[None, :, :] + _ball_sample(seed, hi - lo, delta, lo), tol=1e-9)
+        fam[lo:hi] = res["family"]
+        if drift is not None:
+            drift[lo:hi] = _spectrum_drift(res["p"], res["q"], p0, q0)
 
-    fam = res["family"]
-    histogram = {name: int(np.sum(fam == code)) for code, name in enumerate(FAMILY_CODES)}
+    histogram = {name: int(np.count_nonzero(fam == code)) for code, name in enumerate(FAMILY_CODES)}
 
     drift_by_family: dict[str, dict] = {}
     max_drift = None
-    if abs(det2(R)) > 0.0 and samples > 0:
-        p0, q0 = _cosquare_spectrum(source)
-        p, q = res["p"], res["q"]
-        valid = ~np.isnan(p.real)
+    if drift is not None:
+        valid = ~np.isnan(drift)
         if np.any(valid):
-            d_pp = np.abs(p - p0)
-            d_pq = np.abs(p - q0)
-            d_qp = np.abs(q - p0)
-            d_qq = np.abs(q - q0)
-            fwd = np.maximum(np.minimum(d_pp, d_pq), np.minimum(d_qp, d_qq))
-            bwd = np.maximum(np.minimum(d_pp, d_qp), np.minimum(d_pq, d_qq))
-            drift = np.maximum(fwd, bwd)
-            max_drift = float(np.max(drift[valid]))
+            max_drift = float(np.nanmax(drift))
             for code, name in enumerate(FAMILY_CODES):
                 mask = valid & (fam == code)
                 if np.any(mask):

@@ -57,11 +57,13 @@ def seeded_rng(seed: int) -> SplitMix64:
     return SplitMix64(seed)
 
 
-# Vectorized counterpart used by the neighborhood sampler.  Bit-identical to
-# the scalar class: same constants, same finalizer.
+# Vectorized counterpart used by the neighborhood sampler, which draws its
+# samples in chunks: ``substream_seeds(seed, n, start)`` holds the seeds of
+# sub-streams ``start .. start + n - 1``, so a chunk needs no seeds but its
+# own.  Bit-identical to the scalar class: same constants, same finalizer.
 
-def substream_seeds(seed: int, n: int) -> np.ndarray:
-    idx = np.arange(n, dtype=np.uint64)
+def substream_seeds(seed: int, n: int, start: int = 0) -> np.ndarray:
+    idx = np.arange(start, start + n, dtype=np.uint64)
     mixed = _finalize_np(idx * np.uint64(_GOLDEN) + np.uint64(_STREAM_SALT))
     return _finalize_np(np.uint64(seed & _MASK) ^ mixed)
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_7class.dot"
 
@@ -156,3 +158,11 @@ def test_selftest():
 def test_usage_error_exit_code():
     assert run_cli("no-such-command").returncode == 2
     assert run_cli().returncode == 2
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    from starcong import __version__
+
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__

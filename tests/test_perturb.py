@@ -269,6 +269,67 @@ def test_sample_neighborhood_validates():
         sample_neighborhood(Zero(), 1e-3, 10**7 + 1, seed=0)
 
 
+def test_ball_sample_uniform_moments():
+    # uniform in the unit ball of R^8: E||E|| = 8/9, E|E_ij|^2 = 1/5, E E_ij = 0
+    from starcong.perturb import _ball_sample
+
+    n = 100_000
+    E = _ball_sample(5, n, 1.0)
+    norms = np.sqrt(np.sum(np.abs(E) ** 2, axis=(1, 2)))
+    assert np.all(norms <= 1.0)
+    assert abs(norms.mean() - 8.0 / 9.0) <= 5.0 * norms.std() / np.sqrt(n)
+    sq = np.abs(E.reshape(n, 4)) ** 2
+    assert np.all(np.abs(sq.mean(axis=0) - 0.2) <= 5.0 * sq.std(axis=0) / np.sqrt(n))
+    parts = np.concatenate([E.reshape(n, 4).real, E.reshape(n, 4).imag], axis=1)
+    assert np.all(np.abs(parts.mean(axis=0)) <= 5.0 * parts.std(axis=0) / np.sqrt(n))
+
+
+def test_ball_sample_matches_scalar_stream():
+    # sample i: 4 sorted uniforms give the squared moduli as spacings, then one
+    # disk-rejection phase per entry, all from sub-stream i
+    import math
+
+    from starcong.perturb import _ball_sample
+    from starcong.rng import substream_seed
+
+    delta = 1e-3
+    E = _ball_sample(9, 40, delta)
+    for i in range(40):
+        rng = SplitMix64(substream_seed(9, i))
+        u = sorted(rng.uniform() for _ in range(4))
+        weights = [b - a for a, b in zip([0.0] + u, u)]
+        for k, w in enumerate(weights):
+            while True:
+                x = 2.0 * rng.uniform() - 1.0
+                y = 2.0 * rng.uniform() - 1.0
+                r2 = x * x + y * y
+                if 0.0 < r2 <= 1.0:
+                    break
+            scale = math.sqrt(w) / math.sqrt(r2)
+            assert E[i, k // 2, k % 2] == complex(delta * (x * scale), delta * (y * scale))
+
+
+def test_ball_sample_prefix_and_offset():
+    from starcong.perturb import _ball_sample
+
+    E = _ball_sample(21, 500, 1e-3)
+    assert np.array_equal(_ball_sample(21, 123, 1e-3), E[:123])
+    assert np.array_equal(_ball_sample(21, 77, 1e-3, 123), E[123:200])
+
+
+def test_sample_neighborhood_chunk_invariant(monkeypatch):
+    from starcong import perturb
+
+    n = 400
+    for source in (UnitDirectZero(1), UnitPair(1, -1)):
+        reports = set()
+        for chunk in (1, 7, 2**14, n):
+            monkeypatch.setattr(perturb, "SAMPLE_CHUNK", chunk)
+            rep = sample_neighborhood(source, 1e-2, n, seed=4)
+            reports.add(render_json(rep.to_json_dict()))
+        assert len(reports) == 1
+
+
 def test_near_degenerate_cone_corner():
     # generators that are antipodal only up to 1e-10: the cone predicate
     # collapses them to a line, certificate margins stay consistent with it,

@@ -49,14 +49,15 @@ def test_substream_chi_square_independence():
 
 
 def test_vectorized_matches_scalar():
-    seeds = substream_seeds(123, 50)
-    for i in range(50):
-        assert int(seeds[i]) == substream_seed(123, i)
-    states = seeds.copy()
-    for step in range(3):
-        states, u = uniform_step(states)
+    for start in (0, 1000):
+        seeds = substream_seeds(123, 50, start)
         for i in range(50):
-            ref = SplitMix64(substream_seed(123, i))
-            for _ in range(step + 1):
-                val = ref.uniform()
-            assert val == u[i]
+            assert int(seeds[i]) == substream_seed(123, start + i)
+        states = seeds.copy()
+        for step in range(3):
+            states, u = uniform_step(states)
+            for i in range(50):
+                ref = SplitMix64(substream_seed(123, start + i))
+                for _ in range(step + 1):
+                    val = ref.uniform()
+                assert val == u[i]
