@@ -5,7 +5,7 @@ classes, the closure order with constructive perturbation witnesses and
 named obstruction certificates, and deterministic neighborhood sampling.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .canonical import (
     AMBIG_FRACTION,
@@ -14,7 +14,6 @@ from .canonical import (
     classify_many,
     is_star_congruent,
     random_congruence,
-    to_hermitian_pair,
 )
 from .closure import (
     HasseSubgraph,
@@ -56,13 +55,11 @@ from .forms import (
 )
 from .linalg import (
     Inertia,
-    adjoint,
     cosquare,
     eigenvalues2,
     inertia2,
     inverse2,
     real_rank,
-    star_congruence,
 )
 from .perturb import (
     NeighborhoodReport,
@@ -71,7 +68,6 @@ from .perturb import (
     no_arrow_certificate,
     sample_neighborhood,
     witness,
-    witness_refinement_check,
 )
 from .rng import SplitMix64, seeded_rng, substream_seed
 from .stratify import VersalProfile, codimension, tangent_space_dim, versal_profile
@@ -104,7 +100,6 @@ __all__ = [
     "VersalProfile",
     "Witness",
     "Zero",
-    "adjoint",
     "classify",
     "classify_many",
     "codim_monotone_check",
@@ -130,12 +125,9 @@ __all__ = [
     "realize",
     "sample_neighborhood",
     "seeded_rng",
-    "star_congruence",
     "substream_seed",
     "tangent_space_dim",
     "to_dot",
-    "to_hermitian_pair",
     "versal_profile",
     "witness",
-    "witness_refinement_check",
 ]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import AmbiguousClassification, InvalidInput
 from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, forms_close, realize
-from .linalg import EPS, _sort_eig_pair, as_mat2, frob
+from .linalg import EPS, as_mat2, frob, hermitian_part_eigenvalues
 from .rng import seeded_rng
 
 #: Ambiguity cutoff as a fraction of the requested tolerance.  Exact
@@ -81,7 +81,7 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     else:
         form = _classify_nonsingular(An, a, b, c, d, det, absdet, tol, slacks)
 
-    margin = min(s for s, _, _ in slacks)
+    margin = float(min(s for s, _, _ in slacks))
     if margin < AMBIG_FRACTION * tol:
         worst = min(slacks, key=lambda t: t[0])
         raise AmbiguousClassification(
@@ -94,9 +94,7 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
 
 
 def _classify_rank1(An, a, b, c, d, tol, slacks):
-    # least-squares proportionality factor between A* and A
-    w = np.conj(a) ** 2 + 2.0 * np.conj(b) * np.conj(c) + np.conj(d) ** 2
-    resid = frob(An.conj().T - w * An)
+    resid = frob(An.conj().T - _proportionality(a, b, c, d) * An)
     slacks.append((abs(resid - tol), "udz", "hyp(0)"))
     if resid <= tol:
         tr = a + d
@@ -109,65 +107,104 @@ def _classify_rank1(An, a, b, c, d, tol, slacks):
     return Hyperbolic(0.0)
 
 
-def _cosquare_normalized(a, b, c, d, det, absdet):
-    """Cosquare of the normalized matrix plus an entrywise noise bound."""
+# --- formulas shared by classify and classify_many ---------------------------
+#
+# Each takes complex scalars or ndarrays alike.  _spectrum, _circle_test and
+# _jordan_test return their statistic, threshold and normalized slack; the
+# caller makes the comparison with its own control flow (if/else or masks).
+
+
+def _maximum(x, y):
+    # np.maximum on scalars costs about a microsecond, max does not
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.maximum(x, y)
+    return max(x, y)
+
+
+def _proportionality(a, b, c, d):
+    """Least-squares factor w of a rank-1 matrix with A* ~ w A."""
+    return np.conj(a) ** 2 + 2.0 * np.conj(b) * np.conj(c) + np.conj(d) ** 2
+
+
+def _cosquare(a, b, c, d, det, absdet):
+    """Entries (k00, k01, k10, k11) of the cosquare K = A^{-*} A of the
+    normalized matrix, and an entrywise bound on their rounding noise."""
     kappa_det = (abs(a * d) + abs(b * c)) / absdet
     m = np.conj(det)
     # rows of A^{-*} = adj(A)^* / conj(det)
     b00, b01 = np.conj(d) / m, -np.conj(c) / m
     b10, b11 = -np.conj(b) / m, np.conj(a) / m
-    K = np.array(
-        [
-            [b00 * a + b01 * c, b00 * b + b01 * d],
-            [b10 * a + b11 * c, b10 * b + b11 * d],
-        ],
-        dtype=np.complex128,
-    )
+    k = (b00 * a + b01 * c, b00 * b + b01 * d, b10 * a + b11 * c, b10 * b + b11 * d)
     amp = EPS * (4.0 + 2.0 * kappa_det)
-    noise = amp * np.array(
-        [
-            [abs(b00) * abs(a) + abs(b01) * abs(c), abs(b00) * abs(b) + abs(b01) * abs(d)],
-            [abs(b10) * abs(a) + abs(b11) * abs(c), abs(b10) * abs(b) + abs(b11) * abs(d)],
-        ]
+    noise = (
+        amp * (abs(b00) * abs(a) + abs(b01) * abs(c)),
+        amp * (abs(b00) * abs(b) + abs(b01) * abs(d)),
+        amp * (abs(b10) * abs(a) + abs(b11) * abs(c)),
+        amp * (abs(b10) * abs(b) + abs(b11) * abs(d)),
     )
-    return K, noise
+    return k, noise
+
+
+def _spectrum(k, noise, det_k, tol):
+    """Eigenvalues p, q of K from its trace and the exactly unimodular det_k,
+    with the coincidence test on their separation.
+
+    Returns (tr, p, q, n_tr, n_disc, sep, sep_threshold, slack).
+    """
+    tr = k[0] + k[3]
+    n_tr = noise[0] + noise[3]
+    disc = tr * tr - 4.0 * det_k
+    n_disc = 2.0 * abs(tr) * n_tr + n_tr * n_tr + 16.0 * EPS
+    sq = np.sqrt(disc)
+    flip = (tr.real * sq.real + tr.imag * sq.imag) < 0.0
+    sq = np.where(flip, -sq, sq) if isinstance(flip, np.ndarray) else (-sq if flip else sq)
+    # p is the larger root and p * q = det_k is unimodular, so |p| >= 1
+    p = (tr + sq) / 2.0
+    q = det_k / p
+    sep = abs(p - q)
+    maxmod = _maximum(_maximum(abs(p), abs(q)), 1.0)
+    sep_threshold = _maximum(tol, np.sqrt(30.0 * n_disc)) * maxmod
+    return tr, p, q, n_tr, n_disc, sep, sep_threshold, abs(sep - sep_threshold) / maxmod
+
+
+def _circle_test(p, q, sep, n_tr, n_disc, tol):
+    """Distance of distinct eigenvalues from the unit circle.
+
+    Returns (circle_dev, threshold, slack, n_eig), n_eig the eigenvalue noise.
+    """
+    circle_dev = _maximum(abs(abs(p) - 1.0), abs(abs(q) - 1.0))
+    n_eig = 0.5 * (n_tr + n_disc / (2.0 * sep))
+    threshold = _maximum(tol, 10.0 * n_eig)
+    return circle_dev, threshold, abs(circle_dev - threshold), n_eig
+
+
+def _jordan_test(j_stat, frob_k, noise_norm, tol):
+    """Threshold on j_stat = ||K - xi I|| below which a coincident K is scalar.
+
+    Returns (threshold, slack).
+    """
+    threshold = _maximum(tol * frob_k, 30.0 * noise_norm)
+    return threshold, abs(j_stat - threshold) / _maximum(frob_k, 1.0)
 
 
 def _classify_nonsingular(An, a, b, c, d, det, absdet, tol, slacks):
-    K, noise = _cosquare_normalized(a, b, c, d, det, absdet)
-    tr = complex(K[0, 0] + K[1, 1])
-    det_k = det / np.conj(det)  # exactly unimodular
-    n_tr = float(noise[0, 0] + noise[1, 1])
-    disc = tr * tr - 4.0 * det_k
-    n_disc = 2.0 * abs(tr) * n_tr + n_tr * n_tr + 16.0 * EPS
-
-    sq = np.sqrt(complex(disc))
-    if (tr.real * sq.real + tr.imag * sq.imag) < 0.0:
-        sq = -sq
-    p = (tr + sq) / 2.0
-    q = det_k / p if p != 0 else (tr - sq) / 2.0
-    p, q = _sort_eig_pair(complex(p), complex(q))
-
-    sep = abs(p - q)
-    maxmod = max(abs(p), abs(q), 1.0)
-    sep_threshold = max(tol, math.sqrt(30.0 * n_disc)) * maxmod
-    slacks.append((abs(sep - sep_threshold) / maxmod, "coincident spectrum", "distinct spectrum"))
-
+    k, noise = _cosquare(a, b, c, d, det, absdet)
+    tr, p, q, n_tr, n_disc, sep, sep_threshold, slack = _spectrum(k, noise, det / np.conj(det), tol)
+    slacks.append((slack, "coincident spectrum", "distinct spectrum"))
     if sep > sep_threshold:
-        return _branch_distinct(An, K, p, q, sep, n_tr, n_disc, tol, slacks)
-    return _branch_coincident(An, K, noise, tr, absdet, tol, slacks)
+        return _branch_distinct(An, k, p, q, sep, n_tr, n_disc, tol, slacks)
+    return _branch_coincident(An, k, noise, tr, absdet, tol, slacks)
 
 
-def _branch_distinct(An, K, p, q, sep, n_tr, n_disc, tol, slacks):
-    circle_dev = max(abs(abs(p) - 1.0), abs(abs(q) - 1.0))
-    n_eig = 0.5 * (n_tr + n_disc / (2.0 * sep))
-    circle_threshold = max(tol, 10.0 * n_eig)
-    slacks.append((abs(circle_dev - circle_threshold), "pair", "hyp"))
+def _branch_distinct(An, k, p, q, sep, n_tr, n_disc, tol, slacks):
+    circle_dev, circle_threshold, slack, n_eig = _circle_test(p, q, sep, n_tr, n_disc, tol)
+    slacks.append((slack, "pair", "hyp"))
     if circle_dev > circle_threshold:
-        sigma = p if abs(p) < 1.0 else q
-        return Hyperbolic(sigma)
-    mu = _pair_entry(An, K, p, slacks, n_eig)
-    nu = _pair_entry(An, K, q, slacks, n_eig)
+        return Hyperbolic(p if abs(p) < 1.0 else q)
+    K = np.array(k, dtype=np.complex128).reshape(2, 2)
+    # Python complex: its division rounds differently from numpy's scalar one
+    mu = _pair_entry(An, K, complex(p), slacks, n_eig)
+    nu = _pair_entry(An, K, complex(q), slacks, n_eig)
     return UnitPair(mu, nu)
 
 
@@ -200,15 +237,16 @@ def _pair_entry(An, K, eig, slacks, n_eig):
     return entry
 
 
-def _branch_coincident(An, K, noise, tr, absdet, tol, slacks):
-    xi = tr / 2.0
+def _branch_coincident(An, k, noise, tr, absdet, tol, slacks):
+    xi = complex(tr) / 2.0  # Python complex, for the division below
     xi_hat = xi / abs(xi)
+    K = np.array(k, dtype=np.complex128).reshape(2, 2)
     R = K - xi * np.eye(2)
     j_stat = frob(R)
     frob_k = frob(K)
     noise_norm = float(np.linalg.norm(noise))
-    j_threshold = max(tol * frob_k, 30.0 * noise_norm)
-    slacks.append((abs(j_stat - j_threshold) / max(frob_k, 1.0), "pair(l,+-l)", "delta"))
+    j_threshold, slack = _jordan_test(j_stat, frob_k, noise_norm, tol)
+    slacks.append((slack, "pair(l,+-l)", "delta"))
 
     if j_stat <= j_threshold:
         return _branch_scalar(An, xi_hat, absdet, tol, noise_norm, frob_k, slacks)
@@ -225,12 +263,7 @@ def _branch_scalar(An, xi_hat, absdet, tol, noise_norm, frob_k, slacks):
         raise AmbiguousClassification(
             "scalar cosquare but conj(l) A is not Hermitian",
             ("pair(l,+-l)", "delta"), herm_resid)
-    Hs = (H + H.conj().T) / 2.0
-    h11 = float(Hs[0, 0].real)
-    h22 = float(Hs[1, 1].real)
-    mid = (h11 + h22) / 2.0
-    rad = float(np.hypot((h11 - h22) / 2.0, abs(Hs[0, 1])))
-    eig_lo, eig_hi = mid - rad, mid + rad
+    eig_lo, eig_hi = hermitian_part_eigenvalues(H)
     # H is nonsingular here: |eig_lo * eig_hi| = |det H| ~ absdet, so a cut at
     # a quarter of it cleanly separates true eigenvalues from zero
     cut = 0.25 * absdet
@@ -275,10 +308,10 @@ def _branch_jordan(An, R, xi_hat, slacks):
 def classify_many(As: np.ndarray, tol: float = 1e-9) -> dict:
     """Family-level classification of a stack of matrices.
 
-    Mirrors the thresholds of :func:`classify` but extracts no parameters, so
-    it vectorizes.  Returns family codes (indices into FAMILY_CODES, with
-    sub-tolerance margins mapped to "boundary"), margins, and the cosquare
-    eigenvalue pair (NaN for singular samples).
+    Shares the threshold formulas of :func:`classify` but extracts no
+    parameters, so it vectorizes.  Returns family codes (indices into
+    FAMILY_CODES, with sub-tolerance margins mapped to "boundary"), margins,
+    and the cosquare eigenvalue pair (NaN for singular samples).
     """
     As = np.asarray(As, dtype=np.complex128)
     if As.ndim != 3 or As.shape[1:] != (2, 2):
@@ -305,7 +338,7 @@ def classify_many(As: np.ndarray, tol: float = 1e-9) -> dict:
 
     singular = nonzero & (absdet <= tol)
     if np.any(singular):
-        w = np.conj(a) ** 2 + 2.0 * np.conj(b) * np.conj(c) + np.conj(d) ** 2
+        w = _proportionality(a, b, c, d)
         Astar = np.conj(np.swapaxes(An, 1, 2))
         resid = np.sqrt(np.sum(np.abs(Astar - w[:, None, None] * An) ** 2, axis=(1, 2)))
         margin = np.where(singular, np.minimum(margin, np.abs(resid - tol)), margin)
@@ -314,63 +347,31 @@ def classify_many(As: np.ndarray, tol: float = 1e-9) -> dict:
 
     nonsing = nonzero & (absdet > tol)
     if np.any(nonsing):
-        kappa = (np.abs(a * d) + np.abs(b * c)) / np.where(nonsing, absdet, 1.0)
-        m = np.conj(det)
-        safe_m = np.where(nonsing, m, 1.0)
-        b00, b01 = np.conj(d) / safe_m, -np.conj(c) / safe_m
-        b10, b11 = -np.conj(b) / safe_m, np.conj(a) / safe_m
-        k00 = b00 * a + b01 * c
-        k11 = b10 * b + b11 * d
-        k01 = b00 * b + b01 * d
-        k10 = b10 * a + b11 * c
-        amp = EPS * (4.0 + 2.0 * kappa)
-        n00 = amp * (np.abs(b00) * np.abs(a) + np.abs(b01) * np.abs(c))
-        n01 = amp * (np.abs(b00) * np.abs(b) + np.abs(b01) * np.abs(d))
-        n10 = amp * (np.abs(b10) * np.abs(a) + np.abs(b11) * np.abs(c))
-        n11 = amp * (np.abs(b10) * np.abs(b) + np.abs(b11) * np.abs(d))
-        tr = k00 + k11
-        det_safe = np.where(nonsing, det, 1.0)
-        det_k = det_safe / np.conj(det_safe)
-        n_tr = n00 + n11
-        disc = tr * tr - 4.0 * det_k
-        n_disc = 2.0 * np.abs(tr) * n_tr + n_tr * n_tr + 16.0 * EPS
-
-        sq = np.sqrt(disc.astype(np.complex128))
-        flip = (tr.real * sq.real + tr.imag * sq.imag) < 0.0
-        sq = np.where(flip, -sq, sq)
-        p = (tr + sq) / 2.0
-        p_safe = np.where(p == 0, 1.0, p)
-        q = np.where(p == 0, (tr - sq) / 2.0, det_k / p_safe)
-
-        sep = np.abs(p - q)
-        maxmod = np.maximum(np.maximum(np.abs(p), np.abs(q)), 1.0)
-        sep_threshold = np.maximum(tol, np.sqrt(30.0 * n_disc)) * maxmod
-        margin = np.where(nonsing, np.minimum(margin, np.abs(sep - sep_threshold) / maxmod), margin)
+        # masked-out entries get det = 1, which keeps every formula finite
+        det_s = np.where(nonsing, det, 1.0)
+        k, noise = _cosquare(a, b, c, d, det_s, np.where(nonsing, absdet, 1.0))
+        tr, p, q, n_tr, n_disc, sep, sep_threshold, sep_slack = _spectrum(k, noise, det_s / np.conj(det_s), tol)
+        margin = np.where(nonsing, np.minimum(margin, sep_slack), margin)
 
         distinct = nonsing & (sep > sep_threshold)
         coincident = nonsing & ~distinct
 
         sep_safe = np.where(distinct, sep, 1.0)
-        n_eig = 0.5 * (n_tr + n_disc / (2.0 * sep_safe))
-        circle_dev = np.maximum(np.abs(np.abs(p) - 1.0), np.abs(np.abs(q) - 1.0))
-        circle_threshold = np.maximum(tol, 10.0 * n_eig)
-        margin = np.where(distinct, np.minimum(margin, np.abs(circle_dev - circle_threshold)), margin)
+        circle_dev, circle_threshold, circle_slack, _ = _circle_test(p, q, sep_safe, n_tr, n_disc, tol)
+        margin = np.where(distinct, np.minimum(margin, circle_slack), margin)
         fam = np.where(distinct & (circle_dev > circle_threshold), 3, fam)
         fam = np.where(distinct & (circle_dev <= circle_threshold), 2, fam)
 
         if np.any(coincident):
+            k00, k01, k10, k11 = k
             xi = tr / 2.0
-            r00, r01 = k00 - xi, k01
-            r10, r11 = k10, k11 - xi
-            j_stat = np.sqrt(np.abs(r00) ** 2 + np.abs(r01) ** 2 + np.abs(r10) ** 2 + np.abs(r11) ** 2)
+            r00, r11 = k00 - xi, k11 - xi
+            j_stat = np.sqrt(np.abs(r00) ** 2 + np.abs(k01) ** 2 + np.abs(k10) ** 2 + np.abs(r11) ** 2)
             frob_k = np.sqrt(np.abs(k00) ** 2 + np.abs(k01) ** 2 + np.abs(k10) ** 2 + np.abs(k11) ** 2)
+            n00, n01, n10, n11 = noise
             noise_norm = np.sqrt(n00**2 + n01**2 + n10**2 + n11**2)
-            j_threshold = np.maximum(tol * frob_k, 30.0 * noise_norm)
-            margin = np.where(
-                coincident,
-                np.minimum(margin, np.abs(j_stat - j_threshold) / np.maximum(frob_k, 1.0)),
-                margin,
-            )
+            j_threshold, j_slack = _jordan_test(j_stat, frob_k, noise_norm, tol)
+            margin = np.where(coincident, np.minimum(margin, j_slack), margin)
             fam = np.where(coincident & (j_stat <= j_threshold), 2, fam)
             fam = np.where(coincident & (j_stat > j_threshold), 4, fam)
 
@@ -420,10 +421,3 @@ def is_star_congruent(A, B, tol: float = 1e-9) -> bool:
     fb = classify(B, tol).form
     return forms_close(fa, fb, tol)
 
-
-def to_hermitian_pair(A):
-    """Unique Hermitian (P, Q) with A = P + iQ."""
-    A = as_mat2(A)
-    P = (A + A.conj().T) / 2.0
-    Q = (A - A.conj().T) / 2j
-    return P, Q

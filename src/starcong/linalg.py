@@ -45,18 +45,6 @@ def det2(A) -> complex:
     return complex(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
 
 
-def adjoint(A) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_mat2(A).conj().T.copy()
-
-
-def star_congruence(S, A) -> np.ndarray:
-    """S* A S.  S need not be nonsingular for the raw product."""
-    S = as_mat2(S)
-    A = as_mat2(A)
-    return S.conj().T @ A @ S
-
-
 def eigenvalues2(A) -> tuple[complex, complex]:
     """Both roots of det(A - xI) = 0.
 
@@ -136,6 +124,16 @@ def real_rank(M, tol: float) -> int:
     return rank
 
 
+def hermitian_part_eigenvalues(H) -> tuple[float, float]:
+    """Eigenvalues, ascending, of the Hermitian part (H + H*) / 2 of a 2x2 matrix."""
+    Hs = (H + H.conj().T) / 2.0
+    h11 = float(Hs[0, 0].real)
+    h22 = float(Hs[1, 1].real)
+    mid = (h11 + h22) / 2.0
+    rad = float(np.hypot((h11 - h22) / 2.0, abs(Hs[0, 1])))
+    return mid - rad, mid + rad
+
+
 @dataclass(frozen=True)
 class Inertia:
     """Counts of positive / zero / negative eigenvalues of a Hermitian matrix."""
@@ -163,12 +161,7 @@ def inertia2(H, tol: float = 1e-9) -> Inertia:
     herm_resid = frob(H - H.conj().T)
     if herm_resid > tol * nrm:
         raise NotHermitian(f"||H - H*|| = {herm_resid:.3e} > tol * ||H||")
-    Hs = (H + H.conj().T) / 2.0
-    h11 = float(Hs[0, 0].real)
-    h22 = float(Hs[1, 1].real)
-    mid = (h11 + h22) / 2.0
-    rad = float(np.hypot((h11 - h22) / 2.0, abs(Hs[0, 1])))
-    eigs = (mid - rad, mid + rad)
+    eigs = hermitian_part_eigenvalues(H)
     cut = tol * nrm
     n_plus = sum(1 for e in eigs if e > cut)
     n_minus = sum(1 for e in eigs if e < -cut)

@@ -41,7 +41,7 @@ from .forms import (
     forms_close,
     realize,
 )
-from .linalg import det2, eigenvalues2, frob, inverse2
+from .linalg import cosquare, det2, eigenvalues2, frob
 from .rng import substream_seeds, uniform_step
 from .stratify import codimension
 
@@ -281,19 +281,11 @@ def _witness_pair_delta(source, target, delta):
     return _shrink(build, delta)
 
 
-def witness_refinement_check(source, target, deltas=(1e-2, 1e-4, 1e-6), seed: int = 0) -> bool:
-    """Witness succeeds at every delta in the list (arbitrarily-small probe)."""
-    for d in deltas:
-        witness(source, target, d, seed)
-    return True
-
-
 # --- obstruction certificates ---------------------------------------------------
 
 
 def _cosquare_spectrum(form) -> tuple[complex, complex]:
-    R = realize(form)
-    return eigenvalues2(inverse2(R).conj().T @ R)
+    return eigenvalues2(cosquare(realize(form)))
 
 
 def _hausdorff(set_a, set_b) -> float:

@@ -2,7 +2,8 @@
 
 The tangent space to the *congruence class of A at A is the real span of
 {C* A + A C}; its dimension is computed as the real rank of the induced
-8x8 map on the basis {E_jk, i E_jk}.  Codimension is 8 minus that.
+8x8 map on the basis {E_jk, i E_jk}.  Codimension is 8 minus that; it is
+served from the closed-form family table, with the rank as its cross-check.
 
 The deformation template of a canonical form is the minimal parametric
 normal form to which all nearby matrices can be reduced by transformations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, realize
+from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero
 from .linalg import as_mat2, real_rank
 
 #: Basis/flattening order for R^8: (Re a11, Im a11, Re a12, Im a12,
@@ -66,8 +67,20 @@ def tangent_space_dim(A) -> int:
 
 
 def codimension(form: CanonicalForm) -> int:
-    """8 - tangent_space_dim at the canonical representative."""
-    return 8 - tangent_space_dim(realize(form))
+    """Real codimension of the class of ``form``, from the family table.
+
+    The definition is ``8 - tangent_space_dim(realize(form))``; the tests and
+    ``starcong selftest`` check the table against it.
+    """
+    if isinstance(form, Zero):
+        return 8
+    if isinstance(form, UnitDirectZero):
+        return 5
+    if isinstance(form, UnitPair):
+        return 4 if (form.equal_pair or form.antipodal) else 2
+    if isinstance(form, (Hyperbolic, DeltaTau)):
+        return 2
+    raise InvalidInput(f"not a canonical form: {form!r}")
 
 
 def _eps_kind(param: complex) -> str:

@@ -17,8 +17,6 @@ from starcong import (
     is_star_congruent,
     random_congruence,
     realize,
-    star_congruence,
-    to_hermitian_pair,
 )
 from starcong.canonical import AMBIG_FRACTION
 from starcong.forms import DELTA2
@@ -194,6 +192,12 @@ def test_margin_positive_and_scale():
     assert rep.margin > 0
     assert rep.scale == pytest.approx(np.sqrt(3))
     assert classify(np.zeros((2, 2))).margin == np.inf
+    # one input per branch of the tree; a numpy scalar would change repr(margin)
+    for form in (Zero(), UnitDirectZero(1j), Hyperbolic(0), Hyperbolic(0.3), UnitPair(1, 1j),
+                 UnitPair(1, 1), UnitPair(1, -1), DeltaTau(1)):
+        report = classify(realize(form))
+        assert forms_close(report.form, form, 1e-12)
+        assert type(report.margin) is float
 
 
 def test_is_star_congruent():
@@ -202,29 +206,6 @@ def test_is_star_congruent():
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert is_star_congruent(A, 4 * A)
     assert not is_star_congruent(DELTA2, -DELTA2)
-
-
-def test_to_hermitian_pair():
-    P, Q = to_hermitian_pair(np.eye(2))
-    np.testing.assert_array_equal(P, np.eye(2))
-    np.testing.assert_array_equal(Q, np.zeros((2, 2)))
-
-    P, Q = to_hermitian_pair(DELTA2)
-    np.testing.assert_array_equal(P, [[0, 1], [1, 0]])
-    np.testing.assert_array_equal(Q, [[0, 0], [0, 1]])
-
-    for _ in range(20):
-        A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        S = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        P, Q = to_hermitian_pair(A)
-        PS, QS = to_hermitian_pair(star_congruence(S, A))
-        np.testing.assert_allclose(PS, star_congruence(S, P), atol=1e-12)
-        np.testing.assert_allclose(QS, star_congruence(S, Q), atol=1e-12)
-        # reconstruction is ulp-exact; the two rounded half-sums need not
-        # cancel to the last bit
-        assert np.max(np.abs(P + 1j * Q - A)) <= 4 * np.finfo(float).eps * np.max(np.abs(A))
-        np.testing.assert_array_equal(P, P.conj().T)  # Hermitian to the bit
-        np.testing.assert_array_equal(Q, Q.conj().T)
 
 
 def test_random_congruence_deterministic():

@@ -62,6 +62,20 @@ def test_codim_command():
     assert res.stdout.strip() == "5"
 
 
+def test_codim_near_antipodal_pair():
+    # a generic pair 1e-12 off the antipodal boundary: codim 2, so the arrow
+    # to delta is refused by codimension monotonicity
+    res = run_cli("codim", "pair(1,-1-1e-12i)")
+    assert res.returncode == 0
+    assert res.stdout.strip() == "2"
+
+    res = run_cli("arrow", "pair(1,-1-1e-12i)", "delta(1)")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "reachable: false"
+    assert "CodimMonotonicity" in lines[1]
+
+
 def test_arrow_command():
     res = run_cli("arrow", "udz(1)", "delta(-1i)")
     assert res.returncode == 0
@@ -153,6 +167,8 @@ def test_selftest():
     res = run_cli("selftest")
     assert res.returncode == 0, res.stdout + res.stderr
     assert "ok" in res.stdout
+    # selftest prints text only; it has no --format option
+    assert run_cli("selftest", "--format", "json").returncode == 2
 
 
 def test_usage_error_exit_code():

@@ -5,15 +5,14 @@ from starcong import (
     InvalidInput,
     NotHermitian,
     SingularMatrix,
-    adjoint,
     cosquare,
     eigenvalues2,
     inertia2,
     inverse2,
     real_rank,
-    star_congruence,
 )
 from starcong.forms import DELTA2
+from starcong.linalg import det2
 
 rng = np.random.default_rng(20240817)
 
@@ -22,47 +21,11 @@ def random_mat2():
     return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
 
 
-def test_adjoint_examples():
-    np.testing.assert_array_equal(
-        adjoint([[0, 1], [1, 1j]]), np.array([[0, 1], [1, -1j]]))
-    np.testing.assert_array_equal(adjoint(np.eye(2)), np.eye(2))
-    np.testing.assert_array_equal(
-        adjoint([[1j, 0], [0, 0]]), np.array([[-1j, 0], [0, 0]]))
-
-
-def test_adjoint_involution_exact():
-    for _ in range(50):
-        A = random_mat2()
-        np.testing.assert_array_equal(adjoint(adjoint(A)), A)
-
-
-def test_star_congruence_identities():
-    S = np.array([[1, 0.5], [1, -0.5]])
-    got = star_congruence(S, np.diag([1, -1]))
-    np.testing.assert_allclose(got, [[0, 1], [1, 0]], atol=1e-15)
-
-    A = random_mat2()
-    np.testing.assert_array_equal(star_congruence(np.eye(2), A), A)
-
-    eps = 1e-3
-    Sd = np.diag([np.sqrt(eps), 1 / np.sqrt(eps)])
-    got = star_congruence(Sd, [[0, 1], [1, eps * 1j]])
-    np.testing.assert_allclose(got, DELTA2, atol=1e-15)
-
-
-def test_star_congruence_composition():
-    for _ in range(30):
-        A, S1, S2 = random_mat2(), random_mat2(), random_mat2()
-        lhs = star_congruence(S2, star_congruence(S1, A))
-        rhs = star_congruence(S1 @ S2, A)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
-
-
 def test_star_congruence_det_invariant():
     for _ in range(30):
         A, S = random_mat2(), random_mat2()
-        lhs = np.linalg.det(star_congruence(S, A))
-        rhs = abs(np.linalg.det(S)) ** 2 * np.linalg.det(A)
+        lhs = det2(S.conj().T @ A @ S)
+        rhs = abs(det2(S)) ** 2 * det2(A)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
 
@@ -159,10 +122,8 @@ def test_inertia2():
 def test_nan_inf_rejected(bad):
     M = np.eye(2, dtype=complex)
     M[0, 1] = bad
-    for fn in (adjoint, inverse2, cosquare, eigenvalues2):
+    for fn in (inverse2, cosquare, eigenvalues2):
         with pytest.raises(InvalidInput):
             fn(M)
-    with pytest.raises(InvalidInput):
-        star_congruence(M, np.eye(2))
     with pytest.raises(InvalidInput):
         real_rank([[bad, 0], [0, 1]], 1e-10)

@@ -47,6 +47,10 @@ def test_codimension_level_table(k):
     assert codimension(UnitPair(u, u)) == 4
     assert codimension(UnitPair(u, -u)) == 4
     assert codimension(UnitDirectZero(u)) == 5
+    # the table agrees with the definition, 8 - dim of the tangent space
+    for form in (UnitPair(u, v), Hyperbolic(0.7 * u * (0.1 + 0.05 * k)), DeltaTau(u),
+                 UnitPair(u, u), UnitPair(u, -u), UnitDirectZero(u), Zero()):
+        assert codimension(form) == 8 - tangent_space_dim(realize(form)), form
 
 
 def test_tangent_dim_congruence_invariant():
