@@ -11,11 +11,15 @@ reach class N.  The order is generated by:
     pair(l,-l)  -> delta(t)               iff t = +-l
 
 plus reflexivity (the lazy, length-0 path).  Everything else is a non-arrow.
-Closed-side geometric tests accept a slack of 1e-9 so user-supplied
+Closed-side geometric tests accept a slack of GEOM_TOL = 1e-9 so user-supplied
 near-boundary parameters land on the inclusive side.
 
 ``hasse_subgraph`` restricts the order to a finite vertex set and emits its
 transitive reduction; no covering relation on the infinite poset is claimed.
+It evaluates the cone, half-plane and +-l predicates that ``reachable`` uses
+on parameter arrays, one family block at a time, so its relation is the same
+bits as n^2 ``reachable`` calls; 10^4 vertices, the documented cap, take
+seconds (figures in its docstring).
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ from .stratify import codimension
 
 GEOM_TOL = 1e-9
 
+#: |Im(conj(mu) nu)| at or below which the cone generators mu, nu count as
+#: linearly dependent, whatever the caller's tolerance.
+DEPENDENT_TOL = 1e-12
+
 
 def _require_unimodular(z: complex, name: str) -> complex:
     z = _check_scalar(z, name)
@@ -47,14 +55,61 @@ def _require_unimodular(z: complex, name: str) -> complex:
     return z / abs(z)
 
 
-def _cone_coefficients(lam: complex, mu: complex, nu: complex):
-    """Solve a mu + b nu = lam over the reals; None when mu, nu are dependent."""
-    det = mu.real * nu.imag - nu.real * mu.imag
-    if abs(det) <= 1e-12:
-        return None
-    a = (lam.real * nu.imag - nu.real * lam.imag) / det
-    b = (mu.real * lam.imag - lam.real * mu.imag) / det
+# --- predicates shared by the scalar functions and hasse_subgraph -------------
+#
+# Each takes real and imaginary parts as Python floats or as broadcastable
+# ndarrays alike, and rounds as CPython's complex arithmetic does (its product
+# order, moduli by libm hypot), so a vertex set's relation is the same bits
+# from scalars or arrays.  Numpy's complex multiply and abs may round
+# differently, so arrays never go through them.  The caller chooses between
+# the cone's cases with its own control flow (if/else or masks).
+
+
+def _near(zr, zi, ur, ui, tol):
+    """|z - u| <= tol, the modulus rounded as abs(complex) rounds it.
+
+    That is libm hypot, which np.hypot also calls (math.hypot rounds
+    differently).
+    """
+    dr, di = zr - ur, zi - ui
+    if isinstance(dr, np.ndarray):
+        return np.hypot(dr, di) <= tol
+    return abs(complex(dr, di)) <= tol
+
+
+def _on_line(zr, zi, ur, ui, tol):
+    """z within tol of u or of -u, i.e. on the line u R at unit modulus."""
+    return _near(zr, zi, ur, ui, tol) | _near(zr, zi, -ur, -ui, tol)
+
+
+def _cone_shape(mr, mi, nr, ni, tol):
+    """(equal, line, det) of the cone mu R+ + nu R+.
+
+    ``equal``: mu = nu within tol, the cone is the ray mu R+.  ``line``: mu = -nu
+    within tol, or |det| <= DEPENDENT_TOL, the cone is the line mu R.  Both can
+    hold; ``equal`` takes precedence.  Otherwise the cone is a proper sector and
+    det = Im(conj(mu) nu) is the determinant ``_cone_coefficients`` divides by.
+    """
+    det = mr * ni - nr * mi
+    equal = _near(mr, mi, nr, ni, tol)
+    line = _near(mr, mi, -nr, -ni, tol) | (abs(det) <= DEPENDENT_TOL)
+    return equal, line, det
+
+
+def _cone_coefficients(lr, li, mr, mi, nr, ni, det):
+    """Real a, b with a mu + b nu = lam, for the nonzero det of ``_cone_shape``."""
+    a = (lr * ni - nr * li) / det
+    b = (mr * li - lr * mi) / det
     return a, b
+
+
+def _in_sector(a, b, tol):
+    return (a >= -tol) & (b >= -tol)
+
+
+def _half_plane(lr, li, tr, ti, tol):
+    """Im(lam conj(tau)) >= -tol, the product in CPython's complex order."""
+    return lr * (-ti) + li * tr >= -tol
 
 
 def in_cone(lam: complex, mu: complex, nu: complex, tol: float = GEOM_TOL) -> bool:
@@ -62,23 +117,22 @@ def in_cone(lam: complex, mu: complex, nu: complex, tol: float = GEOM_TOL) -> bo
     lam = _require_unimodular(lam, "lambda")
     mu = _require_unimodular(mu, "mu")
     nu = _require_unimodular(nu, "nu")
-    if abs(mu - nu) <= tol:
-        return abs(lam - mu) <= tol
-    if abs(mu + nu) <= tol:
-        return abs(lam - mu) <= tol or abs(lam + mu) <= tol
-    coeffs = _cone_coefficients(lam, mu, nu)
-    if coeffs is None:
-        # dependent generators below the caller's tolerance: line through mu
-        return abs(lam - mu) <= tol or abs(lam + mu) <= tol
-    a, b = coeffs
-    return a >= -tol and b >= -tol
+    lr, li, mr, mi, nr, ni = lam.real, lam.imag, mu.real, mu.imag, nu.real, nu.imag
+    equal, line, det = _cone_shape(mr, mi, nr, ni, tol)
+    if equal:
+        return _near(lr, li, mr, mi, tol)
+    if line:
+        return _on_line(lr, li, mr, mi, tol)
+    return _in_sector(*_cone_coefficients(lr, li, mr, mi, nr, ni, det), tol)
 
 
 def cone_distance(lam: complex, mu: complex, nu: complex) -> float:
     """Euclidean distance from lam to the closed cone mu R+ + nu R+.
 
-    Degenerate generators collapse at the same tolerance in_cone uses, so a
-    positive distance is reported exactly when in_cone refuses.
+    The cone's shape is read as in_cone reads it at GEOM_TOL, so whenever
+    in_cone refuses the arrow the distance is positive.  The converse does
+    not hold: in_cone grants lam up to GEOM_TOL outside the cone, where the
+    distance is small but positive.
     """
     lam = _require_unimodular(lam, "lambda")
     mu = _require_unimodular(mu, "mu")
@@ -88,13 +142,12 @@ def cone_distance(lam: complex, mu: complex, nu: complex) -> float:
         t = max((p * u.conjugate()).real, 0.0)
         return abs(p - t * u)
 
-    if abs(mu - nu) <= GEOM_TOL:
+    equal, line, det = _cone_shape(mu.real, mu.imag, nu.real, nu.imag, GEOM_TOL)
+    if equal:
         return ray_dist(lam, mu)
-    coeffs = _cone_coefficients(lam, mu, nu)
-    if abs(mu + nu) <= GEOM_TOL or coeffs is None:
-        # degenerate cone is the full line mu R
+    if line:
         return min(ray_dist(lam, mu), ray_dist(lam, -mu))
-    a, b = coeffs
+    a, b = _cone_coefficients(lam.real, lam.imag, mu.real, mu.imag, nu.real, nu.imag, det)
     if a >= 0.0 and b >= 0.0:
         return 0.0
     return min(ray_dist(lam, mu), ray_dist(lam, nu))
@@ -104,7 +157,7 @@ def half_plane_ok(lam: complex, tau: complex, tol: float = GEOM_TOL) -> bool:
     """Whether Im(lam conj(tau)) >= 0 (boundary included)."""
     lam = _require_unimodular(lam, "lambda")
     tau = _require_unimodular(tau, "tau")
-    return (lam * tau.conjugate()).imag >= -tol
+    return _half_plane(lam.real, lam.imag, tau.real, tau.imag, tol)
 
 
 def reachable(source: CanonicalForm, target: CanonicalForm, tol: float = GEOM_TOL) -> bool:
@@ -122,7 +175,8 @@ def reachable(source: CanonicalForm, target: CanonicalForm, tol: float = GEOM_TO
             return half_plane_ok(source.lam, target.tau, tol)
         return False
     if isinstance(source, UnitPair) and source.antipodal and isinstance(target, DeltaTau):
-        return abs(target.tau - source.mu) <= tol or abs(target.tau + source.mu) <= tol
+        tau, mu = target.tau, source.mu
+        return _on_line(tau.real, tau.imag, mu.real, mu.imag, tol)
     return False
 
 
@@ -139,8 +193,71 @@ class HasseSubgraph:
     edges: tuple[tuple[int, int], ...]
 
 
+def _parts(zs) -> tuple[np.ndarray, np.ndarray]:
+    z = np.array(zs, dtype=np.complex128)
+    return z.real, z.imag
+
+
+def _relation(verts) -> np.ndarray:
+    """R[i, j] = reachable(verts[i], verts[j]) for i != j, one family block at a time.
+
+    Parameters are normalized once per vertex with the scalar function the
+    scalar predicates use, so every block rounds as reachable does.
+    """
+    n = len(verts)
+    R = np.zeros((n, n), dtype=bool)
+    zero, udz, pair, anti, hyp, delta = [], [], [], [], [], []
+    for i, v in enumerate(verts):
+        if isinstance(v, Zero):
+            zero.append(i)
+        elif isinstance(v, UnitDirectZero):
+            udz.append(i)
+        elif isinstance(v, UnitPair):
+            pair.append(i)
+            if v.antipodal:
+                anti.append(i)
+        elif isinstance(v, Hyperbolic):
+            hyp.append(i)
+        elif isinstance(v, DeltaTau):
+            delta.append(i)
+    R[zero, :] = True
+    R[zero, zero] = False
+    if udz:
+        lr, li = _parts([_require_unimodular(verts[i].lam, "lambda") for i in udz])
+        lr, li = lr[:, None], li[:, None]
+        R[np.ix_(udz, hyp)] = True
+        mr, mi = _parts([_require_unimodular(verts[j].mu, "mu") for j in pair])
+        nr, ni = _parts([_require_unimodular(verts[j].nu, "nu") for j in pair])
+        equal, line, det = _cone_shape(mr, mi, nr, ni, GEOM_TOL)
+        a, b = _cone_coefficients(lr, li, mr, mi, nr, ni, np.where(equal | line, 1.0, det))
+        R[np.ix_(udz, pair)] = np.where(
+            equal, _near(lr, li, mr, mi, GEOM_TOL),
+            np.where(line, _on_line(lr, li, mr, mi, GEOM_TOL), _in_sector(a, b, GEOM_TOL)))
+        tr, ti = _parts([_require_unimodular(verts[j].tau, "tau") for j in delta])
+        R[np.ix_(udz, delta)] = _half_plane(lr, li, tr, ti, GEOM_TOL)
+    if anti:
+        mr, mi = _parts([verts[i].mu for i in anti])
+        tr, ti = _parts([verts[j].tau for j in delta])
+        R[np.ix_(anti, delta)] = _on_line(tr, ti, mr[:, None], mi[:, None], GEOM_TOL)
+    return R
+
+
 def hasse_subgraph(vertices) -> HasseSubgraph:
-    """Transitive reduction of the closure order on a finite vertex set."""
+    """Transitive reduction of the closure order on a finite vertex set.
+
+    The relation is built one (source family, target family) block at a time
+    with the predicates ``reachable`` uses, over parameter arrays; an arrow is
+    dropped when a 2-step path implies it, found by a float32 product over
+    the vertices with both in- and out-arrows.  Edges are in row-major order.
+
+    Served size, random vertex sets of all families (Intel Xeon, 2 vCPUs,
+    Python 3.11, numpy 2.4, one BLAS thread), with ``to_dot`` after it:
+
+        10^3 vertices:  0.05 s + 0.04 s,    51 k edges,  5.7 MB of DOT,   58 MB peak RSS
+        10^4 vertices:  5.0 s  + 5.5 s,    4.7 M edges,  514 MB of DOT,  1.7 GB peak RSS
+
+    Time and memory grow with the number of edges, about n^2 / 20.
+    """
     verts = tuple(vertices)
     if len(verts) > 10**4:
         raise InvalidInput("at most 10^4 vertices supported")
@@ -149,16 +266,19 @@ def hasse_subgraph(vertices) -> HasseSubgraph:
         if v in seen:
             raise DuplicateVertex(f"duplicate vertex {format_form(v)}")
         seen.add(v)
-    n = len(verts)
-    R = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            if i != j and reachable(verts[i], verts[j]):
-                R[i, j] = True
-    # an edge is redundant iff a 2-step path exists inside the relation
-    implied = (R.astype(np.uint16) @ R.astype(np.uint16)) > 0
-    reduced = R & ~implied
-    edges = tuple((i, j) for i in range(n) for j in range(n) if reduced[i, j])
+    R = _relation(verts)
+    # an edge is redundant iff a 2-step path exists inside the relation; only
+    # rows with out-arrows hold edges, only vertices with both kinds are steps
+    out = R.any(axis=1)
+    src = np.flatnonzero(out)
+    mid = np.flatnonzero(out & R.any(axis=0))
+    Rs = R[src]
+    implied = (Rs[:, mid].astype(np.float32) @ R[mid].astype(np.float32)) > 0
+    rows, cols = np.nonzero(Rs & ~implied)
+    # one int object per vertex, shared by all its edges: at 10^4 vertices
+    # there are millions of edges
+    index = np.arange(len(verts), dtype=object)
+    edges = tuple(zip(index[src[rows]].tolist(), index[cols].tolist()))
     return HasseSubgraph(verts, edges)
 
 
@@ -175,5 +295,5 @@ def to_dot(graph: HasseSubgraph) -> str:
         lines.append(f'  "{nid}" [label="{nid}\\ncodim {cd}"];')
     edge_strs = sorted(f'  "{ids[i]}" -> "{ids[j]}";' for i, j in graph.edges)
     lines.extend(edge_strs)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ["}", ""]
+    return "\n".join(lines)

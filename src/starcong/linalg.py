@@ -7,6 +7,7 @@ the inertia of a 2x2 Hermitian matrix.  All entry points reject NaN/Inf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ def as_mat2(A) -> np.ndarray:
 
 def _check_scalar(z: complex, name: str = "value") -> complex:
     z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise InvalidInput(f"{name} is not finite")
     return z
 

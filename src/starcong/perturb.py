@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import FAMILY_CODES, classify, classify_many
-from .closure import cone_distance, _cone_coefficients, reachable
+from .closure import GEOM_TOL, _cone_coefficients, _cone_shape, cone_distance, reachable
 from .errors import (
     ArrowExists,
     CertificateNotFound,
@@ -198,13 +198,14 @@ def _clamp_corner(E):
 
 def _witness_udz_pair(source, target, delta):
     lam, mu, nu = source.lam, target.mu, target.nu
-    # degenerate-generator handling must mirror in_cone, which granted the arrow
-    if abs(mu - nu) <= 1e-9:
+    # read the cone's shape as in_cone, which granted the arrow, reads it
+    equal, line, det = _cone_shape(mu.real, mu.imag, nu.real, nu.imag, GEOM_TOL)
+    if equal:
         a, b = 1.0, 0.0
-    elif abs(mu + nu) <= 1e-9:
+    elif line:
         a, b = (1.0, 0.0) if abs(lam - mu) <= abs(lam + mu) else (0.0, 1.0)
     else:
-        a, b = _cone_coefficients(lam, mu, nu)
+        a, b = _cone_coefficients(lam.real, lam.imag, mu.real, mu.imag, nu.real, nu.imag, det)
         a, b = max(a, 0.0), max(b, 0.0)
     R = realize(target)
     M = realize(source)
@@ -242,7 +243,7 @@ def _witness_udz_hyp(source, target, delta):
 def _witness_udz_delta(source, target, delta):
     lam, tau = source.lam, target.tau
     c = np.conj(tau) * lam
-    im_c = max(c.imag, 0.0)  # reachable() guarantees >= -1e-9
+    im_c = max(c.imag, 0.0)  # reachable() guarantees >= -GEOM_TOL
     R = realize(target)
     M = realize(source)
 

@@ -5,6 +5,7 @@ from starcong import (
     DeltaTau,
     DuplicateVertex,
     Hyperbolic,
+    InvalidInput,
     UnitDirectZero,
     UnitPair,
     Zero,
@@ -17,6 +18,8 @@ from starcong import (
     reachable,
     to_dot,
 )
+from starcong import closure
+from starcong.closure import HasseSubgraph
 from starcong.rng import SplitMix64
 
 
@@ -200,3 +203,107 @@ def test_dot_output_shape():
     # deterministic: input order must not matter
     dot2 = to_dot(hasse_subgraph(list(reversed(seven_class_set()))))
     assert dot == dot2
+
+
+# --- hasse_subgraph against the scalar predicates -------------------------------
+
+LADDER = range(3, 16)  # 10^-k off a boundary; k = 9 is the GEOM_TOL rung
+
+
+def ladder_set(rng: SplitMix64):
+    """Anchors plus vertices 10^-k on both sides of the antipodal, equal,
+    cone-edge, half-plane-edge and +-lambda boundaries."""
+    ma, me, mc, th = (unit(2 * np.pi * rng.uniform()) for _ in range(4))
+    nc = mc * unit(0.3 + 2.5 * rng.uniform())
+    verts = [Zero(), DeltaTau(ma), DeltaTau(-ma), UnitDirectZero(me), UnitPair(mc, nc), DeltaTau(th),
+             UnitPair(ma, -ma), UnitPair(me, me)]
+    for k in LADDER:
+        for eps in (10.0**-k, -(10.0**-k)):
+            verts += [
+                UnitPair(ma, -ma * unit(eps)),
+                UnitPair(me, me * unit(eps)),
+                UnitDirectZero(mc * unit(-eps)),
+                UnitDirectZero(th * unit(-eps)),
+                UnitDirectZero(ma * unit(eps)),
+                DeltaTau(-ma * unit(eps)),
+            ]
+    return verts
+
+
+def random_set(rng: SplitMix64, n: int):
+    verts = []
+    while len(verts) < n:
+        v = random_form(rng)
+        if v not in verts:
+            verts.append(v)
+    return verts
+
+
+def brute_force(verts):
+    """(relation, row-major Hasse edges) from per-pair reachable calls."""
+    n = len(verts)
+    R = np.array([[i != j and reachable(verts[i], verts[j]) for j in range(n)] for i in range(n)])
+    edges = tuple(
+        (i, j) for i in range(n) for j in range(n)
+        if R[i, j] and not any(R[i, k] and R[k, j] for k in range(n)))
+    return R, edges
+
+
+def test_hasse_matches_brute_force():
+    rng = SplitMix64(77)
+    sets = [ladder_set(rng) for _ in range(3)]
+    sets += [random_set(rng, 60) for _ in range(3)]
+    sets += [ladder_set(rng) + random_set(rng, 40)]
+    for verts in sets:
+        verts = list(dict.fromkeys(verts))
+        R, edges = brute_force(verts)
+        assert np.array_equal(closure._relation(tuple(verts)), R)
+        g = hasse_subgraph(verts)
+        assert g.edges == edges
+        assert to_dot(g) == to_dot(HasseSubgraph(tuple(verts), edges))
+
+
+def test_hasse_small_and_sparse_sets():
+    assert hasse_subgraph([]).edges == ()
+    assert to_dot(hasse_subgraph([])) == "digraph closure {\n  rankdir=BT;\n  node [shape=box];\n}\n"
+    for v in (Zero(), UnitDirectZero(1j), UnitPair(1, -1), Hyperbolic(0.2), DeltaTau(1)):
+        assert hasse_subgraph([v]).edges == ()
+    # a single family: no arrows at all
+    assert hasse_subgraph([UnitDirectZero(unit(0.1 * k)) for k in range(5)]).edges == ()
+    assert hasse_subgraph([DeltaTau(unit(0.1 * k)) for k in range(5)]).edges == ()
+    # no udz: zero's arrows and the antipodal pair's; zero -> delta(1) goes through pair(1,-1)
+    verts = [UnitPair(1, -1), DeltaTau(1), DeltaTau(1j), Zero(), UnitPair(1, 1j)]
+    assert hasse_subgraph(verts).edges == ((0, 1), (3, 0), (3, 2), (3, 4))
+    # no antipodal pair: chains have length 2 at most
+    verts = [UnitDirectZero(1), Zero(), DeltaTau(-1j), UnitPair(1, 1j), DeltaTau(1j)]
+    assert hasse_subgraph(verts).edges == ((0, 2), (0, 3), (1, 0), (1, 4))
+    # no intermediate vertex: nothing is reduced
+    assert hasse_subgraph([UnitDirectZero(1), Hyperbolic(0.5), DeltaTau(-1j)]).edges == ((0, 1), (0, 2))
+
+
+def test_hasse_limits_checked_first(monkeypatch):
+    def no_blocks(verts):
+        raise AssertionError("relation built before the size check")
+
+    monkeypatch.setattr(closure, "_relation", no_blocks)
+    with pytest.raises(InvalidInput):
+        hasse_subgraph([Zero()] * (10**4 + 1))
+    with pytest.raises(DuplicateVertex):
+        hasse_subgraph([Zero(), UnitPair(1, -1), UnitPair(-1, 1)])
+
+
+def test_cone_distance_positive_on_refusal():
+    rng = SplitMix64(3)
+    granted_outside = 0
+    for verts in (ladder_set(rng) for _ in range(3)):
+        udz = [v for v in verts if isinstance(v, UnitDirectZero)]
+        pairs = [v for v in verts if isinstance(v, UnitPair)]
+        for u in udz:
+            for p in pairs:
+                d = cone_distance(u.lam, p.mu, p.nu)
+                if not in_cone(u.lam, p.mu, p.nu):
+                    assert d > 0.0, (u, p)
+                elif d > 0.0:
+                    granted_outside += 1
+    # the converse does not hold: arrows granted within GEOM_TOL of the cone
+    assert granted_outside > 0
