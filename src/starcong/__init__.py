@@ -12,16 +12,11 @@ from .canonical import (
     ClassificationReport,
     classify,
     classify_many,
-    is_star_congruent,
     random_congruence,
 )
 from .closure import (
     HasseSubgraph,
-    codim_monotone_check,
-    cone_distance,
-    half_plane_ok,
     hasse_subgraph,
-    in_cone,
     reachable,
     to_dot,
 )
@@ -34,7 +29,6 @@ from .errors import (
     FormSyntaxError,
     InvalidInput,
     NoArrow,
-    NotHermitian,
     SingularMatrix,
     StarcongError,
 )
@@ -54,10 +48,8 @@ from .forms import (
     realize,
 )
 from .linalg import (
-    Inertia,
     cosquare,
     eigenvalues2,
-    inertia2,
     inverse2,
     real_rank,
 )
@@ -86,11 +78,9 @@ __all__ = [
     "FormSyntaxError",
     "HasseSubgraph",
     "Hyperbolic",
-    "Inertia",
     "InvalidInput",
     "NeighborhoodReport",
     "NoArrow",
-    "NotHermitian",
     "ObstructionCertificate",
     "SingularMatrix",
     "SplitMix64",
@@ -102,20 +92,14 @@ __all__ = [
     "Zero",
     "classify",
     "classify_many",
-    "codim_monotone_check",
     "codimension",
-    "cone_distance",
     "cosquare",
     "eigenvalues2",
     "format_complex",
     "format_form",
     "forms_close",
-    "half_plane_ok",
     "hasse_subgraph",
-    "in_cone",
-    "inertia2",
     "inverse2",
-    "is_star_congruent",
     "no_arrow_certificate",
     "parse_complex",
     "parse_form",

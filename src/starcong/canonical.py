@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousClassification, InvalidInput
-from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, forms_close, realize
+from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, realize
 from .linalg import EPS, as_mat2, frob, hermitian_part_eigenvalues
 from .rng import seeded_rng
 
@@ -413,11 +413,3 @@ def random_congruence(form: CanonicalForm, seed: int, cond_max: float = 20.0):
             break
     R = realize(form)
     return S, S.conj().T @ R @ S
-
-
-def is_star_congruent(A, B, tol: float = 1e-9) -> bool:
-    """Whether A and B lie in the same *congruence class."""
-    fa = classify(A, tol).form
-    fb = classify(B, tol).form
-    return forms_close(fa, fb, tol)
-

@@ -102,7 +102,7 @@ def _cmd_arrow(args) -> int:
     outputs: dict = {"reachable": ok}
     lines = [f"reachable: {'true' if ok else 'false'}"]
     if ok and src != dst:
-        w = witness(src, dst, args.delta, args.seed)
+        w = witness(src, dst, args.delta)
         outputs["witness"] = w.to_json_dict()
         lines.append(f"witness at delta {args.delta:.17g}: ||E|| = {w.norm_E:.17g}")
         lines.append(f"E = {format_matrix(w.E)}")
@@ -126,7 +126,7 @@ def _cmd_arrow(args) -> int:
 def _cmd_witness(args) -> int:
     src = parse_form(args.source)
     dst = parse_form(args.target)
-    w = witness(src, dst, args.delta, args.seed)
+    w = witness(src, dst, args.delta)
     perturbed = realize(src) + w.E
     report = {
         "command": "witness",

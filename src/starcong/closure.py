@@ -11,8 +11,12 @@ reach class N.  The order is generated by:
     pair(l,-l)  -> delta(t)               iff t = +-l
 
 plus reflexivity (the lazy, length-0 path).  Everything else is a non-arrow.
-Closed-side geometric tests accept a slack of GEOM_TOL = 1e-9 so user-supplied
-near-boundary parameters land on the inclusive side.
+
+The parameters are read from the forms as ``forms`` validated and
+normalized them on construction (finite, within 1e-9 of unit modulus and
+divided by it); nothing here checks them again.  Every geometric test is closed
+with one slack, GEOM_TOL = 1e-9, so user-supplied near-boundary parameters
+land on the inclusive side.
 
 ``hasse_subgraph`` restricts the order to a finite vertex set and emits its
 transitive reduction; no covering relation on the infinite poset is claimed.
@@ -38,62 +42,51 @@ from .forms import (
     Zero,
     format_form,
 )
-from .linalg import _check_scalar
 from .stratify import codimension
 
 GEOM_TOL = 1e-9
 
-#: |Im(conj(mu) nu)| at or below which the cone generators mu, nu count as
-#: linearly dependent, whatever the caller's tolerance.
-DEPENDENT_TOL = 1e-12
 
-
-def _require_unimodular(z: complex, name: str) -> complex:
-    z = _check_scalar(z, name)
-    if abs(abs(z) - 1.0) > 1e-9:
-        raise InvalidInput(f"{name} must be unimodular")
-    return z / abs(z)
-
-
-# --- predicates shared by the scalar functions and hasse_subgraph -------------
+# --- predicates shared by reachable, hasse_subgraph and the witnesses ----------
 #
-# Each takes real and imaginary parts as Python floats or as broadcastable
-# ndarrays alike, and rounds as CPython's complex arithmetic does (its product
-# order, moduli by libm hypot), so a vertex set's relation is the same bits
-# from scalars or arrays.  Numpy's complex multiply and abs may round
-# differently, so arrays never go through them.  The caller chooses between
-# the cone's cases with its own control flow (if/else or masks).
+# Each takes the real and imaginary parts of validated form parameters, as
+# Python floats or as broadcastable ndarrays alike, and rounds as CPython's
+# complex arithmetic does (its product order, moduli by libm hypot), so a
+# vertex set's relation is the same bits from scalars or arrays.  Numpy's
+# complex multiply and abs may round differently, so arrays never go through
+# them.  The caller chooses between the cone's cases with its own control
+# flow (if/else or masks).
 
 
-def _near(zr, zi, ur, ui, tol):
-    """|z - u| <= tol, the modulus rounded as abs(complex) rounds it.
+def _near(zr, zi, ur, ui):
+    """|z - u| <= GEOM_TOL, the modulus rounded as abs(complex) rounds it.
 
     That is libm hypot, which np.hypot also calls (math.hypot rounds
     differently).
     """
     dr, di = zr - ur, zi - ui
     if isinstance(dr, np.ndarray):
-        return np.hypot(dr, di) <= tol
-    return abs(complex(dr, di)) <= tol
+        return np.hypot(dr, di) <= GEOM_TOL
+    return abs(complex(dr, di)) <= GEOM_TOL
 
 
-def _on_line(zr, zi, ur, ui, tol):
-    """z within tol of u or of -u, i.e. on the line u R at unit modulus."""
-    return _near(zr, zi, ur, ui, tol) | _near(zr, zi, -ur, -ui, tol)
+def _on_line(zr, zi, ur, ui):
+    """z within GEOM_TOL of u or of -u, i.e. on the line u R at unit modulus."""
+    return _near(zr, zi, ur, ui) | _near(zr, zi, -ur, -ui)
 
 
-def _cone_shape(mr, mi, nr, ni, tol):
-    """(equal, line, det) of the cone mu R+ + nu R+.
+def _cone_shape(mr, mi, nr, ni):
+    """(equal, line, det) of the cone mu R+ + nu R+ of unit generators.
 
-    ``equal``: mu = nu within tol, the cone is the ray mu R+.  ``line``: mu = -nu
-    within tol, or |det| <= DEPENDENT_TOL, the cone is the line mu R.  Both can
-    hold; ``equal`` takes precedence.  Otherwise the cone is a proper sector and
-    det = Im(conj(mu) nu) is the determinant ``_cone_coefficients`` divides by.
+    ``equal``: mu = nu within GEOM_TOL, the cone is the ray mu R+.  ``line``:
+    mu = -nu within GEOM_TOL, the cone is the line mu R.  Both can hold;
+    ``equal`` takes precedence.  Otherwise the cone is a proper sector and
+    det = Im(conj(mu) nu) is the determinant ``_cone_coefficients`` divides
+    by; since |det| = |mu - nu| |mu + nu| / 2, it then exceeds about GEOM_TOL.
     """
-    det = mr * ni - nr * mi
-    equal = _near(mr, mi, nr, ni, tol)
-    line = _near(mr, mi, -nr, -ni, tol) | (abs(det) <= DEPENDENT_TOL)
-    return equal, line, det
+    equal = _near(mr, mi, nr, ni)
+    line = _near(mr, mi, -nr, -ni)
+    return equal, line, mr * ni - nr * mi
 
 
 def _cone_coefficients(lr, li, mr, mi, nr, ni, det):
@@ -103,46 +96,30 @@ def _cone_coefficients(lr, li, mr, mi, nr, ni, det):
     return a, b
 
 
-def _in_sector(a, b, tol):
-    return (a >= -tol) & (b >= -tol)
+def _in_sector(a, b):
+    return (a >= -GEOM_TOL) & (b >= -GEOM_TOL)
 
 
-def _half_plane(lr, li, tr, ti, tol):
-    """Im(lam conj(tau)) >= -tol, the product in CPython's complex order."""
-    return lr * (-ti) + li * tr >= -tol
+def _half_plane(lr, li, tr, ti):
+    """Im(lam conj(tau)) >= -GEOM_TOL, the product in CPython's complex order."""
+    return lr * (-ti) + li * tr >= -GEOM_TOL
 
 
-def in_cone(lam: complex, mu: complex, nu: complex, tol: float = GEOM_TOL) -> bool:
-    """Whether lam lies in the closed cone {a mu + b nu : a, b >= 0}."""
-    lam = _require_unimodular(lam, "lambda")
-    mu = _require_unimodular(mu, "mu")
-    nu = _require_unimodular(nu, "nu")
-    lr, li, mr, mi, nr, ni = lam.real, lam.imag, mu.real, mu.imag, nu.real, nu.imag
-    equal, line, det = _cone_shape(mr, mi, nr, ni, tol)
-    if equal:
-        return _near(lr, li, mr, mi, tol)
-    if line:
-        return _on_line(lr, li, mr, mi, tol)
-    return _in_sector(*_cone_coefficients(lr, li, mr, mi, nr, ni, det), tol)
-
-
-def cone_distance(lam: complex, mu: complex, nu: complex) -> float:
+def _cone_distance(lam: complex, mu: complex, nu: complex) -> float:
     """Euclidean distance from lam to the closed cone mu R+ + nu R+.
 
-    The cone's shape is read as in_cone reads it at GEOM_TOL, so whenever
-    in_cone refuses the arrow the distance is positive.  The converse does
-    not hold: in_cone grants lam up to GEOM_TOL outside the cone, where the
-    distance is small but positive.
+    The cone's shape is read as ``reachable`` reads it for udz(lam) ->
+    pair(mu, nu), so whenever ``reachable`` refuses that arrow the distance
+    is positive.  The converse does not hold: ``reachable`` grants lam up to
+    GEOM_TOL outside the cone, where the distance is small but positive.
     """
-    lam = _require_unimodular(lam, "lambda")
-    mu = _require_unimodular(mu, "mu")
-    nu = _require_unimodular(nu, "nu")
+    lam, mu, nu = lam / abs(lam), mu / abs(mu), nu / abs(nu)
 
     def ray_dist(p: complex, u: complex) -> float:
         t = max((p * u.conjugate()).real, 0.0)
         return abs(p - t * u)
 
-    equal, line, det = _cone_shape(mu.real, mu.imag, nu.real, nu.imag, GEOM_TOL)
+    equal, line, det = _cone_shape(mu.real, mu.imag, nu.real, nu.imag)
     if equal:
         return ray_dist(lam, mu)
     if line:
@@ -153,38 +130,28 @@ def cone_distance(lam: complex, mu: complex, nu: complex) -> float:
     return min(ray_dist(lam, mu), ray_dist(lam, nu))
 
 
-def half_plane_ok(lam: complex, tau: complex, tol: float = GEOM_TOL) -> bool:
-    """Whether Im(lam conj(tau)) >= 0 (boundary included)."""
-    lam = _require_unimodular(lam, "lambda")
-    tau = _require_unimodular(tau, "tau")
-    return _half_plane(lam.real, lam.imag, tau.real, tau.imag, tol)
-
-
-def reachable(source: CanonicalForm, target: CanonicalForm, tol: float = GEOM_TOL) -> bool:
+def reachable(source: CanonicalForm, target: CanonicalForm) -> bool:
     """Whether the class of ``source`` is contained in the closure of ``target``."""
-    if source == target:
-        return True
-    if isinstance(source, Zero):
+    if source == target or isinstance(source, Zero):
         return True
     if isinstance(source, UnitDirectZero):
+        lr, li = source.lam.real, source.lam.imag
         if isinstance(target, Hyperbolic):
             return True
         if isinstance(target, UnitPair):
-            return in_cone(source.lam, target.mu, target.nu, tol)
+            mr, mi, nr, ni = target.mu.real, target.mu.imag, target.nu.real, target.nu.imag
+            equal, line, det = _cone_shape(mr, mi, nr, ni)
+            if equal:
+                return _near(lr, li, mr, mi)
+            if line:
+                return _on_line(lr, li, mr, mi)
+            return _in_sector(*_cone_coefficients(lr, li, mr, mi, nr, ni, det))
         if isinstance(target, DeltaTau):
-            return half_plane_ok(source.lam, target.tau, tol)
+            return _half_plane(lr, li, target.tau.real, target.tau.imag)
         return False
     if isinstance(source, UnitPair) and source.antipodal and isinstance(target, DeltaTau):
-        tau, mu = target.tau, source.mu
-        return _on_line(tau.real, tau.imag, mu.real, mu.imag, tol)
+        return _on_line(target.tau.real, target.tau.imag, source.mu.real, source.mu.imag)
     return False
-
-
-def codim_monotone_check(source: CanonicalForm, target: CanonicalForm) -> bool:
-    """Runtime self-check: every arrow strictly decreases codimension."""
-    if not reachable(source, target) or source == target:
-        return True
-    return codimension(source) > codimension(target)
 
 
 @dataclass(frozen=True)
@@ -201,8 +168,9 @@ def _parts(zs) -> tuple[np.ndarray, np.ndarray]:
 def _relation(verts) -> np.ndarray:
     """R[i, j] = reachable(verts[i], verts[j]) for i != j, one family block at a time.
 
-    Parameters are normalized once per vertex with the scalar function the
-    scalar predicates use, so every block rounds as reachable does.
+    Each block reads the vertices' parameters as ``reachable`` reads them and
+    applies the same predicates to their arrays, so it rounds as
+    ``reachable`` does.
     """
     n = len(verts)
     R = np.zeros((n, n), dtype=bool)
@@ -222,23 +190,21 @@ def _relation(verts) -> np.ndarray:
             delta.append(i)
     R[zero, :] = True
     R[zero, zero] = False
+    tr, ti = _parts([verts[j].tau for j in delta])
     if udz:
-        lr, li = _parts([_require_unimodular(verts[i].lam, "lambda") for i in udz])
+        lr, li = _parts([verts[i].lam for i in udz])
         lr, li = lr[:, None], li[:, None]
         R[np.ix_(udz, hyp)] = True
-        mr, mi = _parts([_require_unimodular(verts[j].mu, "mu") for j in pair])
-        nr, ni = _parts([_require_unimodular(verts[j].nu, "nu") for j in pair])
-        equal, line, det = _cone_shape(mr, mi, nr, ni, GEOM_TOL)
+        mr, mi = _parts([verts[j].mu for j in pair])
+        nr, ni = _parts([verts[j].nu for j in pair])
+        equal, line, det = _cone_shape(mr, mi, nr, ni)
         a, b = _cone_coefficients(lr, li, mr, mi, nr, ni, np.where(equal | line, 1.0, det))
         R[np.ix_(udz, pair)] = np.where(
-            equal, _near(lr, li, mr, mi, GEOM_TOL),
-            np.where(line, _on_line(lr, li, mr, mi, GEOM_TOL), _in_sector(a, b, GEOM_TOL)))
-        tr, ti = _parts([_require_unimodular(verts[j].tau, "tau") for j in delta])
-        R[np.ix_(udz, delta)] = _half_plane(lr, li, tr, ti, GEOM_TOL)
+            equal, _near(lr, li, mr, mi), np.where(line, _on_line(lr, li, mr, mi), _in_sector(a, b)))
+        R[np.ix_(udz, delta)] = _half_plane(lr, li, tr, ti)
     if anti:
         mr, mi = _parts([verts[i].mu for i in anti])
-        tr, ti = _parts([verts[j].tau for j in delta])
-        R[np.ix_(anti, delta)] = _on_line(tr, ti, mr[:, None], mi[:, None], GEOM_TOL)
+        R[np.ix_(anti, delta)] = _on_line(tr, ti, mr[:, None], mi[:, None])
     return R
 
 

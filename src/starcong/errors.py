@@ -13,10 +13,6 @@ class SingularMatrix(StarcongError):
     """Matrix is numerically singular where an inverse was required."""
 
 
-class NotHermitian(StarcongError):
-    """Matrix fails the Hermitian residual test."""
-
-
 class FormSyntaxError(StarcongError):
     """A canonical-form or matrix literal could not be parsed."""
 

@@ -2,17 +2,17 @@
 
 Everything here is exact-intent: closed-form 2x2 arithmetic, a numerically
 stable quadratic-formula eigensolver, row-reduction rank over the reals, and
-the inertia of a 2x2 Hermitian matrix.  All entry points reject NaN/Inf.
+the eigenvalues of the Hermitian part of a 2x2 matrix.  All entry points
+reject NaN/Inf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NotHermitian, SingularMatrix
+from .errors import InvalidInput, SingularMatrix
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -133,37 +133,3 @@ def hermitian_part_eigenvalues(H) -> tuple[float, float]:
     mid = (h11 + h22) / 2.0
     rad = float(np.hypot((h11 - h22) / 2.0, abs(Hs[0, 1])))
     return mid - rad, mid + rad
-
-
-@dataclass(frozen=True)
-class Inertia:
-    """Counts of positive / zero / negative eigenvalues of a Hermitian matrix."""
-
-    n_plus: int
-    n_zero: int
-    n_minus: int
-
-    def __iter__(self):
-        return iter((self.n_plus, self.n_zero, self.n_minus))
-
-
-def inertia2(H, tol: float = 1e-9) -> Inertia:
-    """Inertia of a 2x2 Hermitian matrix.
-
-    ``H`` must satisfy ||H - H*|| <= tol * ||H||; eigenvalues within
-    tol * ||H|| of zero are counted as zero.
-    """
-    H = as_mat2(H)
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
-    nrm = frob(H)
-    if nrm == 0.0:
-        return Inertia(0, 2, 0)
-    herm_resid = frob(H - H.conj().T)
-    if herm_resid > tol * nrm:
-        raise NotHermitian(f"||H - H*|| = {herm_resid:.3e} > tol * ||H||")
-    eigs = hermitian_part_eigenvalues(H)
-    cut = tol * nrm
-    n_plus = sum(1 for e in eigs if e > cut)
-    n_minus = sum(1 for e in eigs if e < -cut)
-    return Inertia(n_plus, 2 - n_plus - n_minus, n_minus)

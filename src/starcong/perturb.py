@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .canonical import FAMILY_CODES, classify, classify_many
-from .closure import GEOM_TOL, _cone_coefficients, _cone_shape, cone_distance, reachable
+from .closure import _cone_coefficients, _cone_distance, _cone_shape, reachable
 from .errors import (
     ArrowExists,
     CertificateNotFound,
@@ -109,11 +109,10 @@ class NeighborhoodReport:
 # --- witnesses ----------------------------------------------------------------
 
 
-def witness(source: CanonicalForm, target: CanonicalForm, delta: float, seed: int = 0) -> Witness:
+def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witness:
     """Perturbation E with ||E||_F <= delta moving ``source`` into class ``target``.
 
-    The construction is deterministic; ``seed`` is accepted for interface
-    stability and echoed by the CLI report.  Raises NoArrow (carrying an
+    The construction is deterministic.  Raises NoArrow (carrying an
     obstruction certificate) when the move is impossible.
     """
     if not isinstance(delta, (int, float)) or delta <= 0.0:
@@ -198,8 +197,8 @@ def _clamp_corner(E):
 
 def _witness_udz_pair(source, target, delta):
     lam, mu, nu = source.lam, target.mu, target.nu
-    # read the cone's shape as in_cone, which granted the arrow, reads it
-    equal, line, det = _cone_shape(mu.real, mu.imag, nu.real, nu.imag, GEOM_TOL)
+    # read the cone's shape as reachable, which granted the arrow, reads it
+    equal, line, det = _cone_shape(mu.real, mu.imag, nu.real, nu.imag)
     if equal:
         a, b = 1.0, 0.0
     elif line:
@@ -295,6 +294,20 @@ def _hausdorff(set_a, set_b) -> float:
     return max(fwd, bwd)
 
 
+def _spectrum_certificate(gap, spec_m, spec_n) -> ObstructionCertificate:
+    return ObstructionCertificate("SpectrumGap", margin=gap, data={
+        "spectrum_source": [format_complex(s) for s in spec_m],
+        "spectrum_target": [format_complex(s) for s in spec_n]})
+
+
+def _spectral_spread(form) -> float:
+    """|p - q| > 0 for the cosquare spectrum {mu^2, nu^2} or {sigma, 1/conj(sigma)}."""
+    if isinstance(form, UnitPair):
+        return abs(form.mu - form.nu) * abs(form.mu + form.nu)
+    s = abs(form.sigma)
+    return (1.0 - s * s) / s
+
+
 def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> ObstructionCertificate:
     """First applicable obstruction proving there is no arrow source -> target."""
     if source == target:
@@ -311,26 +324,19 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
         )
 
     det_m = det2(realize(source))
-    spectrum_target_ok = (
+    # the target's cosquare spectrum has two distinct points
+    spectral = abs(det_m) > 0.0 and (
         (isinstance(target, UnitPair) and not target.equal_pair and not target.antipodal)
-        or (isinstance(target, Hyperbolic) and target.sigma != 0)
-    )
-    if abs(det_m) > 0.0 and spectrum_target_ok:
+        or (isinstance(target, Hyperbolic) and target.sigma != 0))
+    if spectral:
         spec_m = _cosquare_spectrum(source)
         spec_n = _cosquare_spectrum(target)
-        gap = _hausdorff(spec_m, spec_n)
-        if gap > 1e-12:
-            return ObstructionCertificate(
-                "SpectrumGap",
-                margin=gap,
-                data={
-                    "spectrum_source": [format_complex(s) for s in spec_m],
-                    "spectrum_target": [format_complex(s) for s in spec_n],
-                },
-            )
+        spec_gap = _hausdorff(spec_m, spec_n)
+        if spec_gap > 1e-12:
+            return _spectrum_certificate(spec_gap, spec_m, spec_n)
 
     if isinstance(source, UnitDirectZero) and isinstance(target, UnitPair):
-        dist = cone_distance(source.lam, target.mu, target.nu)
+        dist = _cone_distance(source.lam, target.mu, target.nu)
         if dist > 0.0:
             return ObstructionCertificate(
                 "ConeMargin", margin=dist,
@@ -358,6 +364,13 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
                     "det_phase_source": format_complex(det_m / abs(det_m)),
                     "det_phase_target": format_complex(det_n / abs(det_n)),
                 })
+
+    if spectral:
+        # the spectrum is constant on the target class, so any positive gap
+        # proves the non-arrow.  Only pair(m, +-m) gets here (other nonsingular
+        # sources have codim 2): its spectrum {m^2, m^2} is at least half the
+        # target's spread away, a bound rounding cannot close
+        return _spectrum_certificate(max(spec_gap, _spectral_spread(target) / 2.0), spec_m, spec_n)
 
     if isinstance(source, UnitPair) and source.equal_pair and isinstance(target, DeltaTau):
         # scaled target representative: conj(lambda) tau Delta_2

@@ -76,6 +76,21 @@ def test_codim_near_antipodal_pair():
     assert "CodimMonotonicity" in lines[1]
 
 
+@pytest.mark.parametrize("source, target", [
+    ("pair(1,-1)", "pair(1,-1-1e-13i)"),
+    ("pair(1,1)", "pair(1,1+1e-13i)"),
+    ("pair(1,-1)", "hyp(0.99999999999999)"),
+])
+def test_arrow_near_degenerate_pair_certificate(source, target):
+    # a target 1e-13 off the source's class: the spectral gap lies below the
+    # SpectrumGap floor, but any positive gap proves the non-arrow
+    res = run_cli("arrow", source, target)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "reachable: false"
+    assert "SpectrumGap" in lines[1]
+
+
 def test_arrow_command():
     res = run_cli("arrow", "udz(1)", "delta(-1i)")
     assert res.returncode == 0

@@ -9,11 +9,8 @@ from starcong import (
     UnitDirectZero,
     UnitPair,
     Zero,
-    codim_monotone_check,
-    cone_distance,
-    half_plane_ok,
+    codimension,
     hasse_subgraph,
-    in_cone,
     parse_form,
     reachable,
     to_dot,
@@ -25,6 +22,14 @@ from starcong.rng import SplitMix64
 
 def unit(theta):
     return complex(np.cos(theta), np.sin(theta))
+
+
+def in_cone(lam, mu, nu):
+    return reachable(UnitDirectZero(lam), UnitPair(mu, nu))
+
+
+def half_plane_ok(lam, tau):
+    return reachable(UnitDirectZero(lam), DeltaTau(tau))
 
 
 def test_in_cone_examples():
@@ -43,6 +48,7 @@ def test_in_cone_degenerate_line():
 
 
 def test_cone_distance():
+    cone_distance = closure._cone_distance
     assert cone_distance(1, 1j, 1j) == pytest.approx(1.0)
     assert cone_distance(1, unit(np.pi / 4), unit(-np.pi / 4)) == 0.0
     assert cone_distance(-1, 1j, -1j) == pytest.approx(1.0)  # line i R
@@ -118,17 +124,22 @@ def test_transitive_coherence_through_antipodal_pair():
             assert reachable(UnitDirectZero(lam), DeltaTau(tau))
 
 
+def codim_monotone(source, target):
+    """Every arrow strictly decreases codimension."""
+    return source == target or not reachable(source, target) or codimension(source) > codimension(target)
+
+
 def test_codim_monotone_examples():
-    assert codim_monotone_check(UnitDirectZero(1), Hyperbolic(0))
-    assert codim_monotone_check(Zero(), DeltaTau(1))
-    assert codim_monotone_check(Hyperbolic(0.1), Hyperbolic(0.2))
+    assert codim_monotone(UnitDirectZero(1), Hyperbolic(0))
+    assert codim_monotone(Zero(), DeltaTau(1))
+    assert codim_monotone(Hyperbolic(0.1), Hyperbolic(0.2))
 
 
 def test_codim_monotone_random():
     rng = SplitMix64(5)
     for _ in range(300):
         a, b = random_form(rng), random_form(rng)
-        assert codim_monotone_check(a, b)
+        assert codim_monotone(a, b)
 
 
 def test_hasse_three_chain():
@@ -300,8 +311,8 @@ def test_cone_distance_positive_on_refusal():
         pairs = [v for v in verts if isinstance(v, UnitPair)]
         for u in udz:
             for p in pairs:
-                d = cone_distance(u.lam, p.mu, p.nu)
-                if not in_cone(u.lam, p.mu, p.nu):
+                d = closure._cone_distance(u.lam, p.mu, p.nu)
+                if not reachable(u, p):
                     assert d > 0.0, (u, p)
                 elif d > 0.0:
                     granted_outside += 1

@@ -1,5 +1,7 @@
 import importlib
 import importlib.util
+import io
+import tokenize
 from pathlib import Path
 
 import starcong
@@ -10,6 +12,34 @@ SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 def test_public_names_resolve():
     for name in starcong.__all__:
         assert hasattr(starcong, name), name
+
+
+def library_references() -> set[str]:
+    """Names used in the code of the package's modules other than __init__.py.
+
+    Comments and strings do not count, nor does the name a def, a class or a
+    module-level assignment defines.
+    """
+    used = set()
+    for path in Path(starcong.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text(encoding="utf-8")).readline))
+        for k, tok in enumerate(tokens):
+            if tok.type != tokenize.NAME:
+                continue
+            defines = k > 0 and tokens[k - 1].string in ("def", "class")
+            assigns = tok.start[1] == 0 and k + 1 < len(tokens) and tokens[k + 1].string in ("=", ":")
+            if not (defines or assigns):
+                used.add(tok.string)
+    return used
+
+
+def test_public_names_used_by_the_library():
+    # a public helper that only tests use is dead weight: delete it and
+    # write the test against the functions the library does use
+    used = library_references()
+    assert [name for name in starcong.__all__ if name not in used] == []
 
 
 def test_bench_traced_functions_resolve():

@@ -3,11 +3,9 @@ import pytest
 
 from starcong import (
     InvalidInput,
-    NotHermitian,
     SingularMatrix,
     cosquare,
     eigenvalues2,
-    inertia2,
     inverse2,
     real_rank,
 )
@@ -107,15 +105,6 @@ def test_real_rank_permutation_invariant():
         perm_rows = rng.permutation(5)
         perm_cols = rng.permutation(7)
         assert real_rank(M[perm_rows][:, perm_cols], 1e-10) == r
-
-
-def test_inertia2():
-    assert tuple(inertia2(np.diag([1, -1]))) == (1, 0, 1)
-    assert tuple(inertia2(2 * np.eye(2))) == (2, 0, 0)
-    assert tuple(inertia2([[0, 2], [2, 0]])) == (1, 0, 1)  # eigenvalues +-2
-    assert tuple(inertia2(np.diag([3, 0]))) == (1, 1, 0)
-    with pytest.raises(NotHermitian):
-        inertia2([[0, 1], [0, 0]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -168,6 +168,27 @@ def test_certificate_errors():
         no_arrow_certificate(DeltaTau(1), DeltaTau(1))
 
 
+@pytest.mark.parametrize("k", range(10, 17))
+def test_certificate_near_degenerate_pair_sources(k):
+    # targets 10^-k off the source's class: the cosquare spectra differ by a
+    # gap below the 1e-12 floors of SpectrumGap and DetPhaseGap (at k = 16
+    # the computed gap can be 0), which still proves the non-arrow since the
+    # spectrum is constant on the target class
+    eps = 10.0**-k
+    for j in range(40):
+        m = unit(2 * np.pi * j / 40)
+        targets = [UnitPair(m, m * unit(eps)), UnitPair(m, -m * unit(eps))]
+        if abs((1 - eps) * m * m) < 1.0:
+            targets.append(Hyperbolic((1 - eps) * m * m))
+        for src in (UnitPair(m, m), UnitPair(m, -m)):
+            for dst in targets:
+                if dst == src:
+                    continue
+                cert = no_arrow_certificate(src, dst)
+                assert cert.kind in ("SpectrumGap", "DetPhaseGap"), (src, dst, cert)
+                assert cert.margin > 0, (src, dst)
+
+
 def random_form(rng: SplitMix64):
     kind = int(rng.uniform() * 5)
     t1 = 2 * np.pi * rng.uniform()
