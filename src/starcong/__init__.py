@@ -5,7 +5,7 @@ classes, the closure order with constructive perturbation witnesses and
 named obstruction certificates, and deterministic neighborhood sampling.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .canonical import (
     AMBIG_FRACTION,
@@ -24,12 +24,10 @@ from .errors import (
     AmbiguousClassification,
     ArrowExists,
     CertificateNotFound,
-    DegenerateDelta,
     DuplicateVertex,
     FormSyntaxError,
     InvalidInput,
     NoArrow,
-    SingularMatrix,
     StarcongError,
 )
 from .forms import (
@@ -47,12 +45,7 @@ from .forms import (
     parse_form,
     realize,
 )
-from .linalg import (
-    cosquare,
-    eigenvalues2,
-    inverse2,
-    real_rank,
-)
+from .linalg import real_rank
 from .perturb import (
     NeighborhoodReport,
     ObstructionCertificate,
@@ -61,7 +54,7 @@ from .perturb import (
     sample_neighborhood,
     witness,
 )
-from .rng import SplitMix64, seeded_rng, substream_seed
+from .rng import SplitMix64, seeded_rng
 from .stratify import VersalProfile, codimension, tangent_space_dim, versal_profile
 
 __all__ = [
@@ -72,7 +65,6 @@ __all__ = [
     "CertificateNotFound",
     "ClassificationReport",
     "DELTA2",
-    "DegenerateDelta",
     "DeltaTau",
     "DuplicateVertex",
     "FormSyntaxError",
@@ -82,7 +74,6 @@ __all__ = [
     "NeighborhoodReport",
     "NoArrow",
     "ObstructionCertificate",
-    "SingularMatrix",
     "SplitMix64",
     "StarcongError",
     "UnitDirectZero",
@@ -93,13 +84,10 @@ __all__ = [
     "classify",
     "classify_many",
     "codimension",
-    "cosquare",
-    "eigenvalues2",
     "format_complex",
     "format_form",
     "forms_close",
     "hasse_subgraph",
-    "inverse2",
     "no_arrow_certificate",
     "parse_complex",
     "parse_form",
@@ -109,7 +97,6 @@ __all__ = [
     "realize",
     "sample_neighborhood",
     "seeded_rng",
-    "substream_seed",
     "tangent_space_dim",
     "to_dot",
     "versal_profile",

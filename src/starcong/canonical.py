@@ -305,8 +305,8 @@ def _branch_jordan(An, R, xi_hat, slacks):
 
 # --- bulk family-level classification (used by the neighborhood sampler) ----
 
-def classify_many(As: np.ndarray, tol: float = 1e-9) -> dict:
-    """Family-level classification of a stack of matrices.
+def classify_many(As: np.ndarray) -> dict:
+    """Family-level classification of a stack of matrices at tol = 1e-9.
 
     Shares the threshold formulas of :func:`classify` but extracts no
     parameters, so it vectorizes.  Returns family codes (indices into
@@ -319,6 +319,7 @@ def classify_many(As: np.ndarray, tol: float = 1e-9) -> dict:
     if not np.all(np.isfinite(As.view(np.float64))):
         raise InvalidInput("matrix stack contains NaN or Inf")
     n = As.shape[0]
+    tol = 1e-9  # classify's default
     fam = np.zeros(n, dtype=np.int64)
     margin = np.full(n, np.inf)
     p_out = np.full(n, np.nan, dtype=np.complex128)
@@ -396,20 +397,18 @@ def _cond2(S: np.ndarray) -> float:
     return math.sqrt(s_max / s_min)
 
 
-def random_congruence(form: CanonicalForm, seed: int, cond_max: float = 20.0):
+def random_congruence(form: CanonicalForm, seed: int):
     """A random member of the class of ``form``.
 
     Returns (S, S* realize(form) S) where S has entries drawn uniformly from
-    the complex unit square, resampled until cond(S) <= cond_max.
+    the complex unit square, resampled until cond(S) <= 20.
     Deterministic per seed.
     """
-    if cond_max < 4.0:
-        raise InvalidInput("cond_max must be at least 4")
     rng = seeded_rng(seed)
     while True:
         entries = [complex(rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)) for _ in range(4)]
         S = np.array([[entries[0], entries[1]], [entries[2], entries[3]]], dtype=np.complex128)
-        if _cond2(S) <= cond_max:
+        if _cond2(S) <= 20.0:
             break
     R = realize(form)
     return S, S.conj().T @ R @ S

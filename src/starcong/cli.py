@@ -230,7 +230,7 @@ def _selftest_round_trip(seed: int) -> int:
         got = classify(realize(form)).form
         if not forms_close(got, form, 1e-9):
             bad += 1
-        _, member = random_congruence(form, seed + k, 20.0)
+        _, member = random_congruence(form, seed + k)
         got = classify(member).form
         if not forms_close(got, form, 1e-6):
             bad += 1

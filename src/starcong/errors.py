@@ -10,7 +10,7 @@ class InvalidInput(StarcongError):
 
 
 class SingularMatrix(StarcongError):
-    """Matrix is numerically singular where an inverse was required."""
+    """Matrix is numerically singular where an inverse was required (raised only by linalg.inverse2)."""
 
 
 class FormSyntaxError(StarcongError):
@@ -48,7 +48,3 @@ class ArrowExists(StarcongError):
 
 class CertificateNotFound(StarcongError):
     """No obstruction certificate applies (must never happen in practice)."""
-
-
-class DegenerateDelta(StarcongError):
-    """Perturbation budget delta is not a positive number."""

@@ -46,6 +46,7 @@ def det2(A) -> complex:
     return complex(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
 
 
+# eigenvalues2, inverse2 and their helpers: unused since 0.4.0, kept as the benchmark traces them by name.
 def eigenvalues2(A) -> tuple[complex, complex]:
     """Both roots of det(A - xI) = 0.
 
@@ -88,27 +89,19 @@ def inverse2(A) -> np.ndarray:
     return inv / det
 
 
-def cosquare(A) -> np.ndarray:
-    """(A^{-1})* A.  Its eigenvalues occur in reciprocal-conjugate pairs."""
-    A = as_mat2(A)
-    return inverse2(A).conj().T @ A
-
-
-def real_rank(M, tol: float) -> int:
+def real_rank(M) -> int:
     """Rank over R by row reduction with partial pivoting.
 
-    A pivot counts iff its magnitude exceeds ``tol`` times the largest entry
+    A pivot counts iff its magnitude exceeds 1e-10 times the largest entry
     magnitude of the initial matrix, so the result is scale-free.
     """
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
     W = np.array(M, dtype=np.float64, copy=True)
     if W.ndim != 2:
         raise InvalidInput("expected a 2-d real matrix")
     if not np.all(np.isfinite(W)):
         raise InvalidInput("matrix contains NaN or Inf entries")
     rows, cols = W.shape
-    threshold = tol * (np.max(np.abs(W)) if W.size else 0.0)
+    threshold = 1e-10 * (np.max(np.abs(W)) if W.size else 0.0)
     rank = 0
     row = 0
     for col in range(cols):

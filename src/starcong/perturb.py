@@ -23,13 +23,11 @@ from .closure import _cone_coefficients, _cone_distance, _cone_shape, reachable
 from .errors import (
     ArrowExists,
     CertificateNotFound,
-    DegenerateDelta,
     InvalidInput,
     NoArrow,
     StarcongError,
 )
 from .forms import (
-    DELTA2,
     CanonicalForm,
     DeltaTau,
     Hyperbolic,
@@ -41,7 +39,7 @@ from .forms import (
     forms_close,
     realize,
 )
-from .linalg import cosquare, det2, eigenvalues2, frob
+from .linalg import det2, frob
 from .rng import substream_seeds, uniform_step
 from .stratify import codimension
 
@@ -61,17 +59,15 @@ CERTIFICATE_KINDS = (
 @dataclass(frozen=True)
 class Witness:
     E: np.ndarray
-    S: np.ndarray | None
+    S: np.ndarray
     norm_E: float
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "E": [[format_complex(complex(self.E[i, j])) for j in range(2)] for i in range(2)],
             "norm_E": self.norm_E,
+            "S": [[format_complex(complex(self.S[i, j])) for j in range(2)] for i in range(2)],
         }
-        if self.S is not None:
-            out["S"] = [[format_complex(complex(self.S[i, j])) for j in range(2)] for i in range(2)]
-        return out
 
 
 @dataclass(frozen=True)
@@ -115,10 +111,8 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
     The construction is deterministic.  Raises NoArrow (carrying an
     obstruction certificate) when the move is impossible.
     """
-    if not isinstance(delta, (int, float)) or delta <= 0.0:
-        raise DegenerateDelta(f"delta must be positive, got {delta!r}")
-    if delta > 0.1:
-        raise InvalidInput("delta must be at most 0.1")
+    if not 0.0 < delta <= 0.1:
+        raise InvalidInput("delta must lie in (0, 0.1]")
     if source == target:
         raise InvalidInput("source and target must differ (the lazy path needs no witness)")
     if not reachable(source, target):
@@ -151,12 +145,11 @@ def _verify_witness(source, target, E, S, delta):
     if norm_e > delta * (1.0 + 1e-12):
         raise StarcongError(f"witness construction exceeded budget: {norm_e} > {delta}")
     perturbed = realize(source) + E
-    if S is not None:
-        carried = S.conj().T @ realize(target) @ S
-        if frob(carried - perturbed) > 1e-10 * max(frob(perturbed), 1.0):
-            raise StarcongError("witness congruence identity failed")
+    carried = S.conj().T @ realize(target) @ S
+    if frob(carried - perturbed) > 1e-10 * max(frob(perturbed), 1.0):
+        raise StarcongError("witness congruence identity failed")
     tol = 1e-9
-    if not isinstance(target, (UnitDirectZero, Zero)) and abs(det2(realize(target))) > 0.0:
+    if _cosquare_spectrum(target) is not None:
         # nearly singular matrices in a nonsingular class: let the rank test
         # see the actual determinant scale
         drel = abs(det2(perturbed)) / frob(perturbed) ** 2
@@ -284,14 +277,16 @@ def _witness_pair_delta(source, target, delta):
 # --- obstruction certificates ---------------------------------------------------
 
 
-def _cosquare_spectrum(form) -> tuple[complex, complex]:
-    return eigenvalues2(cosquare(realize(form)))
-
-
-def _hausdorff(set_a, set_b) -> float:
-    fwd = max(min(abs(a - b) for b in set_b) for a in set_a)
-    bwd = max(min(abs(b - a) for a in set_a) for b in set_b)
-    return max(fwd, bwd)
+def _cosquare_spectrum(form) -> tuple[complex, complex] | None:
+    """Cosquare spectrum, a congruence invariant, read from the parameters:
+    {mu^2, nu^2}, {1/conj(sigma), sigma} or {tau^2, tau^2}; None if singular."""
+    if isinstance(form, UnitPair):
+        return form.mu * form.mu, form.nu * form.nu
+    if isinstance(form, Hyperbolic) and form.sigma != 0:
+        return 1.0 / form.sigma.conjugate(), form.sigma
+    if isinstance(form, DeltaTau):
+        return form.tau * form.tau, form.tau * form.tau
+    return None
 
 
 def _spectrum_certificate(gap, spec_m, spec_n) -> ObstructionCertificate:
@@ -309,7 +304,14 @@ def _spectral_spread(form) -> float:
 
 
 def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> ObstructionCertificate:
-    """First applicable obstruction proving there is no arrow source -> target."""
+    """First applicable obstruction proving there is no arrow source -> target.
+
+    Past CodimMonotonicity only udz and pair(m, +-m) sources remain.  udz gives
+    ConeMargin (-> pair) or HalfPlaneMargin (-> delta).  pair(m, +-m) gives
+    SpectrumGap (-> pair(mu, nu != +-mu) or hyp(sigma != 0)), DetPhaseGap
+    (-> hyp(0), delta, or determinant phases over 1e-12 apart) or
+    HermitianRankGap (-> delta(t) with t^2 within 1e-12 of -m^2).
+    """
     if source == target:
         raise InvalidInput("source and target must differ")
     if reachable(source, target):
@@ -323,15 +325,14 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
             data={"codim_source": cm, "codim_target": cn},
         )
 
-    det_m = det2(realize(source))
-    # the target's cosquare spectrum has two distinct points
-    spectral = abs(det_m) > 0.0 and (
+    # spectral: the target's spectrum has two distinct points; the source's is
+    # the one point m^2 of pair(m, +-m), so the Hausdorff gap is the larger distance
+    spec_m, spec_n = _cosquare_spectrum(source), _cosquare_spectrum(target)
+    spectral = spec_m is not None and (
         (isinstance(target, UnitPair) and not target.equal_pair and not target.antipodal)
         or (isinstance(target, Hyperbolic) and target.sigma != 0))
     if spectral:
-        spec_m = _cosquare_spectrum(source)
-        spec_n = _cosquare_spectrum(target)
-        spec_gap = _hausdorff(spec_m, spec_n)
+        spec_gap = max(abs(spec_m[0] - s) for s in spec_n)
         if spec_gap > 1e-12:
             return _spectrum_certificate(spec_gap, spec_m, spec_n)
 
@@ -349,7 +350,7 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
                 "HalfPlaneMargin", margin=float(gap),
                 data={"im_lambda_conj_tau": float(-gap)})
 
-    det_n = det2(realize(target))
+    det_m, det_n = det2(realize(source)), det2(realize(target))
     if abs(det_m) > 0.0:
         if abs(det_n) == 0.0:
             margin = abs(det_m) / frob(realize(source)) ** 2
@@ -367,20 +368,16 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
 
     if spectral:
         # the spectrum is constant on the target class, so any positive gap
-        # proves the non-arrow.  Only pair(m, +-m) gets here (other nonsingular
-        # sources have codim 2): its spectrum {m^2, m^2} is at least half the
-        # target's spread away, a bound rounding cannot close
+        # proves the non-arrow; m^2 is at least half the target's spread away
+        # from the farther of its two points, a bound rounding cannot close
         return _spectrum_certificate(max(spec_gap, _spectral_spread(target) / 2.0), spec_m, spec_n)
 
     if isinstance(source, UnitPair) and source.equal_pair and isinstance(target, DeltaTau):
-        # scaled target representative: conj(lambda) tau Delta_2
-        B = np.conj(source.mu) * target.tau * DELTA2
-        HB = B + B.conj().T
-        rank_hb = 2 if abs(det2(HB)) > 1e-9 * frob(HB) ** 2 else 1
-        if rank_hb < 2:
-            return ObstructionCertificate(
-                "HermitianRankGap", margin=1.0,
-                data={"rank_source_sum": 2, "rank_target_sum": rank_hb})
+        # only det phases m^2, -t^2 within 1e-12 get here: c = conj(m) t has
+        # |Re c| = |m^2 + t^2| / 2 <= 5e-13, so the Hermitian part [[0, 2 Re c],
+        # [2 Re c, -2 Im c]] of c Delta_2 has rank 1, that of conj(m) diag(m, m) 2
+        return ObstructionCertificate(
+            "HermitianRankGap", margin=1.0, data={"rank_source_sum": 2, "rank_target_sum": 1})
 
     raise CertificateNotFound(
         f"no obstruction certificate for {format_form(source)} -> {format_form(target)}")
@@ -475,15 +472,14 @@ def sample_neighborhood(
         raise InvalidInput("samples must lie in [0, 10^7]")
     R = realize(source)
     fam = np.empty(samples, dtype=np.int8)
-    drift = np.empty(samples) if abs(det2(R)) > 0.0 else None
-    if drift is not None:
-        p0, q0 = _cosquare_spectrum(source)
+    spectrum = _cosquare_spectrum(source)
+    drift = np.empty(samples) if spectrum is not None else None
     for lo in range(0, samples, SAMPLE_CHUNK):
         hi = min(lo + SAMPLE_CHUNK, samples)
-        res = classify_many(R[None, :, :] + _ball_sample(seed, hi - lo, delta, lo), tol=1e-9)
+        res = classify_many(R[None, :, :] + _ball_sample(seed, hi - lo, delta, lo))
         fam[lo:hi] = res["family"]
         if drift is not None:
-            drift[lo:hi] = _spectrum_drift(res["p"], res["q"], p0, q0)
+            drift[lo:hi] = _spectrum_drift(res["p"], res["q"], *spectrum)
 
     histogram = {name: int(np.count_nonzero(fam == code)) for code, name in enumerate(FAMILY_CODES)}
 

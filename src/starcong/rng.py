@@ -5,9 +5,10 @@ each output is a finalizer hash of the state.  The sequence depends only on
 the seed, never on the platform, so every sampling routine in the package is
 reproducible bit-for-bit.
 
-Independent sub-streams for parallel work are derived with
-``substream_seed(seed, index)``; the derivation rehashes the index so
-sub-streams do not overlap shifted copies of each other.
+The neighborhood sampler draws sample i from sub-stream i, whose seeds
+``substream_seeds(seed, n, start)`` derives for a whole chunk at once; the
+derivation rehashes the index so sub-streams do not overlap shifted copies of
+each other.  ``substream_seed(seed, index)`` is its scalar reference.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _finalize(z: int) -> int:
 
 
 def substream_seed(seed: int, index: int) -> int:
-    """Seed of the ``index``-th sub-stream of ``seed``."""
+    """Seed of the ``index``-th sub-stream of ``seed`` (the scalar reference of substream_seeds)."""
     return _finalize((seed & _MASK) ^ _finalize((index * _GOLDEN + _STREAM_SALT) & _MASK))
 
 
@@ -47,9 +48,6 @@ class SplitMix64:
 
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
-
-    def substream(self, index: int) -> "SplitMix64":
-        return SplitMix64(substream_seed(self._state, index))
 
 
 def seeded_rng(seed: int) -> SplitMix64:

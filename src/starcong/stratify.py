@@ -21,10 +21,6 @@ from .errors import InvalidInput
 from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero
 from .linalg import as_mat2, real_rank
 
-#: Basis/flattening order for R^8: (Re a11, Im a11, Re a12, Im a12,
-#: Re a21, Im a21, Re a22, Im a22).
-RANK_TOL = 1e-10
-
 FIXED_ZERO = "fixed-zero"
 STAR = "star"
 EPS_REAL = "eps-real"
@@ -44,6 +40,8 @@ class VersalProfile:
     eps_count: int
 
 
+# Basis/flattening order for R^8: (Re a11, Im a11, Re a12, Im a12,
+# Re a21, Im a21, Re a22, Im a22).
 def _flatten_real(M: np.ndarray) -> list[float]:
     return [
         M[0, 0].real, M[0, 0].imag,
@@ -63,7 +61,7 @@ def tangent_space_dim(A) -> int:
                 C = np.zeros((2, 2), dtype=np.complex128)
                 C[j, k] = unit
                 cols.append(_flatten_real(C.conj().T @ A + A @ C))
-    return real_rank(np.array(cols).T, RANK_TOL)
+    return real_rank(np.array(cols).T)
 
 
 def codimension(form: CanonicalForm) -> int:

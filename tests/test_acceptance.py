@@ -113,7 +113,7 @@ def test_criterion_3_round_trip():
                 form = Hyperbolic(0.95 * rng.uniform() * unit(t1))
             else:
                 form = DeltaTau(unit(t1))
-            _, member = random_congruence(form, seed=(fam << 20) + s, cond_max=20.0)
+            _, member = random_congruence(form, seed=(fam << 20) + s)
             if not forms_close(classify(member).form, form, 1e-6):
                 bad += 1
     verdict(3, bad == 0, f"classification round-trips, {5 * per_family} random congruences")

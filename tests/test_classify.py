@@ -11,8 +11,6 @@ from starcong import (
     Zero,
     classify,
     classify_many,
-    cosquare,
-    eigenvalues2,
     forms_close,
     random_congruence,
     realize,
@@ -107,7 +105,7 @@ def test_round_trip_exact_parameters():
 def test_round_trip_under_congruence():
     for k, form in enumerate(form_grid()):
         for s in range(20):
-            _, member = random_congruence(form, seed=1000 * k + s, cond_max=20.0)
+            _, member = random_congruence(form, seed=1000 * k + s)
             rep = classify(member)
             assert forms_close(rep.form, form, 1e-6), (form, s)
 
@@ -128,22 +126,23 @@ def test_cosquare_spectrum_congruence_invariant():
         (DeltaTau(unit(2.0)), 50 * np.sqrt(np.finfo(float).eps)),
     ]
     for k, (form, floor) in enumerate(cases):
-        A = realize(form)
-        base = eigenvalues2(cosquare(A))
-        for s in range(10):
-            S, member = random_congruence(form, seed=50 * k + s, cond_max=20.0)
-            got = eigenvalues2(cosquare(member))
+        congruences = [random_congruence(form, seed=50 * k + s) for s in range(10)]
+        res = classify_many(np.array([realize(form)] + [member for _, member in congruences]))
+        spectra = list(zip(res["p"], res["q"]))
+        base = spectra[0]
+        for (S, _), got in zip(congruences, spectra[1:]):
             cond = np.linalg.cond(S)
-            # compare as sets: the deterministic sort can swap a unimodular
-            # pair whose computed moduli differ by one ulp
+            # compare as sets: the roots of a unimodular pair come in the
+            # order of the square root's branch, which rounding can flip
             direct = max(abs(got[0] - base[0]), abs(got[1] - base[1]))
             swapped = max(abs(got[0] - base[1]), abs(got[1] - base[0]))
             assert min(direct, swapped) <= max(1e-9 * cond**2, floor * cond)
 
 
 def test_hyperbolic_cosquare_eigenvalues():
-    for sigma in (0.3, 0.2 - 0.6j, 0.05j):
-        p, q = eigenvalues2(cosquare(realize(Hyperbolic(sigma))))
+    sigmas = (0.3, 0.2 - 0.6j, 0.05j)
+    res = classify_many(np.array([realize(Hyperbolic(sigma)) for sigma in sigmas]))
+    for sigma, p, q in zip(sigmas, res["p"], res["q"]):
         expect = sorted([sigma, 1 / np.conj(sigma)], key=lambda z: (-abs(z), -z.real, -z.imag))
         assert abs(p - expect[0]) < 1e-12 and abs(q - expect[1]) < 1e-12
 
@@ -152,8 +151,8 @@ def test_jordan_branch_eigenvector_is_isotropic():
     # for members of the delta class, the cosquare eigenvector x has x* A x = 0
     for s in range(25):
         form = DeltaTau(unit(0.25 * s))
-        _, A = random_congruence(form, seed=s, cond_max=20.0)
-        K = cosquare(A)
+        _, A = random_congruence(form, seed=s)
+        K = np.linalg.inv(A).conj().T @ A
         xi = (K[0, 0] + K[1, 1]) / 2
         M = K - xi * np.eye(2)
         c1 = np.array([M[0, 1], -M[0, 0]])
@@ -228,20 +227,18 @@ def test_random_congruence_zero():
 
 def test_random_congruence_cond_bound():
     for s in range(50):
-        S, _ = random_congruence(DeltaTau(1), seed=s, cond_max=20.0)
+        S, _ = random_congruence(DeltaTau(1), seed=s)
         assert np.linalg.cond(S) <= 20.0 * (1 + 1e-9)
-    with pytest.raises(InvalidInput):
-        random_congruence(Zero(), seed=0, cond_max=2.0)
 
 
 def test_classify_many_matches_scalar():
     mats = []
     for k, form in enumerate(form_grid(8)):
-        _, member = random_congruence(form, seed=k, cond_max=20.0)
+        _, member = random_congruence(form, seed=k)
         mats.append(member)
     mats.append(np.zeros((2, 2), dtype=complex))
     stack = np.array(mats)
-    res = classify_many(stack, tol=1e-9)
+    res = classify_many(stack)
     from starcong.canonical import FAMILY_CODES
 
     for i, A in enumerate(mats):

@@ -91,6 +91,18 @@ def test_arrow_near_degenerate_pair_certificate(source, target):
     assert "SpectrumGap" in lines[1]
 
 
+@pytest.mark.parametrize("args", [
+    ("arrow", "pair(1,1)", "hyp(1e-13)"),
+    ("arrow", "pair(1,-1)", "hyp(1e-13i)"),
+    ("sample", "hyp(1e-13)"),
+])
+def test_tiny_hyperbolic_cosquare_spectrum(args):
+    # hyp(sigma) with 0 < |sigma| <= 1e-12 has the cosquare spectrum
+    # {1/conj(sigma), sigma}, though its representative is nearly singular
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+
+
 def test_arrow_command():
     res = run_cli("arrow", "udz(1)", "delta(-1i)")
     assert res.returncode == 0
@@ -168,6 +180,13 @@ def test_sample_command_deterministic_bytes():
     c = run_cli("sample", "pair(1,1)", "--delta", "1e-3", "--samples", "2000",
                 "--seed", "6", "--format", "json")
     assert a.stdout != c.stdout
+
+
+@pytest.mark.parametrize("delta", ["0", "nan", "0.2"])
+def test_witness_bad_delta_is_usage_error(delta):
+    res = run_cli("witness", "udz(1)", "delta(-1i)", "--delta", delta)
+    assert res.returncode == 2
+    assert "delta must lie in (0, 0.1]" in res.stderr
 
 
 def test_witness_command_deterministic_bytes():

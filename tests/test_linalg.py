@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from starcong import (
-    InvalidInput,
-    SingularMatrix,
-    cosquare,
-    eigenvalues2,
-    inverse2,
-    real_rank,
-)
+from starcong import InvalidInput, classify_many, real_rank
+from starcong.errors import SingularMatrix
 from starcong.forms import DELTA2
-from starcong.linalg import det2
+from starcong.linalg import det2, eigenvalues2, inverse2
 
 rng = np.random.default_rng(20240817)
 
@@ -63,24 +57,23 @@ def test_inverse2():
 
 
 def test_cosquare_examples():
-    K = cosquare([[0, 1], [0.3, 0]])
-    p, q = eigenvalues2(K)
+    res = classify_many(np.array([[[0, 1], [0.3, 0]], [[1, 0], [0, 0]]], dtype=complex))
+    p, q = res["p"][0], res["q"][0]
     assert abs(p - 10 / 3) < 1e-12 and abs(q - 0.3) < 1e-12
 
-    np.testing.assert_allclose(cosquare(DELTA2), [[1, 2j], [0, 1]], atol=1e-15)
-    np.testing.assert_allclose(cosquare(np.diag([1j, 1j])), -np.eye(2), atol=1e-15)
-    with pytest.raises(SingularMatrix):
-        cosquare([[1, 0], [0, 0]])
+    for A, K in ((DELTA2, [[1, 2j], [0, 1]]), (np.diag([1j, 1j]), -np.eye(2))):
+        np.testing.assert_allclose(np.linalg.inv(A).conj().T @ A, K, atol=1e-15)
+    # a singular matrix has no cosquare
+    assert np.isnan(res["p"][1]) and np.isnan(res["q"][1])
 
 
 def test_cosquare_reciprocal_conjugate_pairing():
     # the eigenvalue set is closed under z -> 1/conj(z); unimodular
     # eigenvalues are their own partners
-    for _ in range(100):
-        A = random_mat2()
-        if abs(np.linalg.det(A)) < 1e-3 * np.linalg.norm(A) ** 2:
-            continue
-        p, q = eigenvalues2(cosquare(A))
+    mats = [A for A in (random_mat2() for _ in range(100))
+            if abs(np.linalg.det(A)) >= 1e-3 * np.linalg.norm(A) ** 2]
+    res = classify_many(np.array(mats))
+    for A, p, q in zip(mats, res["p"], res["q"]):
         tol = 1e-9 * np.linalg.cond(A) ** 2
         partner_ok = abs(p - 1 / np.conj(q)) <= tol * max(1, abs(p)) or (
             abs(p - 1 / np.conj(p)) <= tol * max(1, abs(p))
@@ -91,28 +84,28 @@ def test_cosquare_reciprocal_conjugate_pairing():
 
 
 def test_real_rank():
-    assert real_rank(np.zeros((8, 8)), 1e-10) == 0
+    assert real_rank(np.zeros((8, 8))) == 0
     for n in (1, 3, 8):
-        assert real_rank(np.eye(n), 1e-10) == n
-    assert real_rank([[1, 2], [2, 4]], 1e-10) == 1
+        assert real_rank(np.eye(n)) == n
+    assert real_rank([[1, 2], [2, 4]]) == 1
 
 
 def test_real_rank_permutation_invariant():
     for _ in range(20):
         M = rng.standard_normal((5, 7))
         M[:, 3] = M[:, 0] + M[:, 1]  # force a rank drop
-        r = real_rank(M, 1e-10)
+        r = real_rank(M)
         perm_rows = rng.permutation(5)
         perm_cols = rng.permutation(7)
-        assert real_rank(M[perm_rows][:, perm_cols], 1e-10) == r
+        assert real_rank(M[perm_rows][:, perm_cols]) == r
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nan_inf_rejected(bad):
     M = np.eye(2, dtype=complex)
     M[0, 1] = bad
-    for fn in (inverse2, cosquare, eigenvalues2):
+    for fn in (inverse2, eigenvalues2):
         with pytest.raises(InvalidInput):
             fn(M)
     with pytest.raises(InvalidInput):
-        real_rank([[bad, 0], [0, 1]], 1e-10)
+        real_rank([[bad, 0], [0, 1]])

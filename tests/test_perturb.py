@@ -3,7 +3,6 @@ import pytest
 
 from starcong import (
     ArrowExists,
-    DegenerateDelta,
     DeltaTau,
     Hyperbolic,
     InvalidInput,
@@ -62,10 +61,9 @@ def test_witness_no_arrow_certificate_attached():
 
 
 def test_witness_rejects_bad_delta():
-    with pytest.raises(DegenerateDelta):
-        witness(Zero(), DeltaTau(1), 0.0)
-    with pytest.raises(DegenerateDelta):
-        witness(Zero(), DeltaTau(1), -1e-3)
+    for bad in (0.0, -1e-3, float("nan")):
+        with pytest.raises(InvalidInput):
+            witness(Zero(), DeltaTau(1), bad)
     with pytest.raises(InvalidInput):
         witness(Zero(), DeltaTau(1), 0.5)
     with pytest.raises(InvalidInput):
@@ -159,6 +157,34 @@ def test_certificate_det_vanishing_target():
     assert c.margin == pytest.approx(0.5)
     c = no_arrow_certificate(UnitPair(unit(0.4), -unit(0.4)), Hyperbolic(0))
     assert c.kind == "DetPhaseGap"
+
+
+def test_cosquare_spectrum_closed_form():
+    # the spectrum read from the parameters is the one classify_many computes
+    # from the exact representative; the singular forms have none
+    from starcong.canonical import classify_many
+    from starcong.perturb import _cosquare_spectrum
+
+    forms = [UnitPair(1, 1j), UnitPair(1, 1), UnitPair(1, -1), UnitPair(unit(0.7), unit(2.1)),
+             Hyperbolic(0.3), Hyperbolic(0.2 - 0.6j), Hyperbolic(0.05j), DeltaTau(1), DeltaTau(1j)]
+    res = classify_many(np.array([realize(f) for f in forms]))
+    for form, p, q in zip(forms, res["p"], res["q"]):
+        a, b = _cosquare_spectrum(form)
+        assert min(max(abs(p - a), abs(q - b)), max(abs(p - b), abs(q - a))) <= 1e-15, form
+    for form in (Zero(), UnitDirectZero(1j), Hyperbolic(0)):
+        assert _cosquare_spectrum(form) is None
+
+
+@pytest.mark.parametrize("sigma", [1e-12, 1e-13, 1e-13j, 1e-200 * unit(1.0)])
+def test_certificate_tiny_hyperbolic_target(sigma):
+    # hyp(sigma) with 0 < |sigma| <= 1e-12 is nonsingular: its cosquare
+    # spectrum {1/conj(sigma), sigma} lies about 1/|sigma| from {m^2}
+    for src in (UnitPair(1, 1), UnitPair(1, -1), UnitPair(1j, 1j)):
+        cert = no_arrow_certificate(src, Hyperbolic(sigma))
+        assert cert.kind == "SpectrumGap"
+        assert cert.margin == pytest.approx(1 / abs(sigma), rel=1e-9)
+    rep = sample_neighborhood(Hyperbolic(sigma), 1e-3, 200, seed=1)
+    assert rep.max_spectrum_drift > 0
 
 
 def test_certificate_errors():
@@ -380,6 +406,6 @@ def test_boundary_bucket_via_classify_many():
 
     # relative determinant right at the tolerance: goes to 'boundary'
     stack = np.array([np.diag([1.0, 1.2e-9]), np.diag([1.0, 1.0])], dtype=complex)
-    res = classify_many(stack, tol=1e-9)
+    res = classify_many(stack)
     assert FAMILY_CODES[res["family"][0]] == "boundary"
     assert FAMILY_CODES[res["family"][1]] == "pair"

@@ -1,7 +1,7 @@
 import numpy as np
 
-from starcong import SplitMix64, seeded_rng, substream_seed
-from starcong.rng import substream_seeds, uniform_step
+from starcong import SplitMix64, seeded_rng
+from starcong.rng import substream_seed, substream_seeds, uniform_step
 
 
 def test_same_seed_same_sequence():
