@@ -25,6 +25,10 @@ the requested tolerance are refused with AmbiguousClassification instead of
 being silently assigned a class.  Thresholds carry explicit floating-point
 noise floors so the tree stays reliable even for the nearly singular
 matrices produced by small-delta perturbation witnesses.
+
+Inside this module a 2x2 matrix is the tuple of its entries (m00, m01, m10,
+m11): Python complex scalars in classify, arrays over the stack in
+classify_many.  The kernels the two share take either.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .errors import AmbiguousClassification, InvalidInput
 from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, realize
-from .linalg import EPS, as_mat2, frob, hermitian_part_eigenvalues
+from .linalg import EPS, as_mat2, frob, hermitian_eigenvalues
 from .rng import seeded_rng
 
 #: Ambiguity cutoff as a fraction of the requested tolerance.  Exact
@@ -68,8 +72,7 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     scale = frob(A)
     if scale == 0.0:
         return ClassificationReport(Zero(), math.inf, 0.0)
-    An = A / scale
-    a, b, c, d = (complex(An[0, 0]), complex(An[0, 1]), complex(An[1, 0]), complex(An[1, 1]))
+    a, b, c, d = map(complex, (A / scale).ravel())
 
     slacks: list[tuple[float, str, str]] = []
     det = a * d - b * c
@@ -77,9 +80,9 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     slacks.append((abs(absdet - tol), "rank<=1", "nonsingular"))
 
     if absdet <= tol:
-        form = _classify_rank1(An, a, b, c, d, tol, slacks)
+        form = _classify_rank1(a, b, c, d, tol, slacks)
     else:
-        form = _classify_nonsingular(An, a, b, c, d, det, absdet, tol, slacks)
+        form = _classify_nonsingular(a, b, c, d, det, absdet, tol, slacks)
 
     margin = float(min(s for s, _, _ in slacks))
     if margin < AMBIG_FRACTION * tol:
@@ -93,8 +96,8 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     return ClassificationReport(form, margin, scale)
 
 
-def _classify_rank1(An, a, b, c, d, tol, slacks):
-    resid = frob(An.conj().T - _proportionality(a, b, c, d) * An)
+def _classify_rank1(a, b, c, d, tol, slacks):
+    resid = _rank1_residual(a, b, c, d)
     slacks.append((abs(resid - tol), "udz", "hyp(0)"))
     if resid <= tol:
         tr = a + d
@@ -107,11 +110,12 @@ def _classify_rank1(An, a, b, c, d, tol, slacks):
     return Hyperbolic(0.0)
 
 
-# --- formulas shared by classify and classify_many ---------------------------
+# --- kernels ------------------------------------------------------------------
 #
-# Each takes complex scalars or ndarrays alike.  _spectrum, _circle_test and
-# _jordan_test return their statistic, threshold and normalized slack; the
-# caller makes the comparison with its own control flow (if/else or masks).
+# Down to _jordan_test they take complex scalars or ndarrays alike, for classify
+# and classify_many; the tests among them return statistic, threshold and
+# normalized slack, and the caller compares with its own control flow (if/else
+# or masks).  From _null_vector on they take Python complex, for classify alone.
 
 
 def _maximum(x, y):
@@ -121,9 +125,17 @@ def _maximum(x, y):
     return max(x, y)
 
 
-def _proportionality(a, b, c, d):
-    """Least-squares factor w of a rank-1 matrix with A* ~ w A."""
-    return np.conj(a) ** 2 + 2.0 * np.conj(b) * np.conj(c) + np.conj(d) ** 2
+def _norm4(m00, m01, m10, m11):
+    """Frobenius norm of the 2x2 matrix with entries m00, m01, m10, m11."""
+    sq = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
+    return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
+
+
+def _rank1_residual(a, b, c, d):
+    """||A* - w A|| for the least-squares factor w of a rank-1 A with A* ~ w A."""
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    w = ac * ac + 2.0 * bc * cc + dc * dc
+    return _norm4(ac - w * a, cc - w * b, bc - w * c, dc - w * d)
 
 
 def _cosquare(a, b, c, d, det, absdet):
@@ -178,51 +190,62 @@ def _circle_test(p, q, sep, n_tr, n_disc, tol):
     return circle_dev, threshold, abs(circle_dev - threshold), n_eig
 
 
-def _jordan_test(j_stat, frob_k, noise_norm, tol):
-    """Threshold on j_stat = ||K - xi I|| below which a coincident K is scalar.
+def _jordan_test(k, noise, xi, tol):
+    """Threshold on j = ||K - xi I|| below which a coincident K is scalar.
 
-    Returns (threshold, slack).
+    Returns (j, threshold, slack, ||K||, ||noise||).
     """
+    j_stat = _norm4(k[0] - xi, k[1], k[2], k[3] - xi)
+    frob_k = _norm4(*k)
+    noise_norm = _norm4(*noise)
     threshold = _maximum(tol * frob_k, 30.0 * noise_norm)
-    return threshold, abs(j_stat - threshold) / _maximum(frob_k, 1.0)
+    return j_stat, threshold, abs(j_stat - threshold) / _maximum(frob_k, 1.0), frob_k, noise_norm
 
 
-def _classify_nonsingular(An, a, b, c, d, det, absdet, tol, slacks):
+def _null_vector(m00, m01, m10, m11):
+    """Unit kernel vector (x0, x1) of a (numerically) singular 2x2 matrix."""
+    n1 = _norm4(m01, m00, 0.0, 0.0)
+    n2 = _norm4(m11, m10, 0.0, 0.0)
+    x0, x1, nrm = (m01, -m00, n1) if n1 >= n2 else (m11, -m10, n2)
+    if nrm == 0.0:
+        # matrix is (numerically) zero: any direction is a kernel vector
+        return 1.0, 0.0
+    return x0 / nrm, x1 / nrm
+
+
+def _form(a, b, c, d, x, y):
+    """x* A y for A = [[a, b], [c, d]] and 2-vectors x = (x0, x1), y = (y0, y1)."""
+    x0, x1 = x[0].conjugate(), x[1].conjugate()
+    return (x0 * a + x1 * c) * y[0] + (x0 * b + x1 * d) * y[1]
+
+
+def _classify_nonsingular(a, b, c, d, det, absdet, tol, slacks):
     k, noise = _cosquare(a, b, c, d, det, absdet)
+    # numpy scalars inside _cosquare (for its division rounding), Python complex after
+    k, noise = tuple(map(complex, k)), tuple(map(float, noise))
     tr, p, q, n_tr, n_disc, sep, sep_threshold, slack = _spectrum(k, noise, det / np.conj(det), tol)
     slacks.append((slack, "coincident spectrum", "distinct spectrum"))
     if sep > sep_threshold:
-        return _branch_distinct(An, k, p, q, sep, n_tr, n_disc, tol, slacks)
-    return _branch_coincident(An, k, noise, tr, absdet, tol, slacks)
+        circle_dev, circle_threshold, slack, n_eig = _circle_test(p, q, sep, n_tr, n_disc, tol)
+        slacks.append((slack, "pair", "hyp"))
+        if circle_dev > circle_threshold:
+            return Hyperbolic(p if abs(p) < 1.0 else q)
+        mu = _pair_entry(a, b, c, d, k, complex(p), n_eig, slacks)
+        nu = _pair_entry(a, b, c, d, k, complex(q), n_eig, slacks)
+        return UnitPair(mu, nu)
+
+    xi = tr / 2.0
+    j_stat, j_threshold, slack, frob_k, noise_norm = _jordan_test(k, noise, xi, tol)
+    slacks.append((slack, "pair(l,+-l)", "delta"))
+    lam = complex(np.sqrt(xi / abs(xi)))
+    if j_stat <= j_threshold:
+        return _branch_scalar(a, b, c, d, lam, absdet, tol, noise_norm, frob_k, slacks)
+    return _branch_jordan(a, b, c, d, (k[0] - xi, k[1], k[2], k[3] - xi), lam, slacks)
 
 
-def _branch_distinct(An, k, p, q, sep, n_tr, n_disc, tol, slacks):
-    circle_dev, circle_threshold, slack, n_eig = _circle_test(p, q, sep, n_tr, n_disc, tol)
-    slacks.append((slack, "pair", "hyp"))
-    if circle_dev > circle_threshold:
-        return Hyperbolic(p if abs(p) < 1.0 else q)
-    K = np.array(k, dtype=np.complex128).reshape(2, 2)
-    # Python complex: its division rounds differently from numpy's scalar one
-    mu = _pair_entry(An, K, complex(p), slacks, n_eig)
-    nu = _pair_entry(An, K, complex(q), slacks, n_eig)
-    return UnitPair(mu, nu)
-
-
-def _null_vector(M) -> np.ndarray:
-    """Unit kernel vector of a (numerically) singular 2x2 matrix."""
-    c1 = np.array([M[0, 1], -M[0, 0]], dtype=np.complex128)
-    c2 = np.array([M[1, 1], -M[1, 0]], dtype=np.complex128)
-    x = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0:
-        # matrix is (numerically) zero: any direction is a kernel vector
-        return np.array([1.0, 0.0], dtype=np.complex128)
-    return x / nrm
-
-
-def _pair_entry(An, K, eig, slacks, n_eig):
-    x = _null_vector(K - eig * np.eye(2))
-    v = complex(x.conj() @ An @ x)
+def _pair_entry(a, b, c, d, k, eig, n_eig, slacks):
+    x = _null_vector(k[0] - eig, k[1], k[2], k[3] - eig)
+    v = _form(a, b, c, d, x, x)
     # the legitimate value shrinks like 1/cond(S)^2 for lopsided class
     # members, so the degeneracy floor is the rounding noise of the form,
     # not an absolute cutoff
@@ -237,33 +260,17 @@ def _pair_entry(An, K, eig, slacks, n_eig):
     return entry
 
 
-def _branch_coincident(An, k, noise, tr, absdet, tol, slacks):
-    xi = complex(tr) / 2.0  # Python complex, for the division below
-    xi_hat = xi / abs(xi)
-    K = np.array(k, dtype=np.complex128).reshape(2, 2)
-    R = K - xi * np.eye(2)
-    j_stat = frob(R)
-    frob_k = frob(K)
-    noise_norm = float(np.linalg.norm(noise))
-    j_threshold, slack = _jordan_test(j_stat, frob_k, noise_norm, tol)
-    slacks.append((slack, "pair(l,+-l)", "delta"))
-
-    if j_stat <= j_threshold:
-        return _branch_scalar(An, xi_hat, absdet, tol, noise_norm, frob_k, slacks)
-    return _branch_jordan(An, R, xi_hat, slacks)
-
-
-def _branch_scalar(An, xi_hat, absdet, tol, noise_norm, frob_k, slacks):
-    lam = complex(np.sqrt(xi_hat))
-    H = np.conj(lam) * An
-    herm_resid = frob(H - H.conj().T)
+def _branch_scalar(a, b, c, d, lam, absdet, tol, noise_norm, frob_k, slacks):
+    h00, h01, h10, h11 = (lam.conjugate() * m for m in (a, b, c, d))  # H = conj(l) A
+    # ||H - H*||: the diagonal of H - H* is 2i Im(h00), 2i Im(h11)
+    herm_resid = _norm4(2.0 * h00.imag, h01 - h10.conjugate(), h10 - h01.conjugate(), 2.0 * h11.imag)
     herm_threshold = max(10.0 * tol, 30.0 * noise_norm / max(frob_k, 1.0) + 1e3 * EPS)
     slacks.append((max(herm_threshold - herm_resid, 0.0), "pair(l,+-l)", "non-Hermitian residual"))
     if herm_resid > herm_threshold:
         raise AmbiguousClassification(
             "scalar cosquare but conj(l) A is not Hermitian",
             ("pair(l,+-l)", "delta"), herm_resid)
-    eig_lo, eig_hi = hermitian_part_eigenvalues(H)
+    eig_lo, eig_hi = hermitian_eigenvalues(h00.real, h11.real, (h01 + h10.conjugate()) / 2.0)  # of (H + H*) / 2
     # H is nonsingular here: |eig_lo * eig_hi| = |det H| ~ absdet, so a cut at
     # a quarter of it cleanly separates true eigenvalues from zero
     cut = 0.25 * absdet
@@ -281,18 +288,17 @@ def _branch_scalar(An, xi_hat, absdet, tol, noise_norm, frob_k, slacks):
     return UnitPair(lam, -lam)
 
 
-def _branch_jordan(An, R, xi_hat, slacks):
-    x = _null_vector(R)
-    y, *_ = np.linalg.lstsq(R, x, rcond=None)
-    w = complex(x.conj() @ An @ y)
+def _branch_jordan(a, b, c, d, r, root, slacks):
+    x = _null_vector(*r)
+    y = tuple(map(complex, np.linalg.lstsq([r[:2], r[2:]], x, rcond=None)[0]))
+    w = _form(a, b, c, d, x, y)
     # only the phase of w is consumed; it is meaningful as long as w sits
     # above the rounding noise of the bilinear form, which scales with ||y||
-    if abs(w) < 30.0 * EPS * max(1.0, float(np.linalg.norm(y))):
+    if abs(w) < 30.0 * EPS * max(1.0, _norm4(*y, 0.0, 0.0)):
         raise AmbiguousClassification(
             "degenerate generalized eigenvector pairing",
             ("delta", "pair(l,+-l)"), abs(w))
-    tau_est = np.conj(1j * w / abs(w))
-    root = complex(np.sqrt(xi_hat))
+    tau_est = (1j * w / abs(w)).conjugate()
     tau = root if abs(tau_est - root) <= abs(tau_est + root) else -root
     consistency = abs(tau_est - tau)
     slacks.append((max(0.1 - consistency, 0.0), "delta", "inconsistent tau"))
@@ -339,9 +345,7 @@ def classify_many(As: np.ndarray) -> dict:
 
     singular = nonzero & (absdet <= tol)
     if np.any(singular):
-        w = _proportionality(a, b, c, d)
-        Astar = np.conj(np.swapaxes(An, 1, 2))
-        resid = np.sqrt(np.sum(np.abs(Astar - w[:, None, None] * An) ** 2, axis=(1, 2)))
+        resid = _rank1_residual(a, b, c, d)
         margin = np.where(singular, np.minimum(margin, np.abs(resid - tol)), margin)
         fam = np.where(singular & (resid <= tol), 1, fam)
         fam = np.where(singular & (resid > tol), 3, fam)
@@ -364,14 +368,7 @@ def classify_many(As: np.ndarray) -> dict:
         fam = np.where(distinct & (circle_dev <= circle_threshold), 2, fam)
 
         if np.any(coincident):
-            k00, k01, k10, k11 = k
-            xi = tr / 2.0
-            r00, r11 = k00 - xi, k11 - xi
-            j_stat = np.sqrt(np.abs(r00) ** 2 + np.abs(k01) ** 2 + np.abs(k10) ** 2 + np.abs(r11) ** 2)
-            frob_k = np.sqrt(np.abs(k00) ** 2 + np.abs(k01) ** 2 + np.abs(k10) ** 2 + np.abs(k11) ** 2)
-            n00, n01, n10, n11 = noise
-            noise_norm = np.sqrt(n00**2 + n01**2 + n10**2 + n11**2)
-            j_threshold, j_slack = _jordan_test(j_stat, frob_k, noise_norm, tol)
+            j_stat, j_threshold, j_slack, frob_k, noise_norm = _jordan_test(k, noise, tr / 2.0, tol)
             margin = np.where(coincident, np.minimum(margin, j_slack), margin)
             fam = np.where(coincident & (j_stat <= j_threshold), 2, fam)
             fam = np.where(coincident & (j_stat > j_threshold), 4, fam)
@@ -385,16 +382,11 @@ def classify_many(As: np.ndarray) -> dict:
 
 # --- sampling and comparison -------------------------------------------------
 
-def _cond2(S: np.ndarray) -> float:
-    g = S.conj().T @ S
-    t = float((g[0, 0] + g[1, 1]).real)
-    dd = abs(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0])
-    rad = math.sqrt(max((t / 2.0) ** 2 - dd, 0.0))
-    s_max = t / 2.0 + rad
-    s_min = t / 2.0 - rad
-    if s_min <= 0.0:
-        return math.inf
-    return math.sqrt(s_max / s_min)
+def _cond2(s00, s01, s10, s11) -> float:
+    """Condition number of S = [[s00, s01], [s10, s11]] from the eigenvalues of S* S."""
+    g00, g11 = abs(s00) ** 2 + abs(s10) ** 2, abs(s01) ** 2 + abs(s11) ** 2
+    s_min, s_max = hermitian_eigenvalues(g00, g11, s00.conjugate() * s01 + s10.conjugate() * s11)
+    return math.sqrt(s_max / s_min) if s_min > 0.0 else math.inf
 
 
 def random_congruence(form: CanonicalForm, seed: int):
@@ -407,8 +399,8 @@ def random_congruence(form: CanonicalForm, seed: int):
     rng = seeded_rng(seed)
     while True:
         entries = [complex(rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)) for _ in range(4)]
-        S = np.array([[entries[0], entries[1]], [entries[2], entries[3]]], dtype=np.complex128)
-        if _cond2(S) <= 20.0:
+        if _cond2(*entries) <= 20.0:
             break
+    S = np.array([entries[:2], entries[2:]], dtype=np.complex128)
     R = realize(form)
     return S, S.conj().T @ R @ S

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .forms import format_complex, format_form, parse_complex, parse_form, forms_close, realize
 from .jsonutil import render_json
-from .perturb import no_arrow_certificate, sample_neighborhood, witness
+from .perturb import _check_delta, no_arrow_certificate, sample_neighborhood, witness
 from .stratify import codimension, tangent_space_dim, versal_profile
 
 USAGE_ERROR = 2
@@ -98,6 +98,7 @@ def _cmd_codim(args) -> int:
 def _cmd_arrow(args) -> int:
     src = parse_form(args.source)
     dst = parse_form(args.target)
+    _check_delta(args.delta)
     ok = reachable(src, dst)
     outputs: dict = {"reachable": ok}
     lines = [f"reachable: {'true' if ok else 'false'}"]
@@ -115,7 +116,6 @@ def _cmd_arrow(args) -> int:
     report = {
         "command": "arrow",
         "version": __version__,
-        "seed": args.seed,
         "inputs": {"source": format_form(src), "target": format_form(dst), "delta": args.delta},
         "outputs": outputs,
     }
@@ -131,7 +131,6 @@ def _cmd_witness(args) -> int:
     report = {
         "command": "witness",
         "version": __version__,
-        "seed": args.seed,
         "inputs": {"source": format_form(src), "target": format_form(dst), "delta": args.delta},
         "outputs": {
             "witness": w.to_json_dict(),
@@ -267,10 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"starcong {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p, seed=False, delta=None, fmt=("text", "json")):
+    def add_common(p, delta=None, fmt=("text", "json")):
         p.add_argument("--format", choices=fmt, default=fmt[0])
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
         if delta is not None:
             p.add_argument("--delta", type=float, default=delta)
 
@@ -288,19 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("arrow", help="closure-arrow query with witness or certificate")
     p.add_argument("source")
     p.add_argument("target")
-    add_common(p, seed=True, delta=1e-4)
+    add_common(p, delta=1e-4)
     p.set_defaults(fn=_cmd_arrow)
 
     p = sub.add_parser("witness", help="explicit perturbation realizing an arrow")
     p.add_argument("source")
     p.add_argument("target")
-    add_common(p, seed=True, delta=1e-4)
+    add_common(p, delta=1e-4)
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("sample", help="classify a Monte Carlo sample of a neighborhood")
     p.add_argument("form")
     p.add_argument("--samples", type=int, default=10**4)
-    add_common(p, seed=True, delta=1e-4)
+    p.add_argument("--seed", type=int, default=0)
+    add_common(p, delta=1e-4)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("graph", help="Hasse subgraph of the closure order")

@@ -2,8 +2,8 @@
 
 Everything here is exact-intent: closed-form 2x2 arithmetic, a numerically
 stable quadratic-formula eigensolver, row-reduction rank over the reals, and
-the eigenvalues of the Hermitian part of a 2x2 matrix.  All entry points
-reject NaN/Inf.
+the eigenvalues of a Hermitian 2x2 matrix.  ``as_mat2``, ``eigenvalues2``,
+``inverse2`` and ``real_rank`` reject NaN/Inf.
 """
 
 from __future__ import annotations
@@ -118,11 +118,8 @@ def real_rank(M) -> int:
     return rank
 
 
-def hermitian_part_eigenvalues(H) -> tuple[float, float]:
-    """Eigenvalues, ascending, of the Hermitian part (H + H*) / 2 of a 2x2 matrix."""
-    Hs = (H + H.conj().T) / 2.0
-    h11 = float(Hs[0, 0].real)
-    h22 = float(Hs[1, 1].real)
-    mid = (h11 + h22) / 2.0
-    rad = float(np.hypot((h11 - h22) / 2.0, abs(Hs[0, 1])))
+def hermitian_eigenvalues(h00: float, h11: float, h01: complex) -> tuple[float, float]:
+    """Eigenvalues, ascending, of the Hermitian matrix [[h00, h01], [conj(h01), h11]]."""
+    mid = (h00 + h11) / 2.0
+    rad = math.hypot((h00 - h11) / 2.0, abs(h01))
     return mid - rad, mid + rad

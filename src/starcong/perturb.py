@@ -105,14 +105,18 @@ class NeighborhoodReport:
 # --- witnesses ----------------------------------------------------------------
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta <= 0.1:
+        raise InvalidInput("delta must lie in (0, 0.1]")
+
+
 def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witness:
     """Perturbation E with ||E||_F <= delta moving ``source`` into class ``target``.
 
     The construction is deterministic.  Raises NoArrow (carrying an
     obstruction certificate) when the move is impossible.
     """
-    if not 0.0 < delta <= 0.1:
-        raise InvalidInput("delta must lie in (0, 0.1]")
+    _check_delta(delta)
     if source == target:
         raise InvalidInput("source and target must differ (the lazy path needs no witness)")
     if not reachable(source, target):
@@ -466,8 +470,7 @@ def sample_neighborhood(
     Deterministic per (seed, samples, version); the first k samples do not
     depend on n, the number of samples drawn.
     """
-    if not 0.0 < delta <= 0.1:
-        raise InvalidInput("delta must lie in (0, 0.1]")
+    _check_delta(delta)
     if not 0 <= samples <= 10**7:
         raise InvalidInput("samples must lie in [0, 10^7]")
     R = realize(source)

@@ -247,3 +247,25 @@ def test_classify_many_matches_scalar():
         except AmbiguousClassification:
             fam = "boundary"
         assert FAMILY_CODES[res["family"][i]] == fam
+
+    # near boundaries: perturbations 1e-3..1e-12 of each representative and
+    # of one congruence member; where classify answers and classify_many is
+    # confident, the families agree
+    near_rng = np.random.default_rng(3)
+    near = []
+    for k, form in enumerate(form_grid(8)):
+        for base in (realize(form), random_congruence(form, seed=k)[1]):
+            for e in range(3, 13):
+                E = near_rng.standard_normal((2, 2)) + 1j * near_rng.standard_normal((2, 2))
+                near.append(base + 10.0**-e * max(np.linalg.norm(base), 1.0) * E / np.linalg.norm(E))
+    codes = classify_many(np.array(near))["family"]
+    agreed = 0
+    for A, code in zip(near, codes):
+        try:
+            fam = classify(A).form.family
+        except AmbiguousClassification:
+            continue
+        if FAMILY_CODES[code] != "boundary":
+            assert FAMILY_CODES[code] == fam
+            agreed += 1
+    assert agreed > len(near) // 2

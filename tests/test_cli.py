@@ -184,9 +184,11 @@ def test_sample_command_deterministic_bytes():
 
 @pytest.mark.parametrize("delta", ["0", "nan", "0.2"])
 def test_witness_bad_delta_is_usage_error(delta):
-    res = run_cli("witness", "udz(1)", "delta(-1i)", "--delta", delta)
-    assert res.returncode == 2
-    assert "delta must lie in (0, 0.1]" in res.stderr
+    # an arrow with a witness, and a non-arrow that needs none
+    for args in (("witness", "udz(1)", "delta(-1i)"), ("arrow", "pair(1,-1)", "delta(1i)", "--format", "json")):
+        res = run_cli(*args, "--delta", delta)
+        assert res.returncode == 2
+        assert "delta must lie in (0, 0.1]" in res.stderr
 
 
 def test_witness_command_deterministic_bytes():

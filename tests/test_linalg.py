@@ -4,7 +4,7 @@ import pytest
 from starcong import InvalidInput, classify_many, real_rank
 from starcong.errors import SingularMatrix
 from starcong.forms import DELTA2
-from starcong.linalg import det2, eigenvalues2, inverse2
+from starcong.linalg import det2, eigenvalues2, hermitian_eigenvalues, inverse2
 
 rng = np.random.default_rng(20240817)
 
@@ -19,6 +19,17 @@ def test_star_congruence_det_invariant():
         lhs = det2(S.conj().T @ A @ S)
         rhs = abs(det2(S)) ** 2 * det2(A)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
+
+
+def test_hermitian_eigenvalues_match_eigvalsh():
+    local = np.random.default_rng(5)
+    for scale in 10.0 ** np.arange(-8, 9):
+        for _ in range(20):
+            h00, h11 = scale * local.standard_normal(2)
+            h01 = scale * complex(*local.standard_normal(2))
+            want = np.linalg.eigvalsh(np.array([[h00, h01], [np.conj(h01), h11]]))
+            got = hermitian_eigenvalues(h00, h11, h01)
+            assert np.all(np.abs(np.array(got) - want) <= 1e-12 * np.abs(want).max())
 
 
 def test_eigenvalues2_examples():
