@@ -1,9 +1,9 @@
 """Perturbation witnesses, obstruction certificates, neighborhood sampling.
 
-For every arrow of the closure order, :func:`witness` builds an explicit
-perturbation E with ||E||_F <= delta such that realize(source) + E lies in
-the target class, together with the *congruence S carrying realize(target)
-onto it.  For every non-arrow, :func:`no_arrow_certificate` returns a named
+For every arrow of the closure order, :func:`witness` builds a *congruence S
+and from it the perturbation E = S* realize(target) S - realize(source) with
+||E||_F <= delta (1 + 1e-12), so realize(source) + E lies in the target
+class.  For every non-arrow, :func:`no_arrow_certificate` returns a named
 invariant with a positive margin proving the arrow cannot exist.
 
 :func:`sample_neighborhood` probes the defining property empirically: it
@@ -14,6 +14,7 @@ around a class representative.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,10 +112,15 @@ def _check_delta(delta: float) -> None:
 
 
 def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witness:
-    """Perturbation E with ||E||_F <= delta moving ``source`` into class ``target``.
+    """Perturbation E with ||E||_F <= delta (1 + 1e-12) moving ``source`` into class ``target``.
 
-    The construction is deterministic.  Raises NoArrow (carrying an
-    obstruction certificate) when the move is impossible.
+    The arrow's builder gives a congruence S(f) at construction scale f, and
+    E = S* realize(target) S - realize(source), so source + E is congruent to
+    the target's representative.  From the builder's first scale, f halves
+    until E fits the budget (for a udz source a residue |E[0,0]| <= 1e-12 is
+    cleared first); source + E is then classified as a check.  Deterministic.
+    Raises NoArrow (carrying an obstruction certificate) when the move is
+    impossible.
     """
     _check_delta(delta)
     if source == target:
@@ -127,36 +133,42 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
             cert,
         )
 
+    # reachable() leaves zero sources, udz -> pair, hyp, delta and pair(l, -l) -> delta(+-l)
+    R, M = realize(target), realize(source)
     if isinstance(source, Zero):
-        E, S = _witness_from_zero(target, delta)
-    elif isinstance(source, UnitDirectZero) and isinstance(target, UnitPair):
-        E, S = _witness_udz_pair(source, target, delta)
-    elif isinstance(source, UnitDirectZero) and isinstance(target, Hyperbolic):
-        E, S = _witness_udz_hyp(source, target, delta)
-    elif isinstance(source, UnitDirectZero) and isinstance(target, DeltaTau):
-        E, S = _witness_udz_delta(source, target, delta)
-    elif isinstance(source, UnitPair) and isinstance(target, DeltaTau):
-        E, S = _witness_pair_delta(source, target, delta)
-    else:  # pragma: no cover - reachable() already excludes everything else
-        raise InvalidInput(f"unsupported arrow {format_form(source)} -> {format_form(target)}")
+        congruence, f = _congruence_from_zero(R, delta), 1.0
+    elif isinstance(source, UnitPair):
+        congruence, f = _congruence_pair_delta(source, target, delta), 1.0
+    elif isinstance(target, UnitPair):
+        congruence, f = _congruence_udz_pair(source, target), min(0.5, delta)
+    elif isinstance(target, Hyperbolic):
+        congruence, f = _congruence_udz_hyp(source, target), min(0.5, delta)
+    else:
+        congruence, f = _congruence_udz_delta(source, target, delta), 1.0
 
-    _verify_witness(source, target, E, S, delta)
-    return Witness(E=E, S=S, norm_E=frob(E))
+    for _ in range(200):
+        S = congruence(f)
+        E = S.conj().T @ R @ S - M
+        if isinstance(source, UnitDirectZero) and abs(E[0, 0]) <= 1e-12:
+            # E[0,0] vanishes by construction: clear the rounding residue only
+            E[0, 0] = 0.0
+        norm_e = frob(E)
+        if norm_e <= delta * (1.0 + 1e-12):
+            _verify_witness(target, M + E)
+            return Witness(E=E, S=S, norm_E=norm_e)
+        f /= 2.0
+        if f * delta < sys.float_info.min:  # the scale would be lost to rounding
+            break
+    raise StarcongError("perturbation did not shrink below the budget")
 
 
-def _verify_witness(source, target, E, S, delta):
-    norm_e = frob(E)
-    if norm_e > delta * (1.0 + 1e-12):
-        raise StarcongError(f"witness construction exceeded budget: {norm_e} > {delta}")
-    perturbed = realize(source) + E
-    carried = S.conj().T @ realize(target) @ S
-    if frob(carried - perturbed) > 1e-10 * max(frob(perturbed), 1.0):
-        raise StarcongError("witness congruence identity failed")
+def _verify_witness(target, perturbed):
     tol = 1e-9
     if _cosquare_spectrum(target) is not None:
-        # nearly singular matrices in a nonsingular class: let the rank test
-        # see the actual determinant scale
-        drel = abs(det2(perturbed)) / frob(perturbed) ** 2
+        # nearly singular matrices in a nonsingular class: let the rank test see
+        # the determinant scale |det| / ||P||^2, without squaring a tiny norm
+        norm = frob(perturbed)
+        drel = abs(det2(perturbed)) / norm / norm if norm > 0.0 else 0.0
         tol = min(1e-9, max(1e-15, drel / 100.0))
     got = classify(perturbed, tol).form
     if not forms_close(got, target, WITNESS_PARAM_TOL):
@@ -165,34 +177,12 @@ def _verify_witness(source, target, E, S, delta):
             f"wanted {format_form(target)}")
 
 
-def _witness_from_zero(target, delta):
-    R = realize(target)
+def _congruence_from_zero(R, delta):
     scale = delta / frob(R)
-    E = scale * R
-    S = math.sqrt(scale) * np.eye(2, dtype=np.complex128)
-    return E, S
+    return lambda f: math.sqrt(f * scale) * np.eye(2, dtype=np.complex128)
 
 
-def _shrink(build, delta, start=1.0):
-    """Halve the construction scale until the perturbation fits the budget."""
-    f = start
-    for _ in range(200):
-        E, S = build(f)
-        if frob(E) <= delta:
-            return E, S
-        f /= 2.0
-    raise StarcongError("perturbation did not shrink below the budget")
-
-
-def _clamp_corner(E):
-    # the first construction equation makes E[0,0] vanish; clear the rounding
-    # residue, but keep any genuine mismatch from a tolerance-side boundary
-    if abs(E[0, 0]) <= 1e-12:
-        E[0, 0] = 0.0
-    return E
-
-
-def _witness_udz_pair(source, target, delta):
+def _congruence_udz_pair(source, target):
     lam, mu, nu = source.lam, target.mu, target.nu
     # read the cone's shape as reachable, which granted the arrow, reads it
     equal, line, det = _cone_shape(mu.real, mu.imag, nu.real, nu.imag)
@@ -203,47 +193,32 @@ def _witness_udz_pair(source, target, delta):
     else:
         a, b = _cone_coefficients(lam.real, lam.imag, mu.real, mu.imag, nu.real, nu.imag, det)
         a, b = max(a, 0.0), max(b, 0.0)
-    R = realize(target)
-    M = realize(source)
     x, z = math.sqrt(a), math.sqrt(b)
 
-    def build(f):
-        eta = f
+    def congruence(f):
         # keep S nonsingular: the small column avoids the vanishing sqrt
-        y, t = (0.0, eta) if a > 0.0 else (eta, 0.0)
-        S = np.array([[x, y], [z, t]], dtype=np.complex128)
-        E = _clamp_corner(S.conj().T @ R @ S - M)
-        return E, S
+        y, t = (0.0, f) if a > 0.0 else (f, 0.0)
+        return np.array([[x, y], [z, t]], dtype=np.complex128)
 
-    return _shrink(build, delta, start=min(0.5, delta))
+    return congruence
 
 
-def _witness_udz_hyp(source, target, delta):
+def _congruence_udz_hyp(source, target):
     lam, sigma = source.lam, target.sigma
     alpha, beta = sigma.real, sigma.imag
     det = alpha * alpha + beta * beta - 1.0  # nonzero since |sigma| < 1
     u = ((alpha - 1.0) * lam.real + beta * lam.imag) / det
     v = (-beta * lam.real + (1.0 + alpha) * lam.imag) / det
     w = complex(u, v)  # conj(z) x with z = 1
-    R = realize(target)
-    M = realize(source)
-
-    def build(f):
-        S = np.array([[w, 0.0], [1.0, f]], dtype=np.complex128)
-        E = _clamp_corner(S.conj().T @ R @ S - M)
-        return E, S
-
-    return _shrink(build, delta, start=min(0.5, delta))
+    return lambda f: np.array([[w, 0.0], [1.0, f]], dtype=np.complex128)
 
 
-def _witness_udz_delta(source, target, delta):
+def _congruence_udz_delta(source, target, delta):
     lam, tau = source.lam, target.tau
     c = np.conj(tau) * lam
     im_c = max(c.imag, 0.0)  # reachable() guarantees >= -GEOM_TOL
-    R = realize(target)
-    M = realize(source)
 
-    def build(f):
+    def congruence(f):
         eta = 0.4 * delta * f
         rho = 0.15 * delta * f
         z = math.sqrt(max(im_c, eta))
@@ -253,29 +228,22 @@ def _witness_udz_delta(source, target, delta):
             # construction equation only constrains Re(conj(z) x)
             x += 0.5j
         t = rho / abs(x)
-        S = np.array([[x, 0.0], [z, t]], dtype=np.complex128)
-        E = S.conj().T @ R @ S - M
-        return E, S
+        return np.array([[x, 0.0], [z, t]], dtype=np.complex128)
 
-    return _shrink(build, delta)
+    return congruence
 
 
-def _witness_pair_delta(source, target, delta):
-    lam = source.mu
-    sign = 1.0 if abs(target.tau - lam) <= abs(target.tau + lam) else -1.0
-    R = realize(target)
-    M = realize(source)
-    s0_inv = np.array([[0.5, 0.5], [1.0, -1.0]], dtype=np.complex128)
-    d1 = np.diag([1.0, -1.0]).astype(np.complex128)
+def _congruence_pair_delta(source, target, delta):
+    # S* (tau Delta_2) S = sign tau diag(1, -1) + i tau r^2 [[1, -1], [-1, 1]],
+    # sign picking the nearer of +-l, so E also absorbs sign tau - l
+    sign = 1.0 if abs(target.tau - source.mu) <= abs(target.tau + source.mu) else -1.0
 
-    def build(f):
-        eps = 0.45 * delta * f
-        E = sign * 1j * eps * lam * np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=np.complex128)
-        sd_inv = np.diag([1.0 / math.sqrt(eps), math.sqrt(eps)]).astype(np.complex128)
-        S = sd_inv @ s0_inv if sign > 0 else sd_inv @ d1 @ s0_inv
-        return E, S
+    def congruence(f):
+        r = math.sqrt(0.45 * delta * f)
+        return np.array([[1.0 / (2.0 * r), 1.0 / (2.0 * r)], [sign * r, -sign * r]],
+                        dtype=np.complex128)
 
-    return _shrink(build, delta)
+    return congruence
 
 
 # --- obstruction certificates ---------------------------------------------------
@@ -294,7 +262,9 @@ def _cosquare_spectrum(form) -> tuple[complex, complex] | None:
 
 
 def _spectrum_certificate(gap, spec_m, spec_n) -> ObstructionCertificate:
-    return ObstructionCertificate("SpectrumGap", margin=gap, data={
+    # 1/conj(sigma) overflows for |sigma| below about 5.6e-309: the largest
+    # float is still a lower bound on the gap
+    return ObstructionCertificate("SpectrumGap", margin=min(gap, sys.float_info.max), data={
         "spectrum_source": [format_complex(s) for s in spec_m],
         "spectrum_target": [format_complex(s) for s in spec_n]})
 

@@ -119,6 +119,33 @@ def test_arrow_command():
     assert "lazy path" in res.stdout
 
 
+def test_arrow_pair_to_delta_near_plus_minus_lambda():
+    # tau 5e-10 off lambda: E absorbs tau - lambda, so the witness verifies
+    res = run_cli("arrow", "pair(1,-1)", "delta(0.99999999999999989+5e-10i)")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "reachable: true"
+    assert lines[1].startswith("witness at delta 0.0001")
+    assert lines[2].startswith("E = ")
+
+
+def test_witness_tiny_delta_is_a_domain_error():
+    res = run_cli("witness", "zero", "pair(1,1i)", "--delta", "1e-170")
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: witness verification failed")
+    assert "Traceback" not in res.stderr
+
+
+def test_certificate_margin_is_a_json_number():
+    import json
+    import math
+
+    res = run_cli("arrow", "pair(1,1)", "hyp(5e-324)", "--format", "json")
+    assert res.returncode == 0, res.stderr
+    margin = json.loads(res.stdout)["outputs"]["certificate"]["margin"]
+    assert isinstance(margin, float) and math.isfinite(margin)
+
+
 def test_witness_command():
     res = run_cli("witness", "zero", "hyp(0.5)", "--delta", "1e-3")
     assert res.returncode == 0

@@ -86,6 +86,9 @@ ARROW_CASES = [
     (UnitDirectZero(unit(0.5)), DeltaTau(-unit(0.5))),                # boundary, other sign
     (UnitPair(unit(1.2), -unit(1.2)), DeltaTau(unit(1.2))),
     (UnitPair(unit(1.2), -unit(1.2)), DeltaTau(-unit(1.2))),
+    # targets 2e-10..9e-10 off +-m: E absorbs tau -+ m
+    *((UnitPair(unit(1.2), -unit(1.2)), DeltaTau(sign * unit(1.2 + eps)))
+      for eps in (2e-10, 5e-10, 9e-10) for sign in (1, -1)),
 ]
 
 
@@ -101,6 +104,27 @@ def test_witness_soundness(src, dst, delta):
     rhs = realize(src) + w.E
     denom = max(np.linalg.norm(rhs), np.linalg.norm(w.E))
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(denom, 1.0)
+
+
+@pytest.mark.parametrize("src,dst", ARROW_CASES)
+def test_witness_tiny_delta_refuses_cleanly(src, dst):
+    # down to delta = 1e-300 a witness is built or refused with a StarcongError,
+    # never an arithmetic error from a norm squared below the smallest float
+    from starcong import StarcongError
+
+    for k in range(1, 301):
+        try:
+            w = witness(src, dst, 10.0**-k)
+        except StarcongError:
+            continue
+        assert w.norm_E <= 10.0**-k * (1 + 1e-12)
+
+
+def test_witness_uses_the_one_budget_rule():
+    # E is accepted at ||E|| <= delta (1 + 1e-12), so a one-ulp overshoot of
+    # delta does not halve the construction scale
+    w = witness(UnitDirectZero(0.95689030748216164 - 0.2904495471621435j), Hyperbolic(0), 1e-4)
+    assert w.norm_E == pytest.approx(1e-4, rel=1e-12)
 
 
 def test_witness_verifies_class_membership():
