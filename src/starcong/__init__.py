@@ -5,7 +5,7 @@ classes, the closure order with constructive perturbation witnesses and
 named obstruction certificates, and deterministic neighborhood sampling.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .canonical import (
     AMBIG_FRACTION,

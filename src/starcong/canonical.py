@@ -28,7 +28,8 @@ matrices produced by small-delta perturbation witnesses.
 
 Inside this module a 2x2 matrix is the tuple of its entries (m00, m01, m10,
 m11): Python complex scalars in classify, arrays over the stack in
-classify_many.  The kernels the two share take either.
+classify_many.  The kernels the two share take either; the norm and the
+form x* A y come from ``linalg``.  classify and classify_many reject NaN/Inf.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import AmbiguousClassification, InvalidInput
 from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, realize
-from .linalg import EPS, as_mat2, frob, hermitian_eigenvalues
+from .linalg import EPS, _form, _norm4, as_mat2, hermitian_eigenvalues
 from .rng import seeded_rng
 
 #: Ambiguity cutoff as a fraction of the requested tolerance.  Exact
@@ -69,10 +70,13 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     A = as_mat2(A)
     if not tol > 0:
         raise InvalidInput("tol must be positive")
-    scale = frob(A)
+    entries = A.ravel().tolist()
+    scale = _norm4(*entries)
     if scale == 0.0:
         return ClassificationReport(Zero(), math.inf, 0.0)
-    a, b, c, d = map(complex, (A / scale).ravel())
+    # true division: numpy's complex / real multiplies by 1 / scale, which
+    # overflows for a subnormal scale
+    a, b, c, d = (m / scale for m in entries)
 
     slacks: list[tuple[float, str, str]] = []
     det = a * d - b * c
@@ -123,12 +127,6 @@ def _maximum(x, y):
     if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
         return np.maximum(x, y)
     return max(x, y)
-
-
-def _norm4(m00, m01, m10, m11):
-    """Frobenius norm of the 2x2 matrix with entries m00, m01, m10, m11."""
-    sq = abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2
-    return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
 
 
 def _rank1_residual(a, b, c, d):
@@ -211,12 +209,6 @@ def _null_vector(m00, m01, m10, m11):
         # matrix is (numerically) zero: any direction is a kernel vector
         return 1.0, 0.0
     return x0 / nrm, x1 / nrm
-
-
-def _form(a, b, c, d, x, y):
-    """x* A y for A = [[a, b], [c, d]] and 2-vectors x = (x0, x1), y = (y0, y1)."""
-    x0, x1 = x[0].conjugate(), x[1].conjugate()
-    return (x0 * a + x1 * c) * y[0] + (x0 * b + x1 * d) * y[1]
 
 
 def _classify_nonsingular(a, b, c, d, det, absdet, tol, slacks):
@@ -401,6 +393,7 @@ def random_congruence(form: CanonicalForm, seed: int):
         entries = [complex(rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)) for _ in range(4)]
         if _cond2(*entries) <= 20.0:
             break
-    S = np.array([entries[:2], entries[2:]], dtype=np.complex128)
-    R = realize(form)
-    return S, S.conj().T @ R @ S
+    r = realize(form).ravel().tolist()
+    cols = (entries[0], entries[2]), (entries[1], entries[3])
+    member = [[_form(*r, x, y) for y in cols] for x in cols]
+    return np.array([entries[:2], entries[2:]], dtype=np.complex128), np.array(member, dtype=np.complex128)

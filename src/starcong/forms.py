@@ -139,19 +139,8 @@ def forms_close(f: CanonicalForm, g: CanonicalForm, tol: float) -> bool:
     """Same variant with parameters within ``tol`` (pair compared as a set)."""
     if type(f) is not type(g):
         return False
-    if isinstance(f, Zero):
-        return True
-    if isinstance(f, UnitDirectZero):
-        return abs(f.lam - g.lam) <= tol
-    if isinstance(f, UnitPair):
-        direct = max(abs(f.mu - g.mu), abs(f.nu - g.nu))
-        swapped = max(abs(f.mu - g.nu), abs(f.nu - g.mu))
-        return min(direct, swapped) <= tol
-    if isinstance(f, Hyperbolic):
-        return abs(f.sigma - g.sigma) <= tol
-    if isinstance(f, DeltaTau):
-        return abs(f.tau - g.tau) <= tol
-    return False
+    p, q = param_tuple(f), param_tuple(g)
+    return min(max((abs(x - y) for x, y in zip(p, r)), default=0.0) for r in (q, q[::-1])) <= tol
 
 
 def param_tuple(form: CanonicalForm) -> tuple[complex, ...]:

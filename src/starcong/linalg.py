@@ -1,11 +1,12 @@
 """Complex 2x2 and small dense real linear algebra primitives.
 
-Everything here is exact-intent: closed-form 2x2 arithmetic, a numerically
-stable quadratic-formula eigensolver, row-reduction rank over the reals, and
-the eigenvalues of a Hermitian 2x2 matrix.  ``as_mat2``, ``eigenvalues2``,
-``inverse2`` and ``real_rank`` reject NaN/Inf.
+The package's one set of 2x2 kernels lives here: a 2x2 matrix is the tuple of
+its entries (m00, m01, m10, m11), Python complex or arrays over a stack, and
+``_norm4`` and ``_form`` take either.  Besides them: a numerically stable
+quadratic-formula eigensolver, row-reduction rank over the reals, and the
+eigenvalues of a Hermitian 2x2 matrix.  ``as_mat2``, ``eigenvalues2``,
+``inverse2`` and ``real_rank`` reject NaN/Inf; the kernels do not check.
 """
-
 from __future__ import annotations
 
 import math
@@ -37,13 +38,20 @@ def _check_scalar(z: complex, name: str = "value") -> complex:
     return z
 
 
-def frob(A) -> float:
-    return float(np.linalg.norm(np.asarray(A, dtype=np.complex128)))
+def _norm4(m00, m01, m10, m11):
+    """Frobenius norm of the 2x2 matrix with entries m00, m01, m10, m11.
+
+    Scalars go through math.hypot, which squares no entry; arrays keep the
+    square root of the sum of squares that classify_many's bytes rest on."""
+    if isinstance(m00, np.ndarray):
+        return np.sqrt(abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2)
+    return math.hypot(abs(m00), abs(m01), abs(m10), abs(m11))
 
 
-def det2(A) -> complex:
-    A = np.asarray(A, dtype=np.complex128)
-    return complex(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+def _form(a, b, c, d, x, y):
+    """x* A y for A = [[a, b], [c, d]] and 2-vectors x = (x0, x1), y = (y0, y1)."""
+    x0, x1 = x[0].conjugate(), x[1].conjugate()
+    return (x0 * a + x1 * c) * y[0] + (x0 * b + x1 * d) * y[1]
 
 
 # eigenvalues2, inverse2 and their helpers: unused since 0.4.0, kept as the benchmark traces them by name.
@@ -81,7 +89,7 @@ def _sort_eig_pair(p: complex, q: complex) -> tuple[complex, complex]:
 def inverse2(A) -> np.ndarray:
     """Closed-form 2x2 inverse; refuses when |det| <= TOL_SINGULAR * ||A||_F^2."""
     A = as_mat2(A)
-    det = det2(A)
+    det = complex(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
     nrm2 = float(np.linalg.norm(A)) ** 2
     if abs(det) <= TOL_SINGULAR * nrm2:
         raise SingularMatrix(f"|det| = {abs(det):.3e} <= {TOL_SINGULAR:.0e} * ||A||^2")

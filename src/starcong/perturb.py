@@ -40,7 +40,7 @@ from .forms import (
     forms_close,
     realize,
 )
-from .linalg import det2, frob
+from .linalg import _form, _norm4
 from .rng import substream_seeds, uniform_step
 from .stratify import codimension
 
@@ -118,7 +118,8 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
     E = S* realize(target) S - realize(source), so source + E is congruent to
     the target's representative.  From the builder's first scale, f halves
     until E fits the budget (for a udz source a residue |E[0,0]| <= 1e-12 is
-    cleared first); source + E is then classified as a check.  Deterministic.
+    cleared first); source + E is then classified as a check.  A halving
+    that leaves ||E|| no smaller ends the search with a refusal.  Deterministic.
     Raises NoArrow (carrying an obstruction certificate) when the move is
     impossible.
     """
@@ -134,9 +135,9 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
         )
 
     # reachable() leaves zero sources, udz -> pair, hyp, delta and pair(l, -l) -> delta(+-l)
-    R, M = realize(target), realize(source)
+    N, M = realize(target).ravel().tolist(), realize(source).ravel().tolist()
     if isinstance(source, Zero):
-        congruence, f = _congruence_from_zero(R, delta), 1.0
+        congruence, f = _congruence_from_zero(N, delta), 1.0
     elif isinstance(source, UnitPair):
         congruence, f = _congruence_pair_delta(source, target, delta), 1.0
     elif isinstance(target, UnitPair):
@@ -146,40 +147,47 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
     else:
         congruence, f = _congruence_udz_delta(source, target, delta), 1.0
 
+    last = math.inf
     for _ in range(200):
         S = congruence(f)
-        E = S.conj().T @ R @ S - M
-        if isinstance(source, UnitDirectZero) and abs(E[0, 0]) <= 1e-12:
+        c0, c1 = (S[0], S[2]), (S[1], S[3])
+        E = [_form(*N, x, y) - m for x, y, m in zip((c0, c0, c1, c1), (c0, c1, c0, c1), M)]
+        if isinstance(source, UnitDirectZero) and abs(E[0]) <= 1e-12:
             # E[0,0] vanishes by construction: clear the rounding residue only
-            E[0, 0] = 0.0
-        norm_e = frob(E)
+            E[0] = 0j
+        norm_e = _norm4(*E)
         if norm_e <= delta * (1.0 + 1e-12):
-            _verify_witness(target, M + E)
-            return Witness(E=E, S=S, norm_E=norm_e)
+            _verify_witness(target, [m + e for m, e in zip(M, E)])
+            return Witness(E=np.array(E).reshape(2, 2), S=np.array(S, dtype=np.complex128).reshape(2, 2),
+                           norm_E=norm_e)
+        if norm_e >= last:  # no smaller f fits: E's f-dependent part is below rounding
+            break
+        last = norm_e
         f /= 2.0
         if f * delta < sys.float_info.min:  # the scale would be lost to rounding
             break
     raise StarcongError("perturbation did not shrink below the budget")
 
 
-def _verify_witness(target, perturbed):
+def _verify_witness(target, p):
+    """Classify the matrix with entries p = (p00, p01, p10, p11) as ``target``."""
     tol = 1e-9
     if _cosquare_spectrum(target) is not None:
         # nearly singular matrices in a nonsingular class: let the rank test see
         # the determinant scale |det| / ||P||^2, without squaring a tiny norm
-        norm = frob(perturbed)
-        drel = abs(det2(perturbed)) / norm / norm if norm > 0.0 else 0.0
+        norm = _norm4(*p)
+        drel = abs(p[0] * p[3] - p[1] * p[2]) / norm / norm if norm > 0.0 else 0.0
         tol = min(1e-9, max(1e-15, drel / 100.0))
-    got = classify(perturbed, tol).form
+    got = classify([p[:2], p[2:]], tol).form
     if not forms_close(got, target, WITNESS_PARAM_TOL):
         raise StarcongError(
             f"witness verification failed: classified {format_form(got)}, "
             f"wanted {format_form(target)}")
 
 
-def _congruence_from_zero(R, delta):
-    scale = delta / frob(R)
-    return lambda f: math.sqrt(f * scale) * np.eye(2, dtype=np.complex128)
+def _congruence_from_zero(N, delta):
+    scale = delta / _norm4(*N)
+    return lambda f: (math.sqrt(f * scale), 0.0, 0.0, math.sqrt(f * scale))
 
 
 def _congruence_udz_pair(source, target):
@@ -198,7 +206,7 @@ def _congruence_udz_pair(source, target):
     def congruence(f):
         # keep S nonsingular: the small column avoids the vanishing sqrt
         y, t = (0.0, f) if a > 0.0 else (f, 0.0)
-        return np.array([[x, y], [z, t]], dtype=np.complex128)
+        return x, y, z, t
 
     return congruence
 
@@ -210,12 +218,12 @@ def _congruence_udz_hyp(source, target):
     u = ((alpha - 1.0) * lam.real + beta * lam.imag) / det
     v = (-beta * lam.real + (1.0 + alpha) * lam.imag) / det
     w = complex(u, v)  # conj(z) x with z = 1
-    return lambda f: np.array([[w, 0.0], [1.0, f]], dtype=np.complex128)
+    return lambda f: (w, 0.0, 1.0, f)
 
 
 def _congruence_udz_delta(source, target, delta):
     lam, tau = source.lam, target.tau
-    c = np.conj(tau) * lam
+    c = tau.conjugate() * lam
     im_c = max(c.imag, 0.0)  # reachable() guarantees >= -GEOM_TOL
 
     def congruence(f):
@@ -228,7 +236,7 @@ def _congruence_udz_delta(source, target, delta):
             # construction equation only constrains Re(conj(z) x)
             x += 0.5j
         t = rho / abs(x)
-        return np.array([[x, 0.0], [z, t]], dtype=np.complex128)
+        return x, 0.0, z, t
 
     return congruence
 
@@ -240,8 +248,7 @@ def _congruence_pair_delta(source, target, delta):
 
     def congruence(f):
         r = math.sqrt(0.45 * delta * f)
-        return np.array([[1.0 / (2.0 * r), 1.0 / (2.0 * r)], [sign * r, -sign * r]],
-                        dtype=np.complex128)
+        return 1.0 / (2.0 * r), 1.0 / (2.0 * r), sign * r, -sign * r
 
     return congruence
 
@@ -318,16 +325,17 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
                 data={"lambda": format_complex(source.lam)})
 
     if isinstance(source, UnitDirectZero) and isinstance(target, DeltaTau):
-        gap = -(source.lam * np.conj(target.tau)).imag
+        gap = -(source.lam * target.tau.conjugate()).imag
         if gap > 0.0:
             return ObstructionCertificate(
                 "HalfPlaneMargin", margin=float(gap),
                 data={"im_lambda_conj_tau": float(-gap)})
 
-    det_m, det_n = det2(realize(source)), det2(realize(target))
+    m, n = realize(source).ravel().tolist(), realize(target).ravel().tolist()
+    det_m, det_n = m[0] * m[3] - m[1] * m[2], n[0] * n[3] - n[1] * n[2]
     if abs(det_m) > 0.0:
         if abs(det_n) == 0.0:
-            margin = abs(det_m) / frob(realize(source)) ** 2
+            margin = abs(det_m) / _norm4(*m) ** 2
             return ObstructionCertificate(
                 "DetPhaseGap", margin=margin,
                 data={"det_source": format_complex(det_m), "det_target": "0"})

@@ -111,10 +111,13 @@ def test_round_trip_under_congruence():
 
 
 def test_positive_scaling_invariance():
-    for form in form_grid(6):
-        A = realize(form)
-        for c in (1e-6, 0.25, 4.0, 1e6):
-            assert forms_close(classify(c * A).form, classify(A).form, 1e-9)
+    # the scale is a norm that squares no entry, so inputs near the ends of
+    # the double range classify as their scale-1 counterparts
+    for k, form in enumerate(form_grid(6)):
+        for A in (realize(form), random_congruence(form, seed=k)[1]):
+            want = classify(A).form
+            for c in (1e-300, 1e-170, 1e-6, 0.25, 4.0, 1e6, 1e170, 1e300):
+                assert forms_close(classify(c * A).form, want, 1e-9), (form, c)
 
 
 def test_cosquare_spectrum_congruence_invariant():

@@ -130,10 +130,28 @@ def test_arrow_pair_to_delta_near_plus_minus_lambda():
 
 
 def test_witness_tiny_delta_is_a_domain_error():
-    res = run_cli("witness", "zero", "pair(1,1i)", "--delta", "1e-170")
+    # |det S| = 0.15 delta for udz -> delta: at 1e-170 the perturbed matrix's
+    # relative determinant is far below the rank test's floor
+    res = run_cli("witness", "udz(1)", "delta(-1i)", "--delta", "1e-170")
     assert res.returncode == 1
     assert res.stderr.startswith("error: witness verification failed")
     assert "Traceback" not in res.stderr
+
+
+def test_witness_from_zero_at_tiny_delta_verifies():
+    # source + E = (delta / ||N||) N: the norm scales, so nothing underflows
+    res = run_cli("witness", "zero", "pair(1,1i)", "--delta", "1e-170")
+    assert res.returncode == 0, res.stderr
+    assert "classify(source + E) = pair(1,1i)" in res.stdout
+    assert res.stderr == ""
+
+
+@pytest.mark.parametrize("text", ["1e-170,0;0,1e-170i", "1e170,0;0,1e170i"])
+def test_classify_extreme_scale(text):
+    res = run_cli("classify", text)
+    assert res.returncode == 0
+    assert res.stdout.splitlines()[0] == "pair(1,1i)  codim 2"
+    assert res.stderr == ""
 
 
 def test_certificate_margin_is_a_json_number():

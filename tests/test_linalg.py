@@ -4,7 +4,7 @@ import pytest
 from starcong import InvalidInput, classify_many, real_rank
 from starcong.errors import SingularMatrix
 from starcong.forms import DELTA2
-from starcong.linalg import det2, eigenvalues2, hermitian_eigenvalues, inverse2
+from starcong.linalg import _form, _norm4, eigenvalues2, hermitian_eigenvalues, inverse2
 
 rng = np.random.default_rng(20240817)
 
@@ -13,12 +13,41 @@ def random_mat2():
     return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
 
 
+def det(A):
+    return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+
+
 def test_star_congruence_det_invariant():
     for _ in range(30):
         A, S = random_mat2(), random_mat2()
-        lhs = det2(S.conj().T @ A @ S)
-        rhs = abs(det2(S)) ** 2 * det2(A)
+        lhs = det(S.conj().T @ A @ S)
+        rhs = abs(det(S)) ** 2 * det(A)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
+
+
+def test_form_builds_the_star_congruence():
+    # entry (i, j) of S* N S is col_i(S)* N col_j(S)
+    for _ in range(30):
+        N, S = random_mat2(), random_mat2()
+        n = N.ravel().tolist()
+        cols = [S[:, 0].tolist(), S[:, 1].tolist()]
+        got = np.array([[_form(*n, x, y) for y in cols] for x in cols])
+        want = S.conj().T @ N @ S
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.norm(N) * np.linalg.norm(S) ** 2
+
+
+def test_norm4_matches_numpy():
+    for scale in (1.0, 1e-170, 1e170, 1e-300, 1e300):
+        for _ in range(20):
+            A = random_mat2()
+            want = np.linalg.norm(A)
+            got = _norm4(*(scale * A).ravel().tolist())
+            assert isinstance(got, float)
+            assert abs(got / scale - want) <= 4e-16 * want
+    # the array branch is the one classify_many uses
+    As = np.array([random_mat2() for _ in range(20)])
+    got = _norm4(As[:, 0, 0], As[:, 0, 1], As[:, 1, 0], As[:, 1, 1])
+    np.testing.assert_allclose(got, np.linalg.norm(As, axis=(1, 2)), rtol=1e-15)
 
 
 def test_hermitian_eigenvalues_match_eigvalsh():
