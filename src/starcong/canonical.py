@@ -23,8 +23,7 @@ Every threshold comparison contributes a normalized slack; the report's
 ``margin`` is the smallest slack, and inputs whose margin falls below half
 the requested tolerance are refused with AmbiguousClassification instead of
 being silently assigned a class.  Thresholds carry explicit floating-point
-noise floors so the tree stays reliable even for the nearly singular
-matrices produced by small-delta perturbation witnesses.
+noise floors for nearly singular inputs.
 
 Inside this module a 2x2 matrix is the tuple of its entries (m00, m01, m10,
 m11): Python complex scalars in classify, arrays over the stack in
@@ -74,9 +73,13 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     scale = _norm4(*entries)
     if scale == 0.0:
         return ClassificationReport(Zero(), math.inf, 0.0)
+    norm = scale
+    if scale == math.inf:  # finite entries, overflowing norm: quarters are exact, their norm finite
+        entries = [m / 4.0 for m in entries]
+        norm = _norm4(*entries)
     # true division: numpy's complex / real multiplies by 1 / scale, which
     # overflows for a subnormal scale
-    a, b, c, d = (m / scale for m in entries)
+    a, b, c, d = (m / norm for m in entries)
 
     slacks: list[tuple[float, str, str]] = []
     det = a * d - b * c

@@ -1,10 +1,10 @@
 """Perturbation witnesses, obstruction certificates, neighborhood sampling.
 
 For every arrow of the closure order, :func:`witness` builds a *congruence S
-and from it the perturbation E = S* realize(target) S - realize(source) with
-||E||_F <= delta (1 + 1e-12), so realize(source) + E lies in the target
-class.  For every non-arrow, :func:`no_arrow_certificate` returns a named
-invariant with a positive margin proving the arrow cannot exist.
+and from it E = S* realize(target) S - realize(source), certified by a rounding
+bound to fit ||E||_F <= delta (1 + 1e-12), so realize(source) + E lies in the
+target class.  For every non-arrow, :func:`no_arrow_certificate` returns a
+named invariant with a positive margin proving the arrow cannot exist.
 
 :func:`sample_neighborhood` probes the defining property empirically: it
 classifies a deterministic Monte Carlo sample of the Frobenius delta-ball
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import FAMILY_CODES, classify, classify_many
+from .canonical import FAMILY_CODES, classify_many
 from .closure import _cone_coefficients, _cone_distance, _cone_shape, reachable
 from .errors import (
     ArrowExists,
@@ -37,15 +37,11 @@ from .forms import (
     Zero,
     format_complex,
     format_form,
-    forms_close,
     realize,
 )
 from .linalg import _form, _norm4
 from .rng import substream_seeds, uniform_step
 from .stratify import codimension
-
-#: Parameter agreement required when verifying a witness by classification.
-WITNESS_PARAM_TOL = 1e-6
 
 CERTIFICATE_KINDS = (
     "CodimMonotonicity",
@@ -118,21 +114,18 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
     E = S* realize(target) S - realize(source), so source + E is congruent to
     the target's representative.  From the builder's first scale, f halves
     until E fits the budget (for a udz source a residue |E[0,0]| <= 1e-12 is
-    cleared first); source + E is then classified as a check.  A halving
-    that leaves ||E|| no smaller ends the search with a refusal.  Deterministic.
-    Raises NoArrow (carrying an obstruction certificate) when the move is
-    impossible.
+    cleared first), or refuses once a halving leaves ||E|| no smaller.  A
+    rounding bound then certifies S and E, or refuses; nothing is classified.
+    Deterministic.  Raises NoArrow (carrying an obstruction certificate) when
+    the move is impossible.
     """
     _check_delta(delta)
     if source == target:
         raise InvalidInput("source and target must differ (the lazy path needs no witness)")
     if not reachable(source, target):
         cert = no_arrow_certificate(source, target)
-        raise NoArrow(
-            f"no arrow {format_form(source)} -> {format_form(target)}: "
-            f"{cert.kind} margin {cert.margin:.6g}",
-            cert,
-        )
+        raise NoArrow(f"no arrow {format_form(source)} -> {format_form(target)}: "
+                      f"{cert.kind} margin {cert.margin:.6g}", cert)
 
     # reachable() leaves zero sources, udz -> pair, hyp, delta and pair(l, -l) -> delta(+-l)
     N, M = realize(target).ravel().tolist(), realize(source).ravel().tolist()
@@ -152,13 +145,12 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
         S = congruence(f)
         c0, c1 = (S[0], S[2]), (S[1], S[3])
         E = [_form(*N, x, y) - m for x, y, m in zip((c0, c0, c1, c1), (c0, c1, c0, c1), M)]
-        if isinstance(source, UnitDirectZero) and abs(E[0]) <= 1e-12:
-            # E[0,0] vanishes by construction: clear the rounding residue only
-            E[0] = 0j
-        norm_e = _norm4(*E)
+        # a udz source's E[0,0] vanishes by construction: clear the rounding residue only
+        kept = [0j, *E[1:]] if isinstance(source, UnitDirectZero) and abs(E[0]) <= 1e-12 else E
+        norm_e = _norm4(*kept)
         if norm_e <= delta * (1.0 + 1e-12):
-            _verify_witness(target, [m + e for m, e in zip(M, E)])
-            return Witness(E=np.array(E).reshape(2, 2), S=np.array(S, dtype=np.complex128).reshape(2, 2),
+            _certify(N, M, S, E, delta)
+            return Witness(E=np.array(kept).reshape(2, 2), S=np.array(S, dtype=np.complex128).reshape(2, 2),
                            norm_E=norm_e)
         if norm_e >= last:  # no smaller f fits: E's f-dependent part is below rounding
             break
@@ -169,20 +161,24 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
     raise StarcongError("perturbation did not shrink below the budget")
 
 
-def _verify_witness(target, p):
-    """Classify the matrix with entries p = (p00, p01, p10, p11) as ``target``."""
-    tol = 1e-9
-    if _cosquare_spectrum(target) is not None:
-        # nearly singular matrices in a nonsingular class: let the rank test see
-        # the determinant scale |det| / ||P||^2, without squaring a tiny norm
-        norm = _norm4(*p)
-        drel = abs(p[0] * p[3] - p[1] * p[2]) / norm / norm if norm > 0.0 else 0.0
-        tol = min(1e-9, max(1e-15, drel / 100.0))
-    got = classify([p[:2], p[2:]], tol).form
-    if not forms_close(got, target, WITNESS_PARAM_TOL):
-        raise StarcongError(
-            f"witness verification failed: classified {format_form(got)}, "
-            f"wanted {format_form(target)}")
+def _certify(N, M, S, E, delta):
+    """Raise unless E' = S* N S - M, exact for the float S, has ||E'||_F <= delta (1 + 1e-12) and det S != 0."""
+    # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.) 3.1, 3.6:
+    # with u = 2^-53 complex sums round by <= u, products by <= sqrt(2) gamma_2
+    # = 2 sqrt(2) u / (1 - 2u).  A term conj(x_k) N_kl y_l of _form meets two
+    # products and two sums and M_ij one sum, so |E_ij - E'_ij| <= g (|x|^T |N| |y|
+    # + |M_ij|), g = (1 + sqrt(2) gamma_2)^2 (1 + u)^3 - 1 = 8.66u + O(u^2) <= 10u,
+    # det S too.  Underflow adds u 2^-1022 a real product, 5.7 u 2^-1022 (1 + |y_0|
+    # + |y_1|) an entry (tiny: 32 for 5.7); abs, the sums and hypot add 7u (1 + 8u).
+    u = sys.float_info.epsilon / 2.0
+    g, tiny = 10.0 * u, sys.float_info.min * (32.0 * u)
+    a, (x0, x1) = [abs(v) for v in N], ((abs(S[0]), abs(S[2])), (abs(S[1]), abs(S[3])))
+    bound = _norm4(*(abs(e) + g * (_form(*a, x, y) + abs(m)) + tiny * (1.0 + y[0] + y[1])
+                     for e, m, x, y in zip(E, M, (x0, x0, x1, x1), (x0, x1, x0, x1))))
+    if bound * (1.0 + 8.0 * u) > delta * (1.0 + 1e-12):
+        raise StarcongError(f"witness verification failed: rounding bound {bound:.3e} exceeds delta {delta:.3e}")
+    if abs(S[0] * S[3] - S[1] * S[2]) <= g * (abs(S[0] * S[3]) + abs(S[1] * S[2])) + tiny:
+        raise StarcongError("witness verification failed: det S is within its rounding bound of 0")
 
 
 def _congruence_from_zero(N, delta):

@@ -130,12 +130,27 @@ def test_arrow_pair_to_delta_near_plus_minus_lambda():
 
 
 def test_witness_tiny_delta_is_a_domain_error():
-    # |det S| = 0.15 delta for udz -> delta: at 1e-170 the perturbed matrix's
-    # relative determinant is far below the rank test's floor
+    # E[0,0] is the difference of (S* N S)[0,0] and lam, both of modulus 1, so
+    # its rounding bound, about 2e-15, cannot fit a budget of 1e-170
     res = run_cli("witness", "udz(1)", "delta(-1i)", "--delta", "1e-170")
     assert res.returncode == 1
     assert res.stderr.startswith("error: witness verification failed")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    # source + E is nearly singular (relative determinant 2.25e-16), but the
+    # congruence itself is certified
+    ("witness", "udz(1)", "delta(-1i)", "--delta", "1e-7"),
+    # a target about 1e-7 off pair(m, -m): classify calls source + E delta(m),
+    # though the congruence is certified
+    ("arrow", "udz(0.99298409166059098+0.11824801778038843i)",
+     "pair(0.49202956955240412-0.87057848737840748i,-0.49202948249455292+0.87057853658136009i)"),
+])
+def test_witness_needs_no_classification(args):
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
 
 
 def test_witness_from_zero_at_tiny_delta_verifies():
@@ -152,6 +167,13 @@ def test_classify_extreme_scale(text):
     assert res.returncode == 0
     assert res.stdout.splitlines()[0] == "pair(1,1i)  codim 2"
     assert res.stderr == ""
+
+
+def test_classify_overflowing_norm():
+    # every entry is finite but the Frobenius norm exceeds the largest double
+    big = run_cli("classify", "1e308,1e308;1e308,1e308i")
+    assert big.returncode == 0, big.stderr
+    assert big.stdout == run_cli("classify", "1,1;1,1i").stdout
 
 
 def test_certificate_margin_is_a_json_number():

@@ -1,3 +1,7 @@
+import json
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from starcong import (
     UnitPair,
     Zero,
     classify,
+    format_form,
     forms_close,
     no_arrow_certificate,
     reachable,
@@ -21,9 +26,40 @@ from starcong import (
 from starcong.jsonutil import render_json
 from starcong.rng import SplitMix64
 
+GOLDEN_WITNESSES = Path(__file__).resolve().parent / "data" / "golden_witnesses.jsonl"
+
 
 def unit(theta):
     return complex(np.cos(theta), np.sin(theta))
+
+
+def _exact(A):
+    return [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(A, dtype=complex).tolist()]
+
+
+def _mul(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _dot(p, q, r, s):
+    a, b = _mul(p, q), _mul(r, s)
+    return a[0] + b[0], a[1] + b[1]
+
+
+def assert_exact_witness(src, dst, delta, w):
+    """In rational arithmetic on the float entries of w.S and the two
+    representatives: E' = S* N S - M has ||E'||_F <= delta (1 + 1e-12) and
+    det S != 0, so realize(src) + E' lies in the class of dst."""
+    S, N, M = _exact(w.S), _exact(realize(dst)), _exact(realize(src))
+    NS = [[_dot(N[i][0], S[0][j], N[i][1], S[1][j]) for j in range(2)] for i in range(2)]
+    Sh = [[(S[j][i][0], -S[j][i][1]) for j in range(2)] for i in range(2)]
+    sq = Fraction(0)
+    for i in range(2):
+        for j in range(2):
+            re, im = _dot(Sh[i][0], NS[0][j], Sh[i][1], NS[1][j])
+            sq += (re - M[i][j][0]) ** 2 + (im - M[i][j][1]) ** 2
+    assert sq <= Fraction(delta * (1 + 1e-12)) ** 2, (src, dst, delta)
+    assert _mul(S[0][0], S[1][1]) != _mul(S[0][1], S[1][0]), (src, dst, delta)
 
 
 # --- witnesses ---------------------------------------------------------------
@@ -97,13 +133,18 @@ ARROW_CASES = [
 def test_witness_soundness(src, dst, delta):
     w = witness(src, dst, delta)
     assert w.norm_E <= delta * (1 + 1e-12)
-    # witness() already verifies classify(M+E) ~ dst; re-check independently
-    # through the congruence identity S* realize(dst) S = realize(src) + E
-    assert w.S is not None
+    # witness() certifies the congruence under a rounding bound; re-check it
+    # exactly, and check that E is S* realize(dst) S - realize(src) in floats
+    assert_exact_witness(src, dst, delta, w)
     lhs = w.S.conj().T @ realize(dst) @ w.S
     rhs = realize(src) + w.E
     denom = max(np.linalg.norm(rhs), np.linalg.norm(w.E))
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(denom, 1.0)
+
+
+#: Every delta = 10^-k with k up to this, per source family, was served when
+#: witnesses were checked by re-classifying source + E, and is served still.
+SERVED_K = {Zero: 300, UnitDirectZero: 8, UnitPair: 8}
 
 
 @pytest.mark.parametrize("src,dst", ARROW_CASES)
@@ -116,8 +157,10 @@ def test_witness_tiny_delta_refuses_cleanly(src, dst):
         try:
             w = witness(src, dst, 10.0**-k)
         except StarcongError:
+            assert k > SERVED_K[type(src)], (src, dst, k)
             continue
         assert w.norm_E <= 10.0**-k * (1 + 1e-12)
+        assert_exact_witness(src, dst, 10.0**-k, w)
 
 
 def test_witness_uses_the_one_budget_rule():
@@ -125,6 +168,49 @@ def test_witness_uses_the_one_budget_rule():
     # delta does not halve the construction scale
     w = witness(UnitDirectZero(0.95689030748216164 - 0.2904495471621435j), Hyperbolic(0), 1e-4)
     assert w.norm_E == pytest.approx(1e-4, rel=1e-12)
+
+
+def _grid_form(rng: SplitMix64):
+    # parameters on a grid of 12 angles, so corner, boundary and pair(l, -l)
+    # -> delta(+-l) arrows come up as often as generic ones
+    kind = int(rng.uniform() * 5)
+    t1, t2 = (unit(np.pi * int(rng.uniform() * 12) / 6) for _ in range(2))
+    if kind == 0:
+        return Zero()
+    if kind == 1:
+        return UnitDirectZero(t1)
+    if kind == 2:
+        return UnitPair(t1, -t1) if rng.uniform() < 0.5 else UnitPair(t1, t2)
+    if kind == 3:
+        return Hyperbolic(0.9 * rng.uniform() * t1 if rng.uniform() < 0.75 else 0)
+    return DeltaTau(t1)
+
+
+def test_witness_exact_on_a_seeded_arrow_sweep():
+    # every arrow drawn is answered at every delta served, and exactly sound
+    rng = SplitMix64(2024)
+    families = set()
+    for _ in range(600):
+        src, dst = _grid_form(rng), _grid_form(rng)
+        if src == dst or not reachable(src, dst):
+            continue
+        families.add((type(src), type(dst)))
+        for delta in (1e-2, 1e-5, 1e-8):
+            assert_exact_witness(src, dst, delta, witness(src, dst, delta))
+    assert families == {(Zero, t) for t in (UnitDirectZero, UnitPair, Hyperbolic, DeltaTau)} | {
+        (UnitDirectZero, t) for t in (UnitPair, Hyperbolic, DeltaTau)} | {(UnitPair, DeltaTau)}
+
+
+def _golden_line(src, dst, delta):
+    w = witness(src, dst, delta)
+    return json.dumps({"source": format_form(src), "target": format_form(dst), "delta": delta,
+                       "witness": w.to_json_dict()})
+
+
+def test_witness_golden_bytes():
+    # the accepted construction scale, and so E, S and ||E||, are pinned
+    lines = [_golden_line(src, dst, delta) for src, dst in ARROW_CASES for delta in (1e-2, 1e-4, 1e-6)]
+    assert lines == GOLDEN_WITNESSES.read_text().splitlines()
 
 
 def test_witness_verifies_class_membership():
