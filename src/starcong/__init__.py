@@ -3,17 +3,14 @@
 Classification into the five canonical families, real codimension of the
 classes, the closure order with constructive perturbation witnesses and
 named obstruction certificates, and deterministic neighborhood sampling.
+
+Importing the package does not import numpy: the names of ``canonical``, the
+classifier, resolve on first use, and the other modules import numpy inside
+the functions that build or read arrays.
 """
 
 __version__ = "0.7.0"
 
-from .canonical import (
-    AMBIG_FRACTION,
-    ClassificationReport,
-    classify,
-    classify_many,
-    random_congruence,
-)
 from .closure import (
     HasseSubgraph,
     hasse_subgraph,
@@ -31,7 +28,6 @@ from .errors import (
     StarcongError,
 )
 from .forms import (
-    DELTA2,
     CanonicalForm,
     DeltaTau,
     Hyperbolic,
@@ -57,6 +53,16 @@ from .perturb import (
 from .rng import SplitMix64, seeded_rng
 from .stratify import VersalProfile, codimension, tangent_space_dim, versal_profile
 
+_CANONICAL = ("AMBIG_FRACTION", "ClassificationReport", "classify", "classify_many", "random_congruence")
+
+
+def __getattr__(name):
+    if name in _CANONICAL:
+        from . import canonical
+
+        return getattr(canonical, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 __all__ = [
     "AMBIG_FRACTION",
     "AmbiguousClassification",
@@ -64,7 +70,6 @@ __all__ = [
     "CanonicalForm",
     "CertificateNotFound",
     "ClassificationReport",
-    "DELTA2",
     "DeltaTau",
     "DuplicateVertex",
     "FormSyntaxError",

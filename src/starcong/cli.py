@@ -5,6 +5,9 @@ Matrices are written inline as ``a11,a12;a21,a22`` with complex literals, or
 as JSON ``{"m":[["..",".."],["..",".."]]}``.  Exit codes: 0 success,
 1 domain refusal (no arrow, ambiguous classification), 2 usage or parse
 errors.  Output is byte-stable for fixed arguments and version.
+
+``codim``, ``arrow`` and ``witness`` run on Python scalars and never import
+numpy; ``classify``, ``sample``, ``graph`` and ``selftest`` load it.
 """
 
 from __future__ import annotations
@@ -13,10 +16,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
-from .canonical import classify, random_congruence
 from .closure import hasse_subgraph, reachable, to_dot
 from .errors import (
     AmbiguousClassification,
@@ -26,7 +26,7 @@ from .errors import (
     NoArrow,
     StarcongError,
 )
-from .forms import format_complex, format_form, parse_complex, parse_form, forms_close, realize
+from .forms import _entries, format_complex, format_form, parse_complex, parse_form, forms_close, realize
 from .jsonutil import render_json
 from .perturb import _check_delta, no_arrow_certificate, sample_neighborhood, witness
 from .stratify import codimension, tangent_space_dim, versal_profile
@@ -46,11 +46,18 @@ def parse_matrix(text: str) -> np.ndarray:
         rows = [r.split(",") for r in text.split(";")]
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise FormSyntaxError("matrix must have 2 rows of 2 entries")
+    import numpy as np
+
     return np.array([[parse_complex(str(e)) for e in row] for row in rows], dtype=np.complex128)
 
 
 def format_matrix(M: np.ndarray) -> str:
-    return ";".join(",".join(format_complex(complex(M[i, j])) for j in range(2)) for i in range(2))
+    return _format_entries(M.ravel().tolist())
+
+
+def _format_entries(m) -> str:
+    """``m00,m01;m10,m11`` for the entries (m00, m01, m10, m11) of a 2x2 matrix."""
+    return ";".join(",".join(format_complex(z) for z in row) for row in (m[:2], m[2:]))
 
 
 def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
@@ -62,6 +69,8 @@ def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
 
 
 def _cmd_classify(args) -> int:
+    from .canonical import classify
+
     M = parse_matrix(args.matrix)
     rep = classify(M, args.tol)
     cd = codimension(rep.form)
@@ -106,7 +115,7 @@ def _cmd_arrow(args) -> int:
         w = witness(src, dst, args.delta)
         outputs["witness"] = w.to_json_dict()
         lines.append(f"witness at delta {args.delta:.17g}: ||E|| = {w.norm_E:.17g}")
-        lines.append(f"E = {format_matrix(w.E)}")
+        lines.append(f"E = {_format_entries(w.E_entries)}")
     elif ok:
         lines.append("lazy path of length 0")
     else:
@@ -127,14 +136,14 @@ def _cmd_witness(args) -> int:
     src = parse_form(args.source)
     dst = parse_form(args.target)
     w = witness(src, dst, args.delta)
-    perturbed = realize(src) + w.E
+    perturbed = [m + e for m, e in zip(_entries(src), w.E_entries)]
     report = {
         "command": "witness",
         "version": __version__,
         "inputs": {"source": format_form(src), "target": format_form(dst), "delta": args.delta},
         "outputs": {
             "witness": w.to_json_dict(),
-            "perturbed": format_matrix(perturbed),
+            "perturbed": _format_entries(perturbed),
             "verified_form": format_form(dst),
         },
     }
@@ -142,7 +151,7 @@ def _cmd_witness(args) -> int:
         report,
         args.format,
         [
-            f"E = {format_matrix(w.E)}",
+            f"E = {_format_entries(w.E_entries)}",
             f"||E|| = {w.norm_E:.17g} <= delta = {args.delta:.17g}",
             f"classify(source + E) = {format_form(dst)}",
         ],
@@ -224,6 +233,8 @@ def _selftest_codim_table() -> int:
 
 
 def _selftest_round_trip(seed: int) -> int:
+    from .canonical import classify, random_congruence
+
     bad = 0
     for k, form in enumerate(_selftest_grid()):
         got = classify(realize(form)).form

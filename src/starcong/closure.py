@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DuplicateVertex, InvalidInput
 from .forms import (
     CanonicalForm,
@@ -65,9 +63,11 @@ def _near(zr, zi, ur, ui):
     differently).
     """
     dr, di = zr - ur, zi - ui
-    if isinstance(dr, np.ndarray):
-        return np.hypot(dr, di) <= GEOM_TOL
-    return abs(complex(dr, di)) <= GEOM_TOL
+    if isinstance(dr, float):  # numpy's float64 scalar is a float too
+        return abs(complex(dr, di)) <= GEOM_TOL
+    import numpy as np
+
+    return np.hypot(dr, di) <= GEOM_TOL
 
 
 def _on_line(zr, zi, ur, ui):
@@ -161,6 +161,8 @@ class HasseSubgraph:
 
 
 def _parts(zs) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     z = np.array(zs, dtype=np.complex128)
     return z.real, z.imag
 
@@ -172,6 +174,8 @@ def _relation(verts) -> np.ndarray:
     applies the same predicates to their arrays, so it rounds as
     ``reachable`` does.
     """
+    import numpy as np
+
     n = len(verts)
     R = np.zeros((n, n), dtype=bool)
     zero, udz, pair, anti, hyp, delta = [], [], [], [], [], []
@@ -224,6 +228,8 @@ def hasse_subgraph(vertices) -> HasseSubgraph:
 
     Time and memory grow with the number of edges, about n^2 / 20.
     """
+    import numpy as np
+
     verts = tuple(vertices)
     if len(verts) > 10**4:
         raise InvalidInput("at most 10^4 vertices supported")

@@ -27,12 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import FormSyntaxError, InvalidInput
 from .linalg import _check_scalar
-
-DELTA2 = np.array([[0.0, 1.0], [1.0, 1.0j]], dtype=np.complex128)
 
 
 def _unimodular(z: complex, name: str) -> complex:
@@ -120,19 +116,32 @@ _FAMILY = {
 }
 
 
-def realize(form: CanonicalForm) -> np.ndarray:
-    """Canonical representative matrix of ``form``."""
+def _entries(form: CanonicalForm) -> tuple[complex, complex, complex, complex]:
+    """Entries (m00, m01, m10, m11) of the representative of ``form``, as Python complex."""
     if isinstance(form, Zero):
-        return np.zeros((2, 2), dtype=np.complex128)
+        return 0j, 0j, 0j, 0j
     if isinstance(form, UnitDirectZero):
-        return np.array([[form.lam, 0.0], [0.0, 0.0]], dtype=np.complex128)
+        return form.lam, 0j, 0j, 0j
     if isinstance(form, UnitPair):
-        return np.array([[form.mu, 0.0], [0.0, form.nu]], dtype=np.complex128)
+        return form.mu, 0j, 0j, form.nu
     if isinstance(form, Hyperbolic):
-        return np.array([[0.0, 1.0], [form.sigma, 0.0]], dtype=np.complex128)
+        return 0j, 1 + 0j, form.sigma, 0j
     if isinstance(form, DeltaTau):
-        return form.tau * DELTA2
+        # tau * [[0, 1], [1, i]]: every product is exact
+        tau = form.tau
+        return tau * 0j, tau * (1 + 0j), tau * (1 + 0j), tau * 1j
     raise InvalidInput(f"not a canonical form: {form!r}")
+
+
+def realize(form: CanonicalForm) -> np.ndarray:
+    """Canonical representative matrix of ``form``, a complex128 (2, 2) array.
+
+    Built from ``_entries``, which the scalar code (witnesses, certificates)
+    reads directly, so this is the one function here that imports numpy.
+    """
+    import numpy as np
+
+    return np.array(_entries(form)).reshape(2, 2)
 
 
 def forms_close(f: CanonicalForm, g: CanonicalForm, tol: float) -> bool:

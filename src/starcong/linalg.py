@@ -6,16 +6,18 @@ its entries (m00, m01, m10, m11), Python complex or arrays over a stack, and
 quadratic-formula eigensolver, row-reduction rank over the reals, and the
 eigenvalues of a Hermitian 2x2 matrix.  ``as_mat2``, ``eigenvalues2``,
 ``inverse2`` and ``real_rank`` reject NaN/Inf; the kernels do not check.
+
+numpy is imported inside the functions that build or read arrays, so the
+scalar kernels load without it.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .errors import InvalidInput, SingularMatrix
 
-EPS = float(np.finfo(np.float64).eps)
+EPS = sys.float_info.epsilon
 
 #: Relative determinant floor (vs ||A||_F^2) below which inverse2 refuses.
 TOL_SINGULAR = 1e-12
@@ -23,6 +25,8 @@ TOL_SINGULAR = 1e-12
 
 def as_mat2(A) -> np.ndarray:
     """Validate and return a 2x2 complex128 copy of ``A``."""
+    import numpy as np
+
     M = np.asarray(A, dtype=np.complex128)
     if M.shape != (2, 2):
         raise InvalidInput(f"expected a 2x2 matrix, got shape {M.shape}")
@@ -41,11 +45,14 @@ def _check_scalar(z: complex, name: str = "value") -> complex:
 def _norm4(m00, m01, m10, m11):
     """Frobenius norm of the 2x2 matrix with entries m00, m01, m10, m11.
 
-    Scalars go through math.hypot, which squares no entry; arrays keep the
-    square root of the sum of squares that classify_many's bytes rest on."""
-    if isinstance(m00, np.ndarray):
-        return np.sqrt(abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2)
-    return math.hypot(abs(m00), abs(m01), abs(m10), abs(m11))
+    Scalars (Python numbers, and numpy's float64 and complex128 scalars, which
+    subclass them) go through math.hypot, which squares no entry; arrays keep
+    the square root of the sum of squares that classify_many's bytes rest on."""
+    if isinstance(m00, (complex, float, int)):
+        return math.hypot(abs(m00), abs(m01), abs(m10), abs(m11))
+    import numpy as np
+
+    return np.sqrt(abs(m00) ** 2 + abs(m01) ** 2 + abs(m10) ** 2 + abs(m11) ** 2)
 
 
 def _form(a, b, c, d, x, y):
@@ -68,6 +75,8 @@ def eigenvalues2(A) -> tuple[complex, complex]:
 
 
 def _eig2_scalars(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
+    import numpy as np
+
     tr = a + d
     det = a * d - b * c
     # (a+d)^2 - 4(ad-bc) written as (a-d)^2 + 4bc to avoid one cancellation
@@ -88,6 +97,8 @@ def _sort_eig_pair(p: complex, q: complex) -> tuple[complex, complex]:
 
 def inverse2(A) -> np.ndarray:
     """Closed-form 2x2 inverse; refuses when |det| <= TOL_SINGULAR * ||A||_F^2."""
+    import numpy as np
+
     A = as_mat2(A)
     det = complex(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
     nrm2 = float(np.linalg.norm(A)) ** 2
@@ -103,6 +114,8 @@ def real_rank(M) -> int:
     A pivot counts iff its magnitude exceeds 1e-10 times the largest entry
     magnitude of the initial matrix, so the result is scale-free.
     """
+    import numpy as np
+
     W = np.array(M, dtype=np.float64, copy=True)
     if W.ndim != 2:
         raise InvalidInput("expected a 2-d real matrix")

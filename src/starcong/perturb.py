@@ -17,9 +17,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .canonical import FAMILY_CODES, classify_many
 from .closure import _cone_coefficients, _cone_distance, _cone_shape, reachable
 from .errors import (
     ArrowExists,
@@ -35,6 +32,7 @@ from .forms import (
     UnitDirectZero,
     UnitPair,
     Zero,
+    _entries,
     format_complex,
     format_form,
     realize,
@@ -55,16 +53,34 @@ CERTIFICATE_KINDS = (
 
 @dataclass(frozen=True)
 class Witness:
-    E: np.ndarray
-    S: np.ndarray
+    """Congruence S and perturbation E = S* realize(target) S - realize(source),
+    as computed in floats, with ||E||_F.
+
+    ``E_entries`` and ``S_entries`` hold the entries (m00, m01, m10, m11) as
+    Python complex, which the CLI formats.  The properties ``E`` and ``S``
+    return them as complex128 (2, 2) arrays, built on each access; they are
+    the only part of a witness that imports numpy.
+    """
+
+    E_entries: tuple[complex, complex, complex, complex]
+    S_entries: tuple[complex, complex, complex, complex]
     norm_E: float
 
+    @property
+    def E(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.E_entries, dtype=np.complex128).reshape(2, 2)
+
+    @property
+    def S(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.S_entries, dtype=np.complex128).reshape(2, 2)
+
     def to_json_dict(self) -> dict:
-        return {
-            "E": [[format_complex(complex(self.E[i, j])) for j in range(2)] for i in range(2)],
-            "norm_E": self.norm_E,
-            "S": [[format_complex(complex(self.S[i, j])) for j in range(2)] for i in range(2)],
-        }
+        E, S = ([format_complex(z) for z in m] for m in (self.E_entries, self.S_entries))
+        return {"E": [E[:2], E[2:]], "norm_E": self.norm_E, "S": [S[:2], S[2:]]}
 
 
 @dataclass(frozen=True)
@@ -114,8 +130,9 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
     E = S* realize(target) S - realize(source), so source + E is congruent to
     the target's representative.  From the builder's first scale, f halves
     until E fits the budget (for a udz source a residue |E[0,0]| <= 1e-12 is
-    cleared first), or refuses once a halving leaves ||E|| no smaller.  A
-    rounding bound then certifies S and E, or refuses; nothing is classified.
+    cleared first) and a rounding bound certifies S and E; nothing is
+    classified.  A scale the bound refuses halves on; once a halving leaves
+    ||E|| no smaller, the last refusal is raised, or a budget refusal if none.
     Deterministic.  Raises NoArrow (carrying an obstruction certificate) when
     the move is impossible.
     """
@@ -128,7 +145,7 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
                       f"{cert.kind} margin {cert.margin:.6g}", cert)
 
     # reachable() leaves zero sources, udz -> pair, hyp, delta and pair(l, -l) -> delta(+-l)
-    N, M = realize(target).ravel().tolist(), realize(source).ravel().tolist()
+    N, M = _entries(target), _entries(source)
     if isinstance(source, Zero):
         congruence, f = _congruence_from_zero(N, delta), 1.0
     elif isinstance(source, UnitPair):
@@ -140,29 +157,30 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
     else:
         congruence, f = _congruence_udz_delta(source, target, delta), 1.0
 
-    last = math.inf
+    last, refusal = math.inf, "perturbation did not shrink below the budget"
     for _ in range(200):
         S = congruence(f)
         c0, c1 = (S[0], S[2]), (S[1], S[3])
         E = [_form(*N, x, y) - m for x, y, m in zip((c0, c0, c1, c1), (c0, c1, c0, c1), M)]
         # a udz source's E[0,0] vanishes by construction: clear the rounding residue only
-        kept = [0j, *E[1:]] if isinstance(source, UnitDirectZero) and abs(E[0]) <= 1e-12 else E
+        kept = (0j, *E[1:]) if isinstance(source, UnitDirectZero) and abs(E[0]) <= 1e-12 else tuple(E)
         norm_e = _norm4(*kept)
         if norm_e <= delta * (1.0 + 1e-12):
-            _certify(N, M, S, E, delta)
-            return Witness(E=np.array(kept).reshape(2, 2), S=np.array(S, dtype=np.complex128).reshape(2, 2),
-                           norm_E=norm_e)
+            refusal = _certify(N, M, S, E, delta)
+            if refusal is None:
+                return Witness(kept, tuple(complex(s) for s in S), norm_e)
         if norm_e >= last:  # no smaller f fits: E's f-dependent part is below rounding
             break
         last = norm_e
         f /= 2.0
         if f * delta < sys.float_info.min:  # the scale would be lost to rounding
             break
-    raise StarcongError("perturbation did not shrink below the budget")
+    raise StarcongError(refusal)
 
 
 def _certify(N, M, S, E, delta):
-    """Raise unless E' = S* N S - M, exact for the float S, has ||E'||_F <= delta (1 + 1e-12) and det S != 0."""
+    """None if E' = S* N S - M, exact for the float S, has ||E'||_F <= delta (1 + 1e-12) and
+    det S != 0; otherwise the reason the rounding bound cannot show it."""
     # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.) 3.1, 3.6:
     # with u = 2^-53 complex sums round by <= u, products by <= sqrt(2) gamma_2
     # = 2 sqrt(2) u / (1 - 2u).  A term conj(x_k) N_kl y_l of _form meets two
@@ -176,9 +194,10 @@ def _certify(N, M, S, E, delta):
     bound = _norm4(*(abs(e) + g * (_form(*a, x, y) + abs(m)) + tiny * (1.0 + y[0] + y[1])
                      for e, m, x, y in zip(E, M, (x0, x0, x1, x1), (x0, x1, x0, x1))))
     if bound * (1.0 + 8.0 * u) > delta * (1.0 + 1e-12):
-        raise StarcongError(f"witness verification failed: rounding bound {bound:.3e} exceeds delta {delta:.3e}")
+        return f"witness verification failed: rounding bound {bound:.3e} exceeds delta {delta:.3e}"
     if abs(S[0] * S[3] - S[1] * S[2]) <= g * (abs(S[0] * S[3]) + abs(S[1] * S[2])) + tiny:
-        raise StarcongError("witness verification failed: det S is within its rounding bound of 0")
+        return "witness verification failed: det S is within its rounding bound of 0"
+    return None
 
 
 def _congruence_from_zero(N, delta):
@@ -327,7 +346,7 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
                 "HalfPlaneMargin", margin=float(gap),
                 data={"im_lambda_conj_tau": float(-gap)})
 
-    m, n = realize(source).ravel().tolist(), realize(target).ravel().tolist()
+    m, n = _entries(source), _entries(target)
     det_m, det_n = m[0] * m[3] - m[1] * m[2], n[0] * n[3] - n[1] * n[2]
     if abs(det_m) > 0.0:
         if abs(det_n) == 0.0:
@@ -381,6 +400,8 @@ def _ball_sample(seed: int, samples: int, delta: float, start: int = 0) -> np.nd
     disk found by rejection (acceptance pi/4), normalized.  Only + - * / and
     sqrt are used, so the draws are bit-reproducible across platforms.
     """
+    import numpy as np
+
     states = substream_seeds(seed, samples, start)
     u = np.empty((samples, 4))
     for k in range(4):
@@ -414,6 +435,8 @@ def _ball_sample(seed: int, samples: int, delta: float, start: int = 0) -> np.nd
 
 def _spectrum_drift(p: np.ndarray, q: np.ndarray, p0: complex, q0: complex) -> np.ndarray:
     """Hausdorff distance of each spectrum {p, q} from {p0, q0}; NaN where p is."""
+    import numpy as np
+
     d_pp = np.abs(p - p0)
     d_pq = np.abs(p - q0)
     d_qp = np.abs(q - p0)
@@ -424,6 +447,8 @@ def _spectrum_drift(p: np.ndarray, q: np.ndarray, p0: complex, q0: complex) -> n
 
 
 def _drift_stats(values: np.ndarray) -> dict:
+    import numpy as np
+
     return {
         "min": float(np.min(values)),
         "max": float(np.max(values)),
@@ -444,6 +469,10 @@ def sample_neighborhood(
     Deterministic per (seed, samples, version); the first k samples do not
     depend on n, the number of samples drawn.
     """
+    import numpy as np
+
+    from .canonical import FAMILY_CODES, classify_many
+
     _check_delta(delta)
     if not 0 <= samples <= 10**7:
         raise InvalidInput("samples must lie in [0, 10^7]")

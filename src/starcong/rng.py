@@ -9,11 +9,11 @@ The neighborhood sampler draws sample i from sub-stream i, whose seeds
 ``substream_seeds(seed, n, start)`` derives for a whole chunk at once; the
 derivation rehashes the index so sub-streams do not overlap shifted copies of
 each other.  ``substream_seed(seed, index)`` is its scalar reference.
+The array functions import numpy when called; the scalar generator needs
+no numpy.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -61,12 +61,16 @@ def seeded_rng(seed: int) -> SplitMix64:
 # own.  Bit-identical to the scalar class: same constants, same finalizer.
 
 def substream_seeds(seed: int, n: int, start: int = 0) -> np.ndarray:
+    import numpy as np
+
     idx = np.arange(start, start + n, dtype=np.uint64)
     mixed = _finalize_np(idx * np.uint64(_GOLDEN) + np.uint64(_STREAM_SALT))
     return _finalize_np(np.uint64(seed & _MASK) ^ mixed)
 
 
 def _finalize_np(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
@@ -74,6 +78,8 @@ def _finalize_np(z: np.ndarray) -> np.ndarray:
 
 def uniform_step(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Advance an array of generator states; return (new_states, uniforms)."""
+    import numpy as np
+
     states = states + np.uint64(_GOLDEN)
     u = (_finalize_np(states) >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return states, u

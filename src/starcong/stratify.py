@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidInput
 from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero
 from .linalg import as_mat2, real_rank
@@ -53,6 +51,8 @@ def _flatten_real(M: np.ndarray) -> list[float]:
 
 def tangent_space_dim(A) -> int:
     """dim_R of {C* A + A C : C complex 2x2}."""
+    import numpy as np
+
     A = as_mat2(A)
     cols = []
     for j in range(2):

@@ -16,7 +16,6 @@ from starcong import (
     realize,
 )
 from starcong.canonical import AMBIG_FRACTION
-from starcong.forms import DELTA2
 
 rng = np.random.default_rng(77)
 
@@ -210,7 +209,8 @@ def test_is_star_congruent():
     for _ in range(10):
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         assert is_star_congruent(A, 4 * A)
-    assert not is_star_congruent(DELTA2, -DELTA2)
+    delta2 = np.array([[0, 1], [1, 1j]])
+    assert not is_star_congruent(delta2, -delta2)
 
 
 def test_random_congruence_deterministic():

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -153,6 +154,23 @@ def test_witness_needs_no_classification(args):
     assert res.stderr == ""
 
 
+@pytest.mark.parametrize("delta", ["1e-9", "1e-12", "1e-13", "1e-14"])
+def test_witness_halves_past_a_refused_scale(delta):
+    # the first scale whose ||E|| fits sits at delta itself, leaving the rounding
+    # bound on E[0,0] no room; the next halving fits with room to spare
+    from test_perturb import assert_exact_witness
+
+    from starcong import Hyperbolic, UnitDirectZero, witness
+    from starcong.jsonutil import render_json
+
+    res = run_cli("witness", "udz(1)", "hyp(0)", "--delta", delta, "--format", "json")
+    assert res.returncode == 0, res.stderr
+    w = witness(UnitDirectZero(1), Hyperbolic(0), float(delta))
+    assert w.norm_E <= float(delta) / 2
+    assert json.loads(res.stdout)["outputs"]["witness"] == json.loads(render_json(w.to_json_dict()))
+    assert_exact_witness(UnitDirectZero(1), Hyperbolic(0), float(delta), w)
+
+
 def test_witness_from_zero_at_tiny_delta_verifies():
     # source + E = (delta / ||N||) N: the norm scales, so nothing underflows
     res = run_cli("witness", "zero", "pair(1,1i)", "--delta", "1e-170")
@@ -285,3 +303,68 @@ def test_version_matches_pyproject():
 
     with open(SRC.parent / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == __version__
+
+
+NO_NUMPY_PROBE = """
+import contextlib, io, sys
+import starcong
+assert "numpy" not in sys.modules, "import starcong"
+from starcong import cli
+argv = sys.argv[1:]
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, code
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    (),
+    ("codim", "udz(1)"),
+    ("arrow", "udz(1)", "pair(1,1i)"),                          # witness
+    ("arrow", "pair(1,1i)", "hyp(0.3)"),                        # CodimMonotonicity
+    ("arrow", "udz(1)", "delta(1i)", "--format", "json"),       # HalfPlaneMargin
+    ("arrow", "pair(1,1)", "hyp(0.5)"),                         # SpectrumGap
+    ("arrow", "pair(1,-1)", "delta(1i)"),                       # DetPhaseGap
+    ("witness", "zero", "hyp(0.3)"),
+    ("witness", "udz(1)", "delta(1)", "--format", "json"),
+])
+def test_scalar_commands_leave_numpy_unloaded(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE, *args],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
+#: One call per subcommand line of the cli-process benchmark rotation.
+PROCESS_CASES = [
+    ("classify", "--format", "json", "--", "0.3,1;-0.2,1i"),
+    ("codim", "udz(0.6+0.8i)", "--format", "json"),
+    ("arrow", "udz(1)", "pair(1,1i)", "--format", "json"),
+    ("arrow", "pair(1,1i)", "hyp(0.3)", "--format", "json"),
+    ("witness", "zero", "hyp(0.3)", "--delta", "1e-3", "--format", "json"),
+    ("sample", "pair(1,-1)", "--delta", "1e-3", "--samples", "2000", "--seed", "3", "--format", "json"),
+    ("graph", "zero", "udz(1)", "pair(1,1i)", "pair(1,-1)", "hyp(0.3)", "delta(1)", "delta(-1i)"),
+    ("selftest", "--seed", "3"),
+]
+
+
+@pytest.mark.parametrize("args", PROCESS_CASES)
+def test_fresh_process_prints_what_main_prints(args):
+    # this process has numpy loaded; a fresh `codim`, `arrow` or `witness`
+    # process does not, and must print the same bytes
+    import contextlib
+    import io
+
+    import numpy  # noqa: F401
+    from starcong.cli import main
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(args))
+    res = run_cli(*args)
+    assert code == 0
+    assert res.returncode == 0 and res.stdout == buf.getvalue()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from starcong import (
-    DELTA2,
     DeltaTau,
     FormSyntaxError,
     Hyperbolic,
@@ -17,14 +16,45 @@ from starcong import (
     parse_form,
     realize,
 )
+from starcong.forms import _entries
 
 
 def test_realize_examples():
-    np.testing.assert_array_equal(realize(DeltaTau(1)), DELTA2)
+    np.testing.assert_array_equal(realize(DeltaTau(1)), [[0, 1], [1, 1j]])
     np.testing.assert_array_equal(realize(Hyperbolic(0)), [[0, 1], [0, 0]])
     np.testing.assert_array_equal(realize(UnitPair(1, -1)), np.diag([1, -1]))
     np.testing.assert_array_equal(realize(Zero()), np.zeros((2, 2)))
     np.testing.assert_array_equal(realize(UnitDirectZero(1j)), np.diag([1j, 0]))
+
+
+def _ndarray_realize(form):
+    # the ndarray construction realize used before it read the entry tuple
+    delta2 = np.array([[0.0, 1.0], [1.0, 1.0j]], dtype=np.complex128)
+    if isinstance(form, Zero):
+        return np.zeros((2, 2), dtype=np.complex128)
+    if isinstance(form, UnitDirectZero):
+        return np.array([[form.lam, 0.0], [0.0, 0.0]], dtype=np.complex128)
+    if isinstance(form, UnitPair):
+        return np.array([[form.mu, 0.0], [0.0, form.nu]], dtype=np.complex128)
+    if isinstance(form, Hyperbolic):
+        return np.array([[0.0, 1.0], [form.sigma, 0.0]], dtype=np.complex128)
+    return form.tau * delta2
+
+
+def test_entries_keep_the_ndarray_bits():
+    # signed zeros included: tau * 0j is -0.0 in a part where tau's parts are negative
+    rng = np.random.default_rng(1304)
+    units = [complex(np.cos(t), np.sin(t)) for t in rng.uniform(0, 2 * np.pi, 40)]
+    units += [1, -1, 1j, -1j, complex(-0.6, -0.8), complex(-0.6, 0.8), complex(0.6, -0.8)]
+    forms = [Zero(), Hyperbolic(0), Hyperbolic(-0.3 - 0.4j)]
+    for k, u in enumerate(units):
+        forms += [UnitDirectZero(u), UnitPair(u, units[k - 1]), Hyperbolic(0.9 * u), DeltaTau(u)]
+    for form in forms:
+        got, want = np.array(_entries(form)).reshape(2, 2), _ndarray_realize(form)
+        assert got.dtype == want.dtype == np.complex128
+        for A in (got, realize(form)):
+            assert np.array_equal(A.view(np.float64), want.view(np.float64)), form
+            assert np.array_equal(np.signbit(A.view(np.float64)), np.signbit(want.view(np.float64))), form
 
 
 def test_unimodular_rejects_far_from_circle():

@@ -3,8 +3,9 @@ import pytest
 
 from starcong import InvalidInput, classify_many, real_rank
 from starcong.errors import SingularMatrix
-from starcong.forms import DELTA2
 from starcong.linalg import _form, _norm4, eigenvalues2, hermitian_eigenvalues, inverse2
+
+DELTA2 = np.array([[0, 1], [1, 1j]])
 
 rng = np.random.default_rng(20240817)
 

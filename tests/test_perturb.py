@@ -142,9 +142,11 @@ def test_witness_soundness(src, dst, delta):
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(denom, 1.0)
 
 
-#: Every delta = 10^-k with k up to this, per source family, was served when
-#: witnesses were checked by re-classifying source + E, and is served still.
-SERVED_K = {Zero: 300, UnitDirectZero: 8, UnitPair: 8}
+#: Every delta = 10^-k with k up to this, per source family, is served: 1e-8
+#: was the floor when witnesses were checked by re-classifying source + E; a
+#: udz source now reaches 1e-14, as the loop halves past a scale the rounding
+#: bound refuses (the bound on E[0,0] is about 2e-15).
+SERVED_K = {Zero: 300, UnitDirectZero: 14, UnitPair: 8}
 
 
 @pytest.mark.parametrize("src,dst", ARROW_CASES)
@@ -161,6 +163,16 @@ def test_witness_tiny_delta_refuses_cleanly(src, dst):
             continue
         assert w.norm_E <= 10.0**-k * (1 + 1e-12)
         assert_exact_witness(src, dst, 10.0**-k, w)
+
+
+@pytest.mark.parametrize("src,dst", ARROW_CASES[::4])
+def test_witness_arrays(src, dst):
+    # E and S are stored as entry tuples and handed out as complex128 (2, 2) arrays
+    w = witness(src, dst, 1e-4)
+    for A, entries in ((w.E, w.E_entries), (w.S, w.S_entries)):
+        assert isinstance(A, np.ndarray) and A.dtype == np.complex128 and A.shape == (2, 2)
+        assert A.ravel().tolist() == list(entries)
+        assert all(type(z) is complex for z in entries)
 
 
 def test_witness_uses_the_one_budget_rule():

@@ -13,7 +13,6 @@ from starcong import (
     tangent_space_dim,
     versal_profile,
 )
-from starcong.forms import DELTA2
 from starcong.stratify import EPS_IMAGINARY, EPS_REAL, FIXED_ZERO, STAR
 
 rng = np.random.default_rng(411)
@@ -25,7 +24,7 @@ def unit(theta):
 
 def test_tangent_dims_at_canonical_points():
     assert tangent_space_dim(np.zeros((2, 2))) == 0      # codim 8
-    assert tangent_space_dim(DELTA2) == 6                # codim 2
+    assert tangent_space_dim([[0, 1], [1, 1j]]) == 6     # codim 2
     assert tangent_space_dim(np.diag([1, -1])) == 4      # codim 4
     assert tangent_space_dim(np.diag([1j, 0])) == 3      # codim 5
 
