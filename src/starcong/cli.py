@@ -44,11 +44,11 @@ def parse_matrix(text: str) -> np.ndarray:
             raise FormSyntaxError(f"bad JSON matrix: {exc}") from exc
     else:
         rows = [r.split(",") for r in text.split(";")]
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+    if not (type(rows) is list and len(rows) == 2 and all(type(r) is list and len(r) == 2 for r in rows)):
         raise FormSyntaxError("matrix must have 2 rows of 2 entries")
     import numpy as np
 
-    return np.array([[parse_complex(str(e)) for e in row] for row in rows], dtype=np.complex128)
+    return np.array([parse_complex(str(e)) for row in rows for e in row], dtype=np.complex128).reshape(2, 2)
 
 
 def format_matrix(M: np.ndarray) -> str:

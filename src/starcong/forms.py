@@ -17,9 +17,11 @@ Text grammar (used by the CLI and DOT labels)::
 
     zero | udz(<c>) | pair(<c>,<c>) | hyp(<c>) | delta(<c>)
 
-where ``<c>`` is a complex literal ``a+bi`` / ``a-bi`` / ``a`` / ``bi`` with
-decimal reals (scientific notation allowed).  Formatting emits 17 significant
-digits so every printed value re-parses to the same float.
+where ``<c>`` is a complex literal (surrounding whitespace stripped): ``[+-]x``,
+``[+-]x+[y]i``, ``[+-]x-[y]i`` or ``[+-][y]i``, with x, y decimals (``12``,
+``1.``, ``.5``) with an optional exponent (``e7``, ``E-7``) and y = 1 when
+omitted; no inner spaces, ``j``, ``nan`` or ``inf``.  Formatting emits 17
+significant digits so every printed value re-parses to the same float.
 """
 
 from __future__ import annotations
@@ -187,26 +189,22 @@ def format_complex(z: complex) -> str:
 
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_RE_IMAG_ONLY = re.compile(rf"^(?P<sign>[+-]?)(?P<coef>{_NUM})?i$")
-_RE_REAL_ONLY = re.compile(rf"^[+-]?{_NUM}$")
-_RE_FULL = re.compile(rf"^(?P<re>[+-]?{_NUM})(?P<imsign>[+-])(?P<imcoef>{_NUM})?i$")
+_RE_COMPLEX = re.compile(rf"(?P<re>[+-]?{_NUM})(?:(?P<imsign>[+-])(?P<imcoef>{_NUM})?i)?"
+                         rf"|(?P<sign>[+-]?)(?P<coef>{_NUM})?i")
 
 
 def parse_complex(text: str) -> complex:
-    s = text.strip()
-    m = _RE_IMAG_ONLY.match(s)
-    if m:
-        coef = float(m.group("coef")) if m.group("coef") else 1.0
-        return complex(0.0, -coef if m.group("sign") == "-" else coef)
-    if _RE_REAL_ONLY.match(s):
-        return complex(float(s), 0.0)
-    m = _RE_FULL.match(s)
-    if m:
-        coef = float(m.group("imcoef")) if m.group("imcoef") else 1.0
-        if m.group("imsign") == "-":
-            coef = -coef
-        return complex(float(m.group("re")), coef)
-    raise FormSyntaxError(f"bad complex literal: {text!r}")
+    m = _RE_COMPLEX.fullmatch(text.strip())
+    if m is None:
+        raise FormSyntaxError(f"bad complex literal: {text!r}")
+    re_, imsign, imcoef, sign, coef = m.groups()
+    if re_ is None:
+        coef = float(coef) if coef else 1.0
+        return complex(0.0, -coef if sign == "-" else coef)
+    if imsign is None:
+        return complex(float(re_), 0.0)
+    coef = float(imcoef) if imcoef else 1.0
+    return complex(float(re_), -coef if imsign == "-" else coef)
 
 
 _RE_FORM = re.compile(r"^(?P<head>[a-z]+)\s*(?:\((?P<args>[^)]*)\))?$")

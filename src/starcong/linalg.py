@@ -5,13 +5,15 @@ its entries (m00, m01, m10, m11), Python complex or arrays over a stack, and
 ``_norm4`` and ``_form`` take either.  Besides them: a numerically stable
 quadratic-formula eigensolver, row-reduction rank over the reals, and the
 eigenvalues of a Hermitian 2x2 matrix.  ``as_mat2``, ``eigenvalues2``,
-``inverse2`` and ``real_rank`` reject NaN/Inf; the kernels do not check.
+``inverse2`` and ``real_rank`` reject NaN/Inf, ``as_mat2`` by ``cmath.isfinite``
+on its four entries as Python complex; the kernels do not check.
 
 numpy is imported inside the functions that build or read arrays, so the
 scalar kernels load without it.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 
@@ -27,12 +29,12 @@ def as_mat2(A) -> np.ndarray:
     """Validate and return a 2x2 complex128 copy of ``A``."""
     import numpy as np
 
-    M = np.asarray(A, dtype=np.complex128)
+    M = np.array(A, dtype=np.complex128)
     if M.shape != (2, 2):
         raise InvalidInput(f"expected a 2x2 matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M.view(np.float64))):
+    if not all(map(cmath.isfinite, M.ravel().tolist())):
         raise InvalidInput("matrix contains NaN or Inf entries")
-    return M.copy()
+    return M
 
 
 def _check_scalar(z: complex, name: str = "value") -> complex:

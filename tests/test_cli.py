@@ -48,9 +48,34 @@ def test_classify_json_matrix_input():
     assert res.stdout.splitlines()[0] == "delta(1)  codim 2"
 
 
+@pytest.mark.parametrize("text", [
+    '{"m": ["10", "01"]}',
+    '{"m": [["1", "0"], "01"]}',
+    '{"m": {"ab": 1, "cd": 2}}',
+    '{"m": 5}',
+    '{"m": [5, 6]}',
+])
+def test_classify_json_rows_must_be_lists(text, capsys):
+    # strings and objects have a length too: their characters or keys are not entries
+    from starcong.cli import main
+
+    assert main(["classify", text]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: matrix must have 2 rows of 2 entries\n"
+
+
+def test_classify_json_number_entries(capsys):
+    from starcong.cli import main
+
+    assert main(["classify", '{"m": [[0, 1], [1, "1i"]]}']) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "delta(1)  codim 2"
+
+
 def test_classify_exit_codes():
     assert run_cli("classify", "nonsense").returncode == 2
     assert run_cli("classify", "1,2;3").returncode == 2
+    assert run_cli("classify", '{"m":["10","01"]}').returncode == 2
     # ambiguous input: relative determinant right at the tolerance
     res = run_cli("classify", "1,0;0,1.2e-9")
     assert res.returncode == 1

@@ -1,3 +1,7 @@
+import math
+import random
+import re
+
 import numpy as np
 import pytest
 
@@ -119,10 +123,95 @@ def test_parse_complex(text, value):
     assert parse_complex(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "1+", "i1", "1 2", "one", "1+2", "(1,2)"])
+@pytest.mark.parametrize("bad", ["", "1+", "i1", "1 2", "one", "1+2", "(1,2)",
+                                 "1e", "e5", ".", "+-1", "--1", "1ii", "i+1", "1+2i3", "1 + 2i",
+                                 "1+2j", "nan", "inf"])
 def test_parse_complex_rejects(bad):
-    with pytest.raises(FormSyntaxError):
+    with pytest.raises(FormSyntaxError, match=re.escape(f"bad complex literal: {bad!r}")):
         parse_complex(bad)
+
+
+@pytest.mark.parametrize(
+    "text,value,re_sign,im_sign",
+    [
+        ("-0", 0j, -1.0, 1.0),
+        ("-0i", 0j, 1.0, -1.0),
+        ("0-0i", 0j, 1.0, -1.0),
+        ("-0-0i", 0j, -1.0, -1.0),
+        ("i", 1j, 1.0, 1.0),
+        ("+i", 1j, 1.0, 1.0),
+        ("-i", -1j, 1.0, -1.0),
+        (".5", 0.5 + 0j, 1.0, 1.0),
+        ("5.", 5 + 0j, 1.0, 1.0),
+        ("1E+5i", 1e5j, 1.0, 1.0),
+        ("-.5e-3-i", complex(-5e-4, -1.0), -1.0, -1.0),
+        ("4.9406564584124654e-324-4.9406564584124654e-324i", complex(5e-324, -5e-324), 1.0, -1.0),
+        ("-2.2250738585072009e-308i", complex(0.0, -2.2250738585072009e-308), 1.0, -1.0),
+        ("1.7976931348623157e308-1e308i", complex(1.7976931348623157e308, -1e308), 1.0, -1.0),
+    ],
+)
+def test_parse_complex_sign_bits(text, value, re_sign, im_sign):
+    # == cannot tell -0.0 from 0.0: the sign of each part is pinned on its own
+    z = parse_complex(text)
+    assert z == value
+    assert (math.copysign(1.0, z.real), math.copysign(1.0, z.imag)) == (re_sign, im_sign)
+
+
+# The three-pattern grammar parse_complex had before it was folded into one
+# pattern, kept as the reference the one-pattern parser must agree with.
+_REF_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_REF_IMAG_ONLY = re.compile(rf"^(?P<sign>[+-]?)(?P<coef>{_REF_NUM})?i$")
+_REF_REAL_ONLY = re.compile(rf"^[+-]?{_REF_NUM}$")
+_REF_FULL = re.compile(rf"^(?P<re>[+-]?{_REF_NUM})(?P<imsign>[+-])(?P<imcoef>{_REF_NUM})?i$")
+
+
+def reference_parse_complex(text: str) -> complex:
+    s = text.strip()
+    m = _REF_IMAG_ONLY.match(s)
+    if m:
+        coef = float(m.group("coef")) if m.group("coef") else 1.0
+        return complex(0.0, -coef if m.group("sign") == "-" else coef)
+    if _REF_REAL_ONLY.match(s):
+        return complex(float(s), 0.0)
+    m = _REF_FULL.match(s)
+    if m:
+        coef = float(m.group("imcoef")) if m.group("imcoef") else 1.0
+        if m.group("imsign") == "-":
+            coef = -coef
+        return complex(float(m.group("re")), coef)
+    raise FormSyntaxError(f"bad complex literal: {text!r}")
+
+
+def parse_outcome(parse, text):
+    """Both parts as float.hex (which shows the sign of a zero), or the error text."""
+    try:
+        z = parse(text)
+    except FormSyntaxError as exc:
+        return str(exc)
+    return z.real.hex(), z.imag.hex()
+
+
+def test_parse_complex_matches_reference_grammar():
+    r = random.Random(1304)
+    texts = []
+    # random strings over the literal alphabet, with a few characters from outside it
+    for _ in range(20000):
+        texts.append("".join(r.choice("0123456789.eE+-i " if r.random() < 0.97 else "\u0661\njI_naf")
+                             for _ in range(r.randint(0, 12))))
+    # near-literals built from signs, mantissas and exponents
+    def part():
+        return (r.choice(["", "+", "-"]) + r.choice(["", "0", "00", "7", "12", "3.", ".5", "1.25", "."])
+                + r.choice(["", "", "e", "E5", "e-7", "e+308", "e400", "e-330", "e+", "E-0"]))
+    for _ in range(20000):
+        texts.append(part() + r.choice(["", "", "i", "ii"]) + r.choice(["", part() + r.choice(["i", "", "j"])]))
+    # printed values, zeros of either sign and subnormals included
+    for _ in range(5000):
+        z = complex(*(r.choice([0.0, -0.0]) if r.random() < 0.1
+                      else r.choice([-1.0, 1.0]) * r.random() * 10.0 ** r.randint(-330, 308)
+                      for _ in range(2)))
+        texts += [format_complex(z), f" {format_complex(z)}\t"]
+    for text in texts:
+        assert parse_outcome(parse_complex, text) == parse_outcome(reference_parse_complex, text), text
 
 
 def test_complex_round_trip_17_digits():

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from starcong import InvalidInput, classify_many, real_rank
+from starcong import InvalidInput, classify, classify_many, real_rank, tangent_space_dim
 from starcong.errors import SingularMatrix
-from starcong.linalg import _form, _norm4, eigenvalues2, hermitian_eigenvalues, inverse2
+from starcong.linalg import _form, _norm4, as_mat2, eigenvalues2, hermitian_eigenvalues, inverse2
 
 DELTA2 = np.array([[0, 1], [1, 1j]])
 
@@ -150,3 +152,41 @@ def test_nan_inf_rejected(bad):
             fn(M)
     with pytest.raises(InvalidInput):
         real_rank([[bad, 0], [0, 1]])
+
+
+# as_mat2 is the input check of classify and tangent_space_dim
+MAT2_USERS = [as_mat2, classify, tangent_space_dim]
+
+
+@pytest.mark.parametrize("fn", MAT2_USERS)
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0),
+                                 complex(0, np.inf), complex(-np.inf, 0), complex(0, -np.inf)])
+def test_mat2_rejects_nonfinite_parts(fn, bad):
+    M = np.eye(2, dtype=complex)
+    M[1, 0] = bad
+    with pytest.raises(InvalidInput, match=r"^matrix contains NaN or Inf entries$"):
+        fn(M)
+
+
+@pytest.mark.parametrize("fn", MAT2_USERS)
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (1, 2, 2)])
+def test_mat2_rejects_shapes(fn, shape):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(f'expected a 2x2 matrix, got shape {shape}')}$"):
+        fn(np.zeros(shape))
+
+
+@pytest.mark.parametrize("fn", MAT2_USERS)
+@pytest.mark.parametrize("bad", ["abc", [["1", "x"], ["0", "0"]], {"a": 1}])
+def test_mat2_non_numeric_fails_as_numpy_conversion_does(fn, bad):
+    with pytest.raises(Exception) as want:
+        np.asarray(bad, dtype=np.complex128)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        fn(bad)
+
+
+@pytest.mark.parametrize("A", [np.eye(2, dtype=complex), np.eye(2), [[1, 2], [3, 4j]]])
+def test_as_mat2_returns_a_fresh_array(A):
+    M = as_mat2(A)
+    assert type(M) is np.ndarray and M.dtype == np.complex128 and M.shape == (2, 2)
+    M[0, 0] = 7
+    assert np.asarray(A)[0, 0] != 7
