@@ -185,7 +185,7 @@ def _cmd_graph(args) -> int:
             "inputs": {"forms": [format_form(f) for f in forms]},
             "outputs": {
                 "vertices": [format_form(v) for v in graph.vertices],
-                "edges": [[i, j] for i, j in graph.edges],
+                "edges": graph.edges.tolist(),
             },
         }
         print(render_json(report))

@@ -178,14 +178,12 @@ def format_real(x: float) -> str:
 
 
 def format_complex(z: complex) -> str:
-    re_, im = z.real + 0.0, z.imag + 0.0
+    re_, im = z.real + 0.0, z.imag + 0.0  # + 0.0 flushes -0.0 to 0.0
     if im == 0.0:
-        return format_real(re_)
-    im_str = format_real(im) + "i"
+        return "%.17g" % re_
     if re_ == 0.0:
-        return im_str
-    sep = "+" if not im_str.startswith("-") else ""
-    return format_real(re_) + sep + im_str
+        return "%.17gi" % im
+    return "%.17g%+.17gi" % (re_, im)
 
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -224,7 +222,7 @@ def parse_form(text: str) -> CanonicalForm:
         raise FormSyntaxError(f"bad canonical form: {text!r}")
     head = m.group("head")
     args = m.group("args")
-    parts = [p for p in (args.split(",") if args else []) if p.strip() != ""]
+    parts = args.split(",") if args and args.strip() else []
     try:
         if head == "zero":
             if parts:

@@ -88,6 +88,18 @@ def test_codim_command():
     assert res.stdout.strip() == "5"
 
 
+def test_codim_empty_argument_is_usage_error(capsys):
+    from starcong.cli import main
+
+    for form in ("pair(1,,-1)", "udz(1,)", "hyp(0.5,,)"):
+        assert main(["codim", form]) == 2
+        assert capsys.readouterr().out == ""
+    res = run_cli("codim", "pair(1,,-1)")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "bad canonical form: 'pair(1,,-1)'" in res.stderr
+
+
 def test_codim_near_antipodal_pair():
     # a generic pair 1e-12 off the antipodal boundary: codim 2, so the arrow
     # to delta is refused by codimension monotonicity

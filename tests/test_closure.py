@@ -10,6 +10,7 @@ from starcong import (
     UnitPair,
     Zero,
     codimension,
+    format_form,
     hasse_subgraph,
     parse_form,
     reachable,
@@ -142,14 +143,18 @@ def test_codim_monotone_random():
         assert codim_monotone(a, b)
 
 
+def edge_tuples(g):
+    return tuple(map(tuple, g.edges.tolist()))
+
+
 def test_hasse_three_chain():
     g = hasse_subgraph([Zero(), UnitDirectZero(1), Hyperbolic(0)])
-    assert g.edges == ((0, 1), (1, 2))  # the direct zero->hyp edge is reduced away
+    assert edge_tuples(g) == ((0, 1), (1, 2))  # the direct zero->hyp edge is reduced away
 
 
 def test_hasse_two_vertices():
     g = hasse_subgraph([Zero(), DeltaTau(1)])
-    assert g.edges == ((0, 1),)
+    assert edge_tuples(g) == ((0, 1),)
 
 
 def seven_class_set():
@@ -173,7 +178,7 @@ def test_hasse_seven_class_set():
     # leaving zero->udz, udz->{both 4-codim pairs, generic pair, hyp},
     # and pair(1,-1)->delta(1)
     names = {0: "zero", 1: "udz", 2: "p11", 3: "p1m1", 4: "pgen", 5: "hyp", 6: "delta"}
-    edges = {(names[i], names[j]) for i, j in g.edges}
+    edges = {(names[i], names[j]) for i, j in edge_tuples(g)}
     assert edges == {
         ("zero", "udz"),
         ("udz", "p11"),
@@ -188,7 +193,7 @@ def test_hasse_reduction_idempotent():
     verts = seven_class_set()
     g = hasse_subgraph(verts)
     # no remaining edge is implied by a 2-step path within the reduced set
-    reduced = set(g.edges)
+    reduced = set(edge_tuples(g))
     for i, j in reduced:
         for k in range(len(verts)):
             if k not in (i, j):
@@ -202,7 +207,7 @@ def test_hasse_duplicate_vertex():
 
 def test_isolated_nodes():
     g = hasse_subgraph([Hyperbolic(0.1), Hyperbolic(0.2)])
-    assert g.edges == ()
+    assert edge_tuples(g) == ()
 
 
 def test_dot_output_shape():
@@ -260,6 +265,22 @@ def brute_force(verts):
     return R, edges
 
 
+def reference_to_dot(graph):
+    """``to_dot`` as written before its edge lines were ordered by integer rank."""
+    ids = [format_form(v) for v in graph.vertices]
+    codims = [codimension(v) for v in graph.vertices]
+    lines = ["digraph closure {", "  rankdir=BT;", "  node [shape=box];"]
+    for level in sorted(set(codims), reverse=True):
+        members = sorted(ids[i] for i in range(len(ids)) if codims[i] == level)
+        group = " ".join(f'"{m}";' for m in members)
+        lines.append(f"  {{ rank=same; {group} }}")
+    for nid, cd in sorted(zip(ids, codims)):
+        lines.append(f'  "{nid}" [label="{nid}\\ncodim {cd}"];')
+    lines.extend(sorted(f'  "{ids[i]}" -> "{ids[j]}";' for i, j in edge_tuples(graph)))
+    lines += ["}", ""]
+    return "\n".join(lines)
+
+
 def test_hasse_matches_brute_force():
     rng = SplitMix64(77)
     sets = [ladder_set(rng) for _ in range(3)]
@@ -270,26 +291,61 @@ def test_hasse_matches_brute_force():
         R, edges = brute_force(verts)
         assert np.array_equal(closure._relation(tuple(verts)), R)
         g = hasse_subgraph(verts)
-        assert g.edges == edges
-        assert to_dot(g) == to_dot(HasseSubgraph(tuple(verts), edges))
+        assert edge_tuples(g) == edges
+        assert to_dot(g) == to_dot(HasseSubgraph(tuple(verts), edges)) == reference_to_dot(g)
 
 
 def test_hasse_small_and_sparse_sets():
-    assert hasse_subgraph([]).edges == ()
+    assert edge_tuples(hasse_subgraph([])) == ()
     assert to_dot(hasse_subgraph([])) == "digraph closure {\n  rankdir=BT;\n  node [shape=box];\n}\n"
     for v in (Zero(), UnitDirectZero(1j), UnitPair(1, -1), Hyperbolic(0.2), DeltaTau(1)):
-        assert hasse_subgraph([v]).edges == ()
+        assert edge_tuples(hasse_subgraph([v])) == ()
     # a single family: no arrows at all
-    assert hasse_subgraph([UnitDirectZero(unit(0.1 * k)) for k in range(5)]).edges == ()
-    assert hasse_subgraph([DeltaTau(unit(0.1 * k)) for k in range(5)]).edges == ()
+    assert edge_tuples(hasse_subgraph([UnitDirectZero(unit(0.1 * k)) for k in range(5)])) == ()
+    assert edge_tuples(hasse_subgraph([DeltaTau(unit(0.1 * k)) for k in range(5)])) == ()
     # no udz: zero's arrows and the antipodal pair's; zero -> delta(1) goes through pair(1,-1)
     verts = [UnitPair(1, -1), DeltaTau(1), DeltaTau(1j), Zero(), UnitPair(1, 1j)]
-    assert hasse_subgraph(verts).edges == ((0, 1), (3, 0), (3, 2), (3, 4))
+    assert edge_tuples(hasse_subgraph(verts)) == ((0, 1), (3, 0), (3, 2), (3, 4))
     # no antipodal pair: chains have length 2 at most
     verts = [UnitDirectZero(1), Zero(), DeltaTau(-1j), UnitPair(1, 1j), DeltaTau(1j)]
-    assert hasse_subgraph(verts).edges == ((0, 2), (0, 3), (1, 0), (1, 4))
+    assert edge_tuples(hasse_subgraph(verts)) == ((0, 2), (0, 3), (1, 0), (1, 4))
     # no intermediate vertex: nothing is reduced
-    assert hasse_subgraph([UnitDirectZero(1), Hyperbolic(0.5), DeltaTau(-1j)]).edges == ((0, 1), (0, 2))
+    assert edge_tuples(hasse_subgraph([UnitDirectZero(1), Hyperbolic(0.5), DeltaTau(-1j)])) == ((0, 1), (0, 2))
+
+
+def test_dot_matches_reference():
+    graphs = [hasse_subgraph([]), HasseSubgraph((), ())]
+    graphs += [hasse_subgraph([v]) for v in (Zero(), UnitDirectZero(1j), UnitPair(1, -1), Hyperbolic(0.2), DeltaTau(1))]
+    g = hasse_subgraph(seven_class_set())
+    graphs += [g, HasseSubgraph(g.vertices, edge_tuples(g))]
+    # duplicate vertices, built by hand: equal ids must keep the string order
+    graphs.append(HasseSubgraph((DeltaTau(1), DeltaTau(1), Hyperbolic(0.5), Zero()), ((1, 2), (0, 3))))
+    # more edges than one chunk of to_dot's edge lines, given in no order
+    verts = random_set(SplitMix64(5), 400)
+    graphs.append(HasseSubgraph(tuple(verts), [(i, j) for i in range(400) for j in range(400) if (7 * i + 3 * j) % 2]))
+    for g in graphs:
+        assert to_dot(g) == reference_to_dot(g)
+
+
+def test_edges_are_a_read_only_int32_array():
+    g = hasse_subgraph(seven_class_set())
+    assert g.edges.shape == (6, 2)
+    assert g.edges.dtype == np.int32
+    assert edge_tuples(g) == tuple(sorted(edge_tuples(g)))  # row-major
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 1
+    pairs = np.array(g.edges)
+    h = HasseSubgraph(g.vertices, pairs)
+    pairs[0, 0] = 5  # the graph keeps its own copy
+    assert edge_tuples(h) == edge_tuples(g)
+    assert h != g  # graphs compare by identity
+    for edges in ((), [], np.zeros((0, 2), dtype=np.int64)):
+        empty = HasseSubgraph((Zero(),), edges)
+        assert empty.edges.shape == (0, 2)
+        assert empty.edges.dtype == np.int32
+    for edges in ([(0, 1, 1)], [0, 1], np.zeros((2, 3))):
+        with pytest.raises(ValueError):
+            HasseSubgraph((Zero(), UnitDirectZero(1)), edges)
 
 
 def test_hasse_limits_checked_first(monkeypatch):

@@ -214,6 +214,37 @@ def test_parse_complex_matches_reference_grammar():
         assert parse_outcome(parse_complex, text) == parse_outcome(reference_parse_complex, text), text
 
 
+def reference_format_complex(z: complex) -> str:
+    """The formatter as it was written before it became one ``%`` per literal."""
+    def real(x):
+        return "0" if x == 0.0 else "%.17g" % x
+
+    re_, im = z.real + 0.0, z.imag + 0.0
+    if im == 0.0:
+        return real(re_)
+    im_str = real(im) + "i"
+    if re_ == 0.0:
+        return im_str
+    sep = "+" if not im_str.startswith("-") else ""
+    return real(re_) + sep + im_str
+
+
+def test_format_complex_matches_reference():
+    rng = np.random.default_rng(1304)
+    n = 50000
+    parts = rng.choice([-1.0, 1.0], size=(n, 2)) * 10.0 ** rng.uniform(-323, 300, size=(n, 2))
+    # about a third of the parts become a zero of either sign
+    parts[rng.random(n) < 1 / 6, 0] = 0.0
+    parts[rng.random(n) < 1 / 6, 0] = -0.0
+    parts[rng.random(n) < 1 / 6, 1] = 0.0
+    parts[rng.random(n) < 1 / 6, 1] = -0.0
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e300, 1e300, 1.0, -0.5]
+    values = [complex(a, b) for a, b in parts.tolist()]
+    values += [complex(a, b) for a in specials for b in specials]
+    for z in values:
+        assert format_complex(z) == reference_format_complex(z), (z.real.hex(), z.imag.hex())
+
+
 def test_complex_round_trip_17_digits():
     rng = np.random.default_rng(5)
     values = [complex(rng.standard_normal() * 10**e, rng.standard_normal() * 10**e)
@@ -261,10 +292,17 @@ def test_parse_form_normalizes():
     assert format_form(parse_form("pair(-1,1)")) == "pair(1,-1)"
 
 
-@pytest.mark.parametrize("bad", ["zer", "udz()", "udz(1,2)", "pair(1)", "delta(2)", "hyp(1)", "udz", "pair(1,-1"])
+@pytest.mark.parametrize("bad", ["zer", "udz()", "udz(1,2)", "pair(1)", "delta(2)", "hyp(1)", "udz", "pair(1,-1",
+                                 "pair(1,,-1)", "udz(1,)", "hyp(0.5,,)", "udz(,1)", "udz( )", "pair(1, )",
+                                 "zero(,)"])
 def test_parse_form_rejects(bad):
     with pytest.raises(FormSyntaxError):
         parse_form(bad)
+
+
+@pytest.mark.parametrize("text", ["zero", "zero()", "zero( )", " zero ( ) "])
+def test_parse_form_zero_spellings(text):
+    assert parse_form(text) == Zero()
 
 
 def test_forms_close():
