@@ -62,13 +62,14 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     """Canonical form of ``A`` with a decision margin.
 
     ``tol`` controls every relative threshold in the tree (rank test,
-    unit-circle test, eigenvalue-coincidence test).  Raises
-    AmbiguousClassification when the input is closer than ``tol / 2`` to a
-    decision boundary.
+    unit-circle test, eigenvalue-coincidence test) and must lie in (0, 0.5):
+    the normalized |det A| is at most 1/2, so a larger ``tol`` would send
+    every matrix to the rank <= 1 branch.  Raises AmbiguousClassification
+    when the input is closer than ``tol / 2`` to a decision boundary.
     """
     A = as_mat2(A)
-    if not tol > 0:
-        raise InvalidInput("tol must be positive")
+    if not 0.0 < tol < 0.5:
+        raise InvalidInput("tol must lie in (0, 0.5)")
     entries = A.ravel().tolist()
     scale = _norm4(*entries)
     if scale == 0.0:
@@ -285,7 +286,11 @@ def _branch_scalar(a, b, c, d, lam, absdet, tol, noise_norm, frob_k, slacks):
 
 def _branch_jordan(a, b, c, d, r, root, slacks):
     x = _null_vector(*r)
-    y = tuple(map(complex, np.linalg.lstsq([r[:2], r[2:]], x, rcond=None)[0]))
+    # minimum-norm solution of R y = x: R is rank 1, so its pseudoinverse is
+    # R* / ||R||_F^2 (divided twice, so that the square cannot overflow)
+    r00, r01, r10, r11 = (m.conjugate() for m in r)
+    nrm = _norm4(*r)
+    y = ((r00 * x[0] + r10 * x[1]) / nrm / nrm, (r01 * x[0] + r11 * x[1]) / nrm / nrm)
     w = _form(a, b, c, d, x, y)
     # only the phase of w is consumed; it is meaningful as long as w sits
     # above the rounding noise of the bilinear form, which scales with ||y||

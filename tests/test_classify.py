@@ -17,6 +17,8 @@ from starcong import (
 )
 from starcong.canonical import AMBIG_FRACTION
 
+import exact
+
 rng = np.random.default_rng(77)
 
 
@@ -109,6 +111,23 @@ def test_round_trip_under_congruence():
             assert forms_close(rep.form, form, 1e-6), (form, s)
 
 
+def test_exact_oracle_on_representatives_and_open_members():
+    # the open families survive the rounding of S* R S; the degenerate ones do not
+    for k, form in enumerate(form_grid()):
+        assert exact.family(realize(form)) == exact.family_of(form), form
+        if exact.family_of(form) in exact.OPEN:
+            for s in range(5):
+                _, member = random_congruence(form, seed=1000 * k + s)
+                assert exact.family(member) == exact.family_of(form), (form, s)
+
+
+def test_exact_oracle_agrees_on_gaussians():
+    gauss = np.random.default_rng(2006)
+    for _ in range(1000):
+        A = gauss.standard_normal((2, 2)) + 1j * gauss.standard_normal((2, 2))
+        assert exact.family_of(classify(A).form) == exact.family(A), A
+
+
 def test_positive_scaling_invariance():
     # the scale is a norm that squares no entry, so inputs near the ends of
     # the double range classify as their scale-1 counterparts
@@ -183,8 +202,10 @@ def test_ambiguous_near_unit_circle():
 def test_classify_rejects_bad_input():
     with pytest.raises(InvalidInput):
         classify([[np.nan, 0], [0, 0]])
-    with pytest.raises(InvalidInput):
-        classify(np.eye(2), tol=0.0)
+    # the normalized |det| is at most 1/2, so tol >= 1/2 would call every matrix rank <= 1
+    for tol in (0.0, 0.5, 1e300, np.inf, np.nan):
+        with pytest.raises(InvalidInput):
+            classify(np.eye(2), tol=tol)
 
 
 def test_margin_positive_and_scale():

@@ -76,6 +76,9 @@ def test_classify_exit_codes():
     assert run_cli("classify", "nonsense").returncode == 2
     assert run_cli("classify", "1,2;3").returncode == 2
     assert run_cli("classify", '{"m":["10","01"]}').returncode == 2
+    res = run_cli("classify", "1,0;0,1", "--tol", "inf")
+    assert res.returncode == 2
+    assert res.stderr == "error: tol must lie in (0, 0.5)\n"
     # ambiguous input: relative determinant right at the tolerance
     res = run_cli("classify", "1,0;0,1.2e-9")
     assert res.returncode == 1
@@ -346,6 +349,8 @@ NO_NUMPY_PROBE = """
 import contextlib, io, sys
 import starcong
 assert "numpy" not in sys.modules, "import starcong"
+assert not [m for m in sys.modules if m.startswith("starcong.")], "import starcong"
+assert set(starcong.__all__) <= set(dir(starcong)), "dir(starcong)"
 from starcong import cli
 argv = sys.argv[1:]
 if argv:

@@ -4,14 +4,32 @@ import io
 import tokenize
 from pathlib import Path
 
+import pytest
+
 import starcong
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
+#: The public names, in the order ``__all__`` has listed them since 0.7.0.
+PUBLIC_NAMES = [
+    "AMBIG_FRACTION", "AmbiguousClassification", "ArrowExists", "CanonicalForm", "CertificateNotFound",
+    "ClassificationReport", "DeltaTau", "DuplicateVertex", "FormSyntaxError", "HasseSubgraph", "Hyperbolic",
+    "InvalidInput", "NeighborhoodReport", "NoArrow", "ObstructionCertificate", "SplitMix64", "StarcongError",
+    "UnitDirectZero", "UnitPair", "VersalProfile", "Witness", "Zero", "classify", "classify_many",
+    "codimension", "format_complex", "format_form", "forms_close", "hasse_subgraph", "no_arrow_certificate",
+    "parse_complex", "parse_form", "random_congruence", "reachable", "real_rank", "realize",
+    "sample_neighborhood", "seeded_rng", "tangent_space_dim", "to_dot", "versal_profile", "witness",
+]
+
+
 def test_public_names_resolve():
+    assert starcong.__all__ == PUBLIC_NAMES
     for name in starcong.__all__:
-        assert hasattr(starcong, name), name
+        home = importlib.import_module(f"starcong.{starcong._HOME[name]}")
+        assert getattr(starcong, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="module 'starcong' has no attribute 'canonical_form'"):
+        starcong.canonical_form
 
 
 def library_references() -> set[str]:
