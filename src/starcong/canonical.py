@@ -1,29 +1,28 @@
 """Classification of 2x2 complex matrices up to *congruence.
 
-The decision tree is cosquare-based:
+The tree reads the cosquare K = A^{-*} A through its invariants (Horn &
+Sergeichuk, LAA 416, 2006).  With ||A||_F = 1, s = 2 Re(conj(a) d) - |b|^2 -
+|c|^2 and h = s / 2:  P = adj(A)* A = conj(det A) K,  R = P - h I  and
+rho2 = -det R = h^2 - |det A|^2, which is real.  K's eigenvalues are
+(h +- sqrt(rho2)) / conj(det A); their distance sep = 2 sqrt|rho2| / |det A|.
 
     1. exactly zero                            -> zero
     2. rank 1: A* proportional to A            -> udz(phase of trace)
               otherwise                        -> hyp(0)
-    3. nonsingular, K = (A^{-1})* A:
-       3a. an eigenvalue of K off the unit
-           circle                              -> hyp(sigma), sigma the
-                                                  eigenvalue inside the circle
-       3b. distinct unimodular eigenvalues     -> pair(mu, nu), each canonical
-                                                  entry = phase(x* A x) at the
-                                                  matching eigenvector x
-       3c. K scalar (= xi I)                   -> pair(l, +-l) with l^2 = xi,
-                                                  resolved by the inertia of
-                                                  conj(l) A
-       3d. K a single Jordan block             -> delta(tau), tau recovered
-                                                  from phase(x* A y) with y a
-                                                  generalized eigenvector
+    3. sep above tol, relative to the larger eigenvalue modulus:
+       3a. rho2 > 0 (off the unit circle)      -> hyp(det A / (h + sign(h) sqrt(rho2)))
+       3b. rho2 < 0 (unimodular)               -> pair(mu, nu), +-mu, +-nu the square roots
+                                                  of the eigenvalues, each sign that of
+                                                  x* A x at the null vector x of R -+ sqrt(rho2) I
+    4. sep at most tol, l^2 = h / conj(det A):
+       4a. ||R|| <= tol |det A| (K scalar)     -> pair(l, +-l) by the inertia of conj(l) A
+       4b. otherwise (K a Jordan block)        -> delta(+-l), the sign of Im(conj(l) tr A)
 
-Every threshold comparison contributes a normalized slack; the report's
-``margin`` is the smallest slack, and inputs whose margin falls below half
-the requested tolerance are refused with AmbiguousClassification instead of
-being silently assigned a class.  Thresholds carry explicit floating-point
-noise floors for nearly singular inputs.
+Every threshold is tol plus the rounding bound of its statistic, derived from
+the unit roundoff below.  The report's ``margin`` is the smallest normalized
+slack of the comparisons; an input whose margin falls below half the
+tolerance, or whose sign test (3b, 4a, 4b) sits within its rounding bound of
+zero, raises AmbiguousClassification instead of being assigned a class.
 
 Inside this module a 2x2 matrix is the tuple of its entries (m00, m01, m10,
 m11): Python complex scalars in classify, arrays over the stack in
@@ -33,6 +32,7 @@ form x* A y come from ``linalg``.  classify and classify_many reject NaN/Inf.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,11 +44,24 @@ from .linalg import EPS, _form, _norm4, as_mat2, hermitian_eigenvalues
 from .rng import seeded_rng
 
 #: Ambiguity cutoff as a fraction of the requested tolerance.  Exact
-#: canonical representatives sit at slack == tol on the rank test, so the
+#: canonical representatives sit at slack ~ tol on the rank test, so the
 #: cutoff must be strictly below 1.
 AMBIG_FRACTION = 0.5
 
 FAMILY_CODES = ("zero", "udz", "pair", "hyp", "delta", "boundary")
+
+# Rounding noise (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., 3.1 and 3.6), u = 2^-53: a complex sum rounds by <= u, a complex
+# product by <= sqrt(2) gamma_2 = 2.83u + O(u^2).  A scaled entry carries u
+# from its own rounding to a double and u from the quotient by the norm (the
+# norm's error is one factor shared by every entry, which no sign or ratio
+# below sees).  An entry of P, and det A, is a difference of two products
+# x y whose |x| |y| sum to at most ||A||_F^2 = 1, so it lies within
+# (1 + 2u)^2 (1 + sqrt(2) gamma_2)(1 + u) - 1 = 7.83u + O(u^2) of its value
+# for the exact entries; h = Re(p00 + p11) / 2 within 4.4u, |det A| within
+# 4.9u (abs adds u).  _E bounds all of them.
+_U = EPS / 2.0
+_E = 8.0 * _U
 
 
 @dataclass(frozen=True)
@@ -62,7 +75,7 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     """Canonical form of ``A`` with a decision margin.
 
     ``tol`` controls every relative threshold in the tree (rank test,
-    unit-circle test, eigenvalue-coincidence test) and must lie in (0, 0.5):
+    eigenvalue-coincidence test, scalar-cosquare test) and must lie in (0, 0.5):
     the normalized |det A| is at most 1/2, so a larger ``tol`` would send
     every matrix to the rank <= 1 branch.  Raises AmbiguousClassification
     when the input is closer than ``tol / 2`` to a decision boundary.
@@ -74,23 +87,16 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     scale = _norm4(*entries)
     if scale == 0.0:
         return ClassificationReport(Zero(), math.inf, 0.0)
-    norm = scale
-    if scale == math.inf:  # finite entries, overflowing norm: quarters are exact, their norm finite
-        entries = [m / 4.0 for m in entries]
-        norm = _norm4(*entries)
-    # true division: numpy's complex / real multiplies by 1 / scale, which
-    # overflows for a subnormal scale
+    entries = _prescale(entries)
+    norm = _norm4(*entries)
     a, b, c, d = (m / norm for m in entries)
+    det, absdet, h, r, nr, rho2, n_rho2 = _invariants(a, b, c, d)
 
-    slacks: list[tuple[float, str, str]] = []
-    det = a * d - b * c
-    absdet = abs(det)
-    slacks.append((abs(absdet - tol), "rank<=1", "nonsingular"))
-
-    if absdet <= tol:
+    slacks: list[tuple[float, str, str]] = [(abs(absdet - tol - _E), "rank<=1", "nonsingular")]
+    if absdet <= tol + _E:
         form = _classify_rank1(a, b, c, d, tol, slacks)
     else:
-        form = _classify_nonsingular(a, b, c, d, det, absdet, tol, slacks)
+        form = _classify_nonsingular(a, b, c, d, det, absdet, h, r, nr, rho2, n_rho2, tol, slacks)
 
     margin = float(min(s for s, _, _ in slacks))
     if margin < AMBIG_FRACTION * tol:
@@ -106,8 +112,8 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
 
 def _classify_rank1(a, b, c, d, tol, slacks):
     resid = _rank1_residual(a, b, c, d)
-    slacks.append((abs(resid - tol), "udz", "hyp(0)"))
-    if resid <= tol:
+    slacks.append((abs(resid - tol - 2.0 * _E), "udz", "hyp(0)"))
+    if resid <= tol + 2.0 * _E:
         tr = a + d
         if abs(tr) < 0.5:
             # a proportional rank-1 matrix has |tr| == ||A||_F exactly
@@ -120,193 +126,165 @@ def _classify_rank1(a, b, c, d, tol, slacks):
 
 # --- kernels ------------------------------------------------------------------
 #
-# Down to _jordan_test they take complex scalars or ndarrays alike, for classify
-# and classify_many; the tests among them return statistic, threshold and
-# normalized slack, and the caller compares with its own control flow (if/else
-# or masks).  From _null_vector on they take Python complex, for classify alone.
+# Down to _departure they take complex scalars or ndarrays alike, for classify
+# and classify_many, whose own control flow (if/else or masks) compares with
+# the thresholds they return.  The branches after them serve classify alone.
 
 
-def _maximum(x, y):
-    # np.maximum on scalars costs about a microsecond, max does not
-    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-        return np.maximum(x, y)
-    return max(x, y)
+def _prescale(entries):
+    """The entries times 2^-e, e the binary exponent of their largest real or
+    imaginary part: a list of four Python complex, or an (n, 2, 2) stack scaled
+    matrix by matrix.  Exact outside the subnormal range; afterwards every
+    modulus is below sqrt(2) and the largest at least 1/2, so no square
+    overflows and none that matters underflows."""
+    if isinstance(entries, list):
+        e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
+        return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in entries]
+    parts = entries.view(np.float64)
+    e = np.frexp(np.max(np.abs(parts), axis=(1, 2)))[1]
+    return np.ldexp(parts, -e[:, None, None]).view(np.complex128)
 
 
 def _rank1_residual(a, b, c, d):
-    """||A* - w A|| for the least-squares factor w of a rank-1 A with A* ~ w A."""
+    """||A* - w A|| for the least-squares factor w of a rank-1 A with A* ~ w A.
+    w lies within 9u, an entry such as conj(a) - w a within 14u |a|: the norm within 2E."""
     ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
     w = ac * ac + 2.0 * bc * cc + dc * dc
     return _norm4(ac - w * a, cc - w * b, bc - w * c, dc - w * d)
 
 
-def _cosquare(a, b, c, d, det, absdet):
-    """Entries (k00, k01, k10, k11) of the cosquare K = A^{-*} A of the
-    normalized matrix, and an entrywise bound on their rounding noise."""
-    kappa_det = (abs(a * d) + abs(b * c)) / absdet
-    m = np.conj(det)
-    # rows of A^{-*} = adj(A)^* / conj(det)
-    b00, b01 = np.conj(d) / m, -np.conj(c) / m
-    b10, b11 = -np.conj(b) / m, np.conj(a) / m
-    k = (b00 * a + b01 * c, b00 * b + b01 * d, b10 * a + b11 * c, b10 * b + b11 * d)
-    amp = EPS * (4.0 + 2.0 * kappa_det)
-    noise = (
-        amp * (abs(b00) * abs(a) + abs(b01) * abs(c)),
-        amp * (abs(b00) * abs(b) + abs(b01) * abs(d)),
-        amp * (abs(b10) * abs(a) + abs(b11) * abs(c)),
-        amp * (abs(b10) * abs(b) + abs(b11) * abs(d)),
-    )
-    return k, noise
+def _invariants(a, b, c, d):
+    """(det A, |det A|, h, R, ||R||, rho2, noise of rho2) of the normalized
+    entries; rho2 = -det R = (h - |det A|)(h + |det A|), as det P = |det A|^2."""
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    p00, p11 = dc * a - cc * c, ac * d - bc * b
+    h = (p00 + p11).real / 2.0
+    r = (p00 - h, dc * b - cc * d, ac * c - bc * a, p11 - h)
+    nr = _norm4(*r)
+    det = a * d - b * c
+    absdet = abs(det)
+    # Two roundings of rho2.  R's diagonal lies within 2E, its other entries
+    # within E, so -det R lies within 2E sum|r_ij| + 5E^2 + 2u ||R||^2
+    # <= n1 = 5E (||R|| + E) (sum|r_ij| <= 2 ||R||, ||R|| <= ||P|| <= 1).  The
+    # factors h -+ |det A| lie within 2E plus u of themselves, so their product
+    # lies within 4E (|h| + |det A|) + 4E^2 + 3u |rho2| <= n2 = 5E (|h| + |det A| + E).
+    # n1 is the smaller near a scalar K (R small), n2 near a lopsided Jordan
+    # block (R far larger than its eigenvalues).  The mean of the two weighted
+    # by the other's bound lies within 2 n1 n2 / (n1 + n2) <= 2 min(n1, n2);
+    # its own rounding, 3u |rho2|, fits in what n1 and n2 leave over
+    # (0.75E ||R|| >= 3u ||R||^2 / 2 and 0.6E (|h| + |det A|) >= 3u |rho2|).
+    rho2_r, n1 = (r[1] * r[2] - r[0] * r[3]).real, 5.0 * _E * (nr + _E)
+    rho2_h, n2 = (h - absdet) * (h + absdet), 5.0 * _E * (abs(h) + absdet + _E)
+    rho2 = (rho2_r * n2 + rho2_h * n1) / (n1 + n2)
+    return det, absdet, h, r, nr, rho2, 2.0 * n1 * n2 / (n1 + n2)
 
 
-def _spectrum(k, noise, det_k, tol):
-    """Eigenvalues p, q of K from its trace and the exactly unimodular det_k,
-    with the coincidence test on their separation.
-
-    Returns (tr, p, q, n_tr, n_disc, sep, sep_threshold, slack).
-    """
-    tr = k[0] + k[3]
-    n_tr = noise[0] + noise[3]
-    disc = tr * tr - 4.0 * det_k
-    n_disc = 2.0 * abs(tr) * n_tr + n_tr * n_tr + 16.0 * EPS
-    sq = np.sqrt(disc)
-    flip = (tr.real * sq.real + tr.imag * sq.imag) < 0.0
-    sq = np.where(flip, -sq, sq) if isinstance(flip, np.ndarray) else (-sq if flip else sq)
-    # p is the larger root and p * q = det_k is unimodular, so |p| >= 1
-    p = (tr + sq) / 2.0
-    q = det_k / p
-    sep = abs(p - q)
-    maxmod = _maximum(_maximum(abs(p), abs(q)), 1.0)
-    sep_threshold = _maximum(tol, np.sqrt(30.0 * n_disc)) * maxmod
-    return tr, p, q, n_tr, n_disc, sep, sep_threshold, abs(sep - sep_threshold) / maxmod
+def _coincidence(h, rho2, n_rho2, tol):
+    """(t, rel, threshold, slack) of K's spectrum (h +- t) / conj(det A), t = sqrt|rho2|:
+    rel = 2t / (|h| + t) is its distance relative to the larger modulus, exact
+    for rho2 >= 0 and within a factor sqrt(2) for rho2 < 0, where that is 1."""
+    t = abs(rho2) ** 0.5
+    big = abs(h) + t
+    rel = 2.0 * t / big
+    # |t^ - t| <= sqrt(n_rho2) and |h| errs by E, so rel errs by at most
+    # (2 sqrt(n_rho2) + E rel) / (|h| + t), plus 4u rel of its own rounding
+    threshold = tol + (2.0 * n_rho2 ** 0.5 + _E * rel) / big + 4.0 * _U * rel
+    return t, rel, threshold, abs(rel - threshold)
 
 
-def _circle_test(p, q, sep, n_tr, n_disc, tol):
-    """Distance of distinct eigenvalues from the unit circle.
-
-    Returns (circle_dev, threshold, slack, n_eig), n_eig the eigenvalue noise.
-    """
-    circle_dev = _maximum(abs(abs(p) - 1.0), abs(abs(q) - 1.0))
-    n_eig = 0.5 * (n_tr + n_disc / (2.0 * sep))
-    threshold = _maximum(tol, 10.0 * n_eig)
-    return circle_dev, threshold, abs(circle_dev - threshold), n_eig
+def _departure(absdet, h, nr, tol):
+    """(threshold, slack) of the scalar-cosquare test ||R|| <= tol |det A|, the slack
+    relative to ||P||, within a factor sqrt(2) of ||R|| + |h|."""
+    # ||dR||_F <= sqrt(4 + 1 + 1 + 4) E; the subtractions and the norm add 3u ||R||
+    threshold = tol * absdet + 3.2 * _E + 3.0 * _U * nr
+    return threshold, abs(nr - threshold) / (nr + abs(h))
 
 
-def _jordan_test(k, noise, xi, tol):
-    """Threshold on j = ||K - xi I|| below which a coincident K is scalar.
-
-    Returns (j, threshold, slack, ||K||, ||noise||).
-    """
-    j_stat = _norm4(k[0] - xi, k[1], k[2], k[3] - xi)
-    frob_k = _norm4(*k)
-    noise_norm = _norm4(*noise)
-    threshold = _maximum(tol * frob_k, 30.0 * noise_norm)
-    return j_stat, threshold, abs(j_stat - threshold) / _maximum(frob_k, 1.0), frob_k, noise_norm
-
-
-def _null_vector(m00, m01, m10, m11):
-    """Unit kernel vector (x0, x1) of a (numerically) singular 2x2 matrix."""
-    n1 = _norm4(m01, m00, 0.0, 0.0)
-    n2 = _norm4(m11, m10, 0.0, 0.0)
-    x0, x1, nrm = (m01, -m00, n1) if n1 >= n2 else (m11, -m10, n2)
-    if nrm == 0.0:
-        # matrix is (numerically) zero: any direction is a kernel vector
-        return 1.0, 0.0
-    return x0 / nrm, x1 / nrm
-
-
-def _classify_nonsingular(a, b, c, d, det, absdet, tol, slacks):
-    k, noise = _cosquare(a, b, c, d, det, absdet)
-    # numpy scalars inside _cosquare (for its division rounding), Python complex after
-    k, noise = tuple(map(complex, k)), tuple(map(float, noise))
-    tr, p, q, n_tr, n_disc, sep, sep_threshold, slack = _spectrum(k, noise, det / np.conj(det), tol)
+def _classify_nonsingular(a, b, c, d, det, absdet, h, r, nr, rho2, n_rho2, tol, slacks):
+    t, rel, threshold, slack = _coincidence(h, rho2, n_rho2, tol)
     slacks.append((slack, "coincident spectrum", "distinct spectrum"))
-    if sep > sep_threshold:
-        circle_dev, circle_threshold, slack, n_eig = _circle_test(p, q, sep, n_tr, n_disc, tol)
-        slacks.append((slack, "pair", "hyp"))
-        if circle_dev > circle_threshold:
-            return Hyperbolic(p if abs(p) < 1.0 else q)
-        mu = _pair_entry(a, b, c, d, k, complex(p), n_eig, slacks)
-        nu = _pair_entry(a, b, c, d, k, complex(q), n_eig, slacks)
+    if rel > threshold:
+        # rel > threshold puts |rho2| above its noise, so its sign is exact
+        if rho2 > 0.0:
+            return Hyperbolic(det / (h + math.copysign(t, h)))
+        root = 1j * t
+        n_t = n_rho2 / t  # |t^ - t| = |rho2^ - rho2| / (t^ + t)
+        # an eigenvalue (h +- root) / conj(det A) has modulus 1 and errs by
+        # (2E + n_t) / |det A|; its square root and the normalization add 3u
+        n_lam = (2.0 * _E + n_t) / absdet + 3.0 * _U
+        n_m = 3.2 * _E + 1.5 * n_t  # ||R -+ root I - (exact)||_F
+        mu = _pair_entry(a, b, c, d, r, root, (h + root) / det.conjugate(), n_m, n_lam)
+        nu = _pair_entry(a, b, c, d, r, -root, det / (h + root), n_m, n_lam)
         return UnitPair(mu, nu)
 
-    xi = tr / 2.0
-    j_stat, j_threshold, slack, frob_k, noise_norm = _jordan_test(k, noise, xi, tol)
+    threshold, slack = _departure(absdet, h, nr, tol)
     slacks.append((slack, "pair(l,+-l)", "delta"))
-    lam = complex(np.sqrt(xi / abs(xi)))
-    if j_stat <= j_threshold:
-        return _branch_scalar(a, b, c, d, lam, absdet, tol, noise_norm, frob_k, slacks)
-    return _branch_jordan(a, b, c, d, (k[0] - xi, k[1], k[2], k[3] - xi), lam, slacks)
+    if abs(h) <= _E:  # l^2 = h / conj(det A) has no phase above its rounding
+        raise AmbiguousClassification("cosquare eigenvalue within its rounding of zero", ("pair", "delta"), abs(h))
+    xi = h / det.conjugate()
+    lam = cmath.sqrt(xi / abs(xi))
+    # xi = h / conj(det A) is unimodular up to rounding and errs by E / |h| +
+    # E / |det A| + u relative; the root halves that, normalizing adds 2u
+    n_lam = _E / abs(h) + _E / absdet + 3.0 * _U
+    if nr <= threshold:
+        return _branch_scalar(a, b, c, d, lam, n_lam, slacks)
+    # K is a Jordan block: A = S* tau [[0, 1], [1, i]] S with tau = +-l, so
+    # (conj(tau) A - tau A*) / 2i = S* diag(0, 1) S is positive semidefinite
+    # and its trace Im(conj(l) tr A) has the sign of tau / l.  That trace errs
+    # by |tr A| n_lam from l, and by 7.1u <= E from the entries (2u |a| + 2u |d|),
+    # their sum (u |tr A|) and the product (2u |tr A|), as |tr A| <= sqrt(2).
+    tr = a + d
+    stat = (lam.conjugate() * tr).imag
+    if abs(stat) <= abs(tr) * n_lam + _E:
+        raise AmbiguousClassification(
+            "anti-Hermitian part of conj(l) A within its rounding of zero",
+            ("delta(l)", "delta(-l)"), abs(stat))
+    return DeltaTau(lam if stat > 0.0 else -lam)
 
 
-def _pair_entry(a, b, c, d, k, eig, n_eig, slacks):
-    x = _null_vector(k[0] - eig, k[1], k[2], k[3] - eig)
-    v = _form(a, b, c, d, x, x)
-    # the legitimate value shrinks like 1/cond(S)^2 for lopsided class
-    # members, so the degeneracy floor is the rounding noise of the form,
-    # not an absolute cutoff
-    if abs(v) < 30.0 * EPS:
+def _pair_entry(a, b, c, d, r, root, eig, n_m, n_lam):
+    """The pair entry whose square is the cosquare eigenvalue ``eig`` = (h + root) / conj(det A)."""
+    m00, m01, m10, m11 = r[0] - root, r[1], r[2], r[3] - root
+    n1, n2 = _norm4(m01, m00, 0.0, 0.0), _norm4(m11, m10, 0.0, 0.0)
+    x0, x1, row = (m01 / n1, -m00 / n1, n1) if n1 >= n2 else (m11 / n2, -m10 / n2, n2)  # R x = root x
+    ax0, ax1 = a * x0 + b * x1, c * x0 + d * x1
+    v = x0.conjugate() * ax0 + x1.conjugate() * ax1  # x* A x
+    w = cmath.sqrt(eig / abs(eig))
+    # v = +-|v| w at the exact null vector x', where A x' = eig A* x'.  The row
+    # errs by n_m, so x = x' + e, ||e|| <= dx = n_m / (row - n_m) (or 2), and
+    # v - x'* A x' = (A* x')* e + e* A x' + e* A e lies within 2 |A x| dx + 3 dx^2
+    # (||A||_2 <= 1); the form rounds by 12u (10u as in perturb._certify, 2u
+    # the entries'), and w errs by n_lam.
+    dx = min(n_m / (row - n_m), 2.0) if row > n_m else 2.0
+    stat = (w.conjugate() * v).real
+    if abs(stat) <= (2.0 * _norm4(ax0, ax1, 0.0, 0.0) + 3.0 * dx) * dx + 12.0 * _U + abs(v) * n_lam:
         raise AmbiguousClassification(
             "vanishing quadratic form on a cosquare eigenvector",
             ("pair", "delta"), abs(v))
-    entry = v / abs(v)
-    consistency = abs(entry * entry - eig / abs(eig))
-    threshold = max(1e-6, 100.0 * n_eig)
-    slacks.append((max(threshold - consistency, 0.0), "pair", "inconsistent pair entry"))
-    return entry
+    return w if stat > 0.0 else -w
 
 
-def _branch_scalar(a, b, c, d, lam, absdet, tol, noise_norm, frob_k, slacks):
+def _branch_scalar(a, b, c, d, lam, n_lam, slacks):
     h00, h01, h10, h11 = (lam.conjugate() * m for m in (a, b, c, d))  # H = conj(l) A
-    # ||H - H*||: the diagonal of H - H* is 2i Im(h00), 2i Im(h11)
-    herm_resid = _norm4(2.0 * h00.imag, h01 - h10.conjugate(), h10 - h01.conjugate(), 2.0 * h11.imag)
-    herm_threshold = max(10.0 * tol, 30.0 * noise_norm / max(frob_k, 1.0) + 1e3 * EPS)
-    slacks.append((max(herm_threshold - herm_resid, 0.0), "pair(l,+-l)", "non-Hermitian residual"))
-    if herm_resid > herm_threshold:
-        raise AmbiguousClassification(
-            "scalar cosquare but conj(l) A is not Hermitian",
-            ("pair(l,+-l)", "delta"), herm_resid)
+    off = (h01 - h10.conjugate()) / 2.0
+    anti = _norm4(h00.imag, off, off, h11.imag)  # ||(H - H*) / 2||_F
     eig_lo, eig_hi = hermitian_eigenvalues(h00.real, h11.real, (h01 + h10.conjugate()) / 2.0)  # of (H + H*) / 2
-    # H is nonsingular here: |eig_lo * eig_hi| = |det H| ~ absdet, so a cut at
-    # a quarter of it cleanly separates true eigenvalues from zero
-    cut = 0.25 * absdet
-    n_plus = (eig_lo > cut) + (eig_hi > cut)
-    n_minus = (eig_lo < -cut) + (eig_hi < -cut)
-    slacks.append(((min(abs(eig_lo), abs(eig_hi)) - cut), "definite", "indefinite"))
-    if n_plus + n_minus != 2:
+    # The inertia is that of the Hermitian part.  Rounding H and the formula
+    # for its eigenvalues moves them by <= 12u (||A||_F = 1).  A phase error
+    # phi <= n_lam of l turns H into e^{-i phi} H, whose Hermitian part moves
+    # by <= phi ||(H - H*) / 2|| + phi^2 ||H||.
+    noise = 12.0 * _U + n_lam * (anti + n_lam)
+    slack = min(abs(eig_lo), abs(eig_hi)) - noise
+    slacks.append((slack, "definite", "indefinite"))
+    if slack <= 0.0:
         raise AmbiguousClassification(
             "inertia of the scaled matrix could not be resolved",
             ("pair(l,l)", "pair(l,-l)"), min(abs(eig_lo), abs(eig_hi)))
-    if n_plus == 2:
+    if eig_lo > 0.0:
         return UnitPair(lam, lam)
-    if n_minus == 2:
+    if eig_hi < 0.0:
         return UnitPair(-lam, -lam)
     return UnitPair(lam, -lam)
-
-
-def _branch_jordan(a, b, c, d, r, root, slacks):
-    x = _null_vector(*r)
-    # minimum-norm solution of R y = x: R is rank 1, so its pseudoinverse is
-    # R* / ||R||_F^2 (divided twice, so that the square cannot overflow)
-    r00, r01, r10, r11 = (m.conjugate() for m in r)
-    nrm = _norm4(*r)
-    y = ((r00 * x[0] + r10 * x[1]) / nrm / nrm, (r01 * x[0] + r11 * x[1]) / nrm / nrm)
-    w = _form(a, b, c, d, x, y)
-    # only the phase of w is consumed; it is meaningful as long as w sits
-    # above the rounding noise of the bilinear form, which scales with ||y||
-    if abs(w) < 30.0 * EPS * max(1.0, _norm4(*y, 0.0, 0.0)):
-        raise AmbiguousClassification(
-            "degenerate generalized eigenvector pairing",
-            ("delta", "pair(l,+-l)"), abs(w))
-    tau_est = (1j * w / abs(w)).conjugate()
-    tau = root if abs(tau_est - root) <= abs(tau_est + root) else -root
-    consistency = abs(tau_est - tau)
-    slacks.append((max(0.1 - consistency, 0.0), "delta", "inconsistent tau"))
-    if consistency > 0.1:
-        raise AmbiguousClassification(
-            "generalized eigenvector phase disagrees with the spectrum",
-            ("delta", "pair(l,+-l)"), consistency)
-    return DeltaTau(tau)
 
 
 # --- bulk family-level classification (used by the neighborhood sampler) ----
@@ -314,23 +292,22 @@ def _branch_jordan(a, b, c, d, r, root, slacks):
 def classify_many(As: np.ndarray) -> dict:
     """Family-level classification of a stack of matrices at tol = 1e-9.
 
-    Shares the threshold formulas of :func:`classify` but extracts no
+    Shares the kernels and thresholds of :func:`classify` but extracts no
     parameters, so it vectorizes.  Returns family codes (indices into
     FAMILY_CODES, with sub-tolerance margins mapped to "boundary"), margins,
-    and the cosquare eigenvalue pair (NaN for singular samples).
+    and the cosquare eigenvalues, the larger modulus first (NaN if singular).
     """
-    As = np.asarray(As, dtype=np.complex128)
+    As = np.ascontiguousarray(As, dtype=np.complex128)
     if As.ndim != 3 or As.shape[1:] != (2, 2):
         raise InvalidInput("expected an (n, 2, 2) array")
     if not np.all(np.isfinite(As.view(np.float64))):
         raise InvalidInput("matrix stack contains NaN or Inf")
-    n = As.shape[0]
     tol = 1e-9  # classify's default
-    fam = np.zeros(n, dtype=np.int64)
-    margin = np.full(n, np.inf)
-    p_out = np.full(n, np.nan, dtype=np.complex128)
-    q_out = np.full(n, np.nan, dtype=np.complex128)
+    fam = np.zeros(len(As), dtype=np.int64)
+    margin = np.full(len(As), np.inf)
+    p_out, q_out = np.full((2, len(As)), np.nan, dtype=np.complex128)
 
+    As = _prescale(As)
     scale = np.sqrt(np.sum(np.abs(As) ** 2, axis=(1, 2)))
     nonzero = scale > 0.0
     if not np.any(nonzero):
@@ -339,42 +316,35 @@ def classify_many(As: np.ndarray) -> dict:
     An = np.where(nonzero[:, None, None], As / np.where(nonzero, scale, 1.0)[:, None, None], 0.0)
     a, b = An[:, 0, 0], An[:, 0, 1]
     c, d = An[:, 1, 0], An[:, 1, 1]
-    det = a * d - b * c
-    absdet = np.abs(det)
-    margin = np.minimum(margin, np.where(nonzero, np.abs(absdet - tol), np.inf))
+    det, absdet, h, r, nr, rho2, n_rho2 = _invariants(a, b, c, d)
+    margin = np.minimum(margin, np.where(nonzero, np.abs(absdet - tol - _E), np.inf))
 
-    singular = nonzero & (absdet <= tol)
+    singular = nonzero & (absdet <= tol + _E)
     if np.any(singular):
         resid = _rank1_residual(a, b, c, d)
-        margin = np.where(singular, np.minimum(margin, np.abs(resid - tol)), margin)
-        fam = np.where(singular & (resid <= tol), 1, fam)
-        fam = np.where(singular & (resid > tol), 3, fam)
+        margin = np.where(singular, np.minimum(margin, np.abs(resid - tol - 2.0 * _E)), margin)
+        fam = np.where(singular, np.where(resid <= tol + 2.0 * _E, 1, 3), fam)
 
-    nonsing = nonzero & (absdet > tol)
+    nonsing = nonzero & (absdet > tol + _E)
     if np.any(nonsing):
-        # masked-out entries get det = 1, which keeps every formula finite
-        det_s = np.where(nonsing, det, 1.0)
-        k, noise = _cosquare(a, b, c, d, det_s, np.where(nonsing, absdet, 1.0))
-        tr, p, q, n_tr, n_disc, sep, sep_threshold, sep_slack = _spectrum(k, noise, det_s / np.conj(det_s), tol)
-        margin = np.where(nonsing, np.minimum(margin, sep_slack), margin)
-
-        distinct = nonsing & (sep > sep_threshold)
-        coincident = nonsing & ~distinct
-
-        sep_safe = np.where(distinct, sep, 1.0)
-        circle_dev, circle_threshold, circle_slack, _ = _circle_test(p, q, sep_safe, n_tr, n_disc, tol)
-        margin = np.where(distinct, np.minimum(margin, circle_slack), margin)
-        fam = np.where(distinct & (circle_dev > circle_threshold), 3, fam)
-        fam = np.where(distinct & (circle_dev <= circle_threshold), 2, fam)
-
-        if np.any(coincident):
-            j_stat, j_threshold, j_slack, frob_k, noise_norm = _jordan_test(k, noise, tr / 2.0, tol)
-            margin = np.where(coincident, np.minimum(margin, j_slack), margin)
-            fam = np.where(coincident & (j_stat <= j_threshold), 2, fam)
-            fam = np.where(coincident & (j_stat > j_threshold), 4, fam)
-
-        p_out = np.where(nonsing, p, p_out)
-        q_out = np.where(nonsing, q, q_out)
+        # the masked-out lanes may divide by zero; np.where discards them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t, rel, threshold, slack = _coincidence(h, rho2, n_rho2, tol)
+            margin = np.where(nonsing, np.minimum(margin, slack), margin)
+            distinct = nonsing & (rel > threshold)
+            coincident = nonsing & ~distinct
+            fam = np.where(distinct, np.where(rho2 > 0.0, 3, 2), fam)
+            if np.any(coincident):
+                j_threshold, j_slack = _departure(absdet, h, nr, tol)
+                margin = np.where(coincident, np.minimum(margin, j_slack), margin)
+                fam = np.where(coincident, np.where(nr <= j_threshold, 2, 4), fam)
+            # the smaller root as det A / (h + root), which does not cancel;
+            # off the circle the larger is 1 / conj(q), as hyp(sigma) has it
+            hyp = rho2 > 0.0
+            h_root = h + np.where(hyp, np.copysign(t, h), 1j * t)
+            q = det / h_root
+            p_out = np.where(nonsing, np.where(hyp, 1.0 / q.conjugate(), h_root / det.conjugate()), p_out)
+            q_out = np.where(nonsing, q, q_out)
 
     fam = np.where(nonzero & (margin < AMBIG_FRACTION * tol), 5, fam)
     return {"family": fam, "margin": margin, "p": p_out, "q": q_out}

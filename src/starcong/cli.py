@@ -144,7 +144,7 @@ def _cmd_witness(args) -> int:
         "outputs": {
             "witness": w.to_json_dict(),
             "perturbed": _format_entries(perturbed),
-            "verified_form": format_form(dst),
+            "certified_form": format_form(dst),
         },
     }
     _emit(
@@ -153,7 +153,7 @@ def _cmd_witness(args) -> int:
         [
             f"E = {_format_entries(w.E_entries)}",
             f"||E|| = {w.norm_E:.17g} <= delta = {args.delta:.17g}",
-            f"classify(source + E) = {format_form(dst)}",
+            f"source + E lies in class {format_form(dst)}",
         ],
     )
     return 0

@@ -8,9 +8,8 @@ reproducible bit-for-bit.
 The neighborhood sampler draws sample i from sub-stream i, whose seeds
 ``substream_seeds(seed, n, start)`` derives for a whole chunk at once; the
 derivation rehashes the index so sub-streams do not overlap shifted copies of
-each other.  ``substream_seed(seed, index)`` is its scalar reference.
-The array functions import numpy when called; the scalar generator needs
-no numpy.
+each other.  The array functions import numpy when called; the scalar
+generator needs no numpy.
 """
 
 from __future__ import annotations
@@ -25,11 +24,6 @@ def _finalize(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
-
-
-def substream_seed(seed: int, index: int) -> int:
-    """Seed of the ``index``-th sub-stream of ``seed`` (the scalar reference of substream_seeds)."""
-    return _finalize((seed & _MASK) ^ _finalize((index * _GOLDEN + _STREAM_SALT) & _MASK))
 
 
 class SplitMix64:

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from starcong import (
     forms_close,
     random_congruence,
     realize,
+    sample_neighborhood,
 )
 from starcong.canonical import AMBIG_FRACTION
 
@@ -184,6 +187,75 @@ def test_jordan_branch_eigenvector_is_isotropic():
         assert val <= 1e-9 * np.linalg.norm(A)
 
 
+#: Boundary ladders: (name, matrix at rung eps, its form, the degenerate form
+#: it snaps to as eps -> 0).  The boundary statistic of each is linear in eps:
+#: the cosquare eigenvalue distance 2 eps, or the relative |det| eps.
+LADDERS = [
+    ("pair(1,-e^ie)", lambda e: realize(UnitPair(1, -cmath.exp(1j * e))),
+     lambda e: UnitPair(1, -cmath.exp(1j * e)), UnitPair(1, -1)),
+    ("pair(1,e^ie)", lambda e: realize(UnitPair(1, cmath.exp(1j * e))),
+     lambda e: UnitPair(1, cmath.exp(1j * e)), UnitPair(1, 1)),
+    ("pair(1i,-1ie^ie)", lambda e: realize(UnitPair(1j, -1j * cmath.exp(1j * e))),
+     lambda e: UnitPair(1j, -1j * cmath.exp(1j * e)), UnitPair(1j, -1j)),
+    ("hyp(1-e)", lambda e: realize(Hyperbolic(1 - e)), lambda e: Hyperbolic(1 - e), UnitPair(1, -1)),
+    ("hyp((1-e)i)", lambda e: realize(Hyperbolic((1 - e) * 1j)), lambda e: Hyperbolic((1 - e) * 1j),
+     UnitPair(unit(np.pi / 4), -unit(np.pi / 4))),
+    ("hyp(e)", lambda e: realize(Hyperbolic(e)), lambda e: Hyperbolic(e), Hyperbolic(0)),
+    ("diag(1,e)", lambda e: np.diag([1, e]).astype(complex), lambda e: UnitPair(1, 1), UnitDirectZero(1)),
+    ("diag(1,-e)", lambda e: np.diag([1, -e]).astype(complex), lambda e: UnitPair(1, -1), UnitDirectZero(1)),
+]
+
+
+@pytest.mark.parametrize("name, matrix, form, snapped", LADDERS, ids=[case[0] for case in LADDERS])
+def test_round_trip_ladder(name, matrix, form, snapped):
+    # on every rung eps = 10^-k the answer is the form, the degenerate form
+    # (only within 10 tol of the boundary), or a refusal; never a third class
+    tol = 1e-9
+    for k in range(1, 17):
+        eps = 10.0**-k
+        try:
+            got = classify(matrix(eps), tol).form
+        except AmbiguousClassification:
+            continue
+        assert forms_close(got, form(eps), 1e-6) or (eps <= 10 * tol and forms_close(got, snapped, 1e-6)), (k, got)
+
+
+def test_exact_oracle_sweep():
+    # tests/exact.py's sweep: rounded members S* R S of the seven subfamilies,
+    # cond(S) = c.  No confidently wrong answer up to c = 1e3.  At c = 1e4 the
+    # judge lets through the rank test's hyp(0) answers for hyp members, whose
+    # nearest hyp(0) matrix can lie within tol; every other answer is judged
+    # as below c = 1e4
+    for seed in (1, 2, 3):
+        sweep_rng = np.random.default_rng(seed)
+        for c in (1e1, 1e2, 1e3, 1e4):
+            for A in exact.subfamily_members(sweep_rng, c, 700):
+                if exact.confidently_wrong(A):
+                    assert c == 1e4 and classify(A).form == Hyperbolic(0), (seed, c, A)
+
+
+def test_classify_many_serves_every_scale():
+    # both classifiers scale by a power of two before any square, so the
+    # family is the same at every binary exponent a double holds
+    mats = [np.eye(2), [[0, 1], [0.3, 0]], [[1, 0], [0, 0]], [[1, 0.01], [0, 0]]]
+    mats += [random_congruence(form, seed=k)[1] for k, form in enumerate(form_grid(1))]
+    stack = np.array(mats, dtype=complex)
+    from starcong.canonical import FAMILY_CODES
+
+    for k in range(-1022, 1024):
+        scaled = np.ldexp(1.0, k) * stack
+        codes = classify_many(scaled)["family"]
+        for A, code in zip(scaled, codes):
+            try:
+                fam = classify(A).form.family
+            except AmbiguousClassification:
+                continue
+            assert FAMILY_CODES[code] in (fam, "boundary"), (k, A)
+    codes = classify_many(np.array([1e200 * np.eye(2), 1e-170 * np.array([[0, 1], [0.3, 0]])]))["family"]
+    assert [FAMILY_CODES[c] for c in codes] == ["pair", "hyp"]
+    assert sample_neighborhood(Zero(), 1e-170, 1000, seed=1).histogram["zero"] == 0
+
+
 def test_ambiguous_near_rank_boundary():
     # relative determinant just inside the ambiguity window around tol
     A = np.diag([1.0, 1.2e-9]).astype(complex)
@@ -194,9 +266,13 @@ def test_ambiguous_near_rank_boundary():
 
 
 def test_ambiguous_near_unit_circle():
-    A = realize(Hyperbolic(1 - 9e-10))
+    # hyp(1 - x) has cosquare eigenvalues 1 - x and about 1 + x, so their
+    # distance 2x is the statistic: at x = 9e-10 it clears tol by 0.8e-9,
+    # outside the tol / 2 refusal band; at x = 4e-10 it misses it by 2e-10
+    rep = classify(realize(Hyperbolic(1 - 9e-10)), tol=1e-9)
+    assert forms_close(rep.form, Hyperbolic(1 - 9e-10), 1e-6)
     with pytest.raises(AmbiguousClassification):
-        classify(A, tol=1e-9)
+        classify(realize(Hyperbolic(1 - 4e-10)), tol=1e-9)
 
 
 def test_classify_rejects_bad_input():

@@ -215,7 +215,7 @@ def test_witness_from_zero_at_tiny_delta_verifies():
     # source + E = (delta / ||N||) N: the norm scales, so nothing underflows
     res = run_cli("witness", "zero", "pair(1,1i)", "--delta", "1e-170")
     assert res.returncode == 0, res.stderr
-    assert "classify(source + E) = pair(1,1i)" in res.stdout
+    assert "source + E lies in class pair(1,1i)" in res.stdout
     assert res.stderr == ""
 
 
@@ -248,7 +248,7 @@ def test_witness_command():
     res = run_cli("witness", "zero", "hyp(0.5)", "--delta", "1e-3")
     assert res.returncode == 0
     assert "||E||" in res.stdout
-    assert "classify(source + E) = hyp(0.5)" in res.stdout
+    assert "source + E lies in class hyp(0.5)" in res.stdout
 
     res = run_cli("witness", "udz(1)", "delta(1i)")
     assert res.returncode == 1

@@ -459,7 +459,7 @@ def test_ball_sample_matches_scalar_stream():
     import math
 
     from starcong.perturb import _ball_sample
-    from starcong.rng import substream_seed
+    from test_rng import substream_seed
 
     delta = 1e-3
     E = _ball_sample(9, 40, delta)

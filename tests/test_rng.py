@@ -1,7 +1,12 @@
 import numpy as np
 
 from starcong import SplitMix64, seeded_rng
-from starcong.rng import substream_seed, substream_seeds, uniform_step
+from starcong.rng import _GOLDEN, _MASK, _STREAM_SALT, _finalize, substream_seeds, uniform_step
+
+
+def substream_seed(seed: int, index: int) -> int:
+    """Seed of the ``index``-th sub-stream of ``seed``: the scalar reference of substream_seeds."""
+    return _finalize((seed & _MASK) ^ _finalize((index * _GOLDEN + _STREAM_SALT) & _MASK))
 
 
 def test_same_seed_same_sequence():
