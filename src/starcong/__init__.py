@@ -12,7 +12,7 @@ only inside the functions that build or read arrays.
 
 from importlib import import_module
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 _PUBLIC = {
     "canonical": ("AMBIG_FRACTION", "ClassificationReport", "classify", "classify_many", "random_congruence"),

@@ -14,9 +14,11 @@ plus reflexivity (the lazy, length-0 path).  Everything else is a non-arrow.
 
 The parameters are read from the forms as ``forms`` validated and
 normalized them on construction (finite, within 1e-9 of unit modulus and
-divided by it); nothing here checks them again.  Every geometric test is closed
-with one slack, GEOM_TOL = 1e-9, so user-supplied near-boundary parameters
-land on the inclusive side.
+divided by it); nothing here checks them again.  Every predicate is decided in
+floating point on those stored doubles, with no slack: a parameter near a
+boundary is not snapped onto it, so udz(-1) -> pair(1,-1+1e-12i) is a
+non-arrow (-1 lies about 1e-12 outside that sector) and pair(1,-1) ->
+delta(1+1e-13i) is one too.
 
 ``hasse_subgraph`` restricts the order to a finite vertex set and emits its
 transitive reduction; no covering relation on the infinite poset is claimed.
@@ -42,92 +44,78 @@ from .forms import (
 )
 from .stratify import codimension
 
-GEOM_TOL = 1e-9
 
-
-# --- predicates shared by reachable, hasse_subgraph and the witnesses ----------
+# --- predicates shared by reachable, hasse_subgraph, witnesses and certificates
 #
 # Each takes the real and imaginary parts of validated form parameters, as
-# Python floats or as broadcastable ndarrays alike, and rounds as CPython's
-# complex arithmetic does (its product order, moduli by libm hypot), so a
-# vertex set's relation is the same bits from scalars or arrays.  Numpy's
-# complex multiply and abs may round differently, so arrays never go through
-# them.  The caller chooses between the cone's cases with its own control
-# flow (if/else or masks).
+# Python floats or as broadcastable ndarrays alike, and uses only + - * / and
+# comparisons, so a vertex set's relation is the same bits from scalars or
+# arrays, and a refusal's certificate reads the very numbers that refused.
 
 
 def _near(zr, zi, ur, ui):
-    """|z - u| <= GEOM_TOL, the modulus rounded as abs(complex) rounds it.
-
-    That is libm hypot, which np.hypot also calls (math.hypot rounds
-    differently).
-    """
-    dr, di = zr - ur, zi - ui
-    if isinstance(dr, float):  # numpy's float64 scalar is a float too
-        return abs(complex(dr, di)) <= GEOM_TOL
-    import numpy as np
-
-    return np.hypot(dr, di) <= GEOM_TOL
+    """z = u: real and imaginary parts equal."""
+    return (zr == ur) & (zi == ui)
 
 
 def _on_line(zr, zi, ur, ui):
-    """z within GEOM_TOL of u or of -u, i.e. on the line u R at unit modulus."""
+    """z = u or z = -u."""
     return _near(zr, zi, ur, ui) | _near(zr, zi, -ur, -ui)
 
 
-def _cone_shape(mr, mi, nr, ni):
-    """(equal, line, det) of the cone mu R+ + nu R+ of unit generators.
+def _cone_coefficients(lr, li, mr, mi, nr, ni):
+    """(a, b, det): a mu + b nu = lam for det = Im(conj(mu) nu) != 0.
 
-    ``equal``: mu = nu within GEOM_TOL, the cone is the ray mu R+.  ``line``:
-    mu = -nu within GEOM_TOL, the cone is the line mu R.  Both can hold;
-    ``equal`` takes precedence.  Otherwise the cone is a proper sector and
-    det = Im(conj(mu) nu) is the determinant ``_cone_coefficients`` divides
-    by; since |det| = |mu - nu| |mu + nu| / 2, it then exceeds about GEOM_TOL.
+    det is 0 for mu = +-nu and may round to 0 a few ulps from them; a and b
+    then hold the numerators, and only ``_in_cone``'s rays count.
     """
-    equal = _near(mr, mi, nr, ni)
-    line = _near(mr, mi, -nr, -ni)
-    return equal, line, mr * ni - nr * mi
+    det = mr * ni - nr * mi
+    d = det + (det == 0.0)  # 1 where det is 0: nothing divides by zero
+    return (lr * ni - nr * li) / d, (mr * li - lr * mi) / d, det
 
 
-def _cone_coefficients(lr, li, mr, mi, nr, ni, det):
-    """Real a, b with a mu + b nu = lam, for the nonzero det of ``_cone_shape``."""
-    a = (lr * ni - nr * li) / det
-    b = (mr * li - lr * mi) / det
-    return a, b
+def _in_sector(a, b, det):
+    return (det != 0.0) & (a >= 0.0) & (b >= 0.0)
 
 
-def _in_sector(a, b):
-    return (a >= -GEOM_TOL) & (b >= -GEOM_TOL)
+def _ray_residual(lr, li, ur, ui):
+    """lam - t u for the foot t = max(Re(lam conj(u)), 0) on the ray u R+."""
+    t = lr * ur + li * ui
+    t = t * (t > 0.0)
+    return lr - t * ur, li - t * ui
 
 
-def _half_plane(lr, li, tr, ti):
-    """Im(lam conj(tau)) >= -GEOM_TOL, the product in CPython's complex order."""
-    return lr * (-ti) + li * tr >= -GEOM_TOL
+def _on_ray(lr, li, ur, ui):
+    """lam = u, or lam on the ray u R+ with a residual of exactly 0."""
+    return _near(lr, li, ur, ui) | _near(*_ray_residual(lr, li, ur, ui), 0.0, 0.0)
+
+
+def _in_cone(lr, li, mr, mi, nr, ni):
+    """lam in mu R+ + nu R+: inside the sector, or on one of its two rays.
+
+    For mu = nu that is the ray mu R+, for mu = -nu the line mu R.
+    """
+    return (_in_sector(*_cone_coefficients(lr, li, mr, mi, nr, ni))
+            | _on_ray(lr, li, mr, mi) | _on_ray(lr, li, nr, ni))
+
+
+def _im_lam_conj_tau(lr, li, tr, ti):
+    """Im(lam conj(tau)), the product in CPython's complex order."""
+    return lr * (-ti) + li * tr
 
 
 def _cone_distance(lam: complex, mu: complex, nu: complex) -> float:
     """Euclidean distance from lam to the closed cone mu R+ + nu R+.
 
-    The cone's shape is read as ``reachable`` reads it for udz(lam) ->
-    pair(mu, nu), so whenever ``reachable`` refuses that arrow the distance
-    is positive.  The converse does not hold: ``reachable`` grants lam up to
-    GEOM_TOL outside the cone, where the distance is small but positive.
+    0.0 exactly where ``reachable`` grants udz(lam) -> pair(mu, nu).
+    Elsewhere it is the smaller ray residual, positive since ``_on_ray``
+    holds for neither ray (outside a sector, the nearest point lies on a ray).
     """
-    lam, mu, nu = lam / abs(lam), mu / abs(mu), nu / abs(nu)
-
-    def ray_dist(p: complex, u: complex) -> float:
-        t = max((p * u.conjugate()).real, 0.0)
-        return abs(p - t * u)
-
-    equal, line, det = _cone_shape(mu.real, mu.imag, nu.real, nu.imag)
-    if equal:
-        return ray_dist(lam, mu)
-    if line:
-        return min(ray_dist(lam, mu), ray_dist(lam, -mu))
-    a, b = _cone_coefficients(lam.real, lam.imag, mu.real, mu.imag, nu.real, nu.imag, det)
-    if a >= 0.0 and b >= 0.0:
+    lr, li, mr, mi, nr, ni = lam.real, lam.imag, mu.real, mu.imag, nu.real, nu.imag
+    if _in_cone(lr, li, mr, mi, nr, ni):
         return 0.0
-    return min(ray_dist(lam, mu), ray_dist(lam, nu))
+    return min(abs(complex(*_ray_residual(lr, li, mr, mi))),
+               abs(complex(*_ray_residual(lr, li, nr, ni))))
 
 
 def reachable(source: CanonicalForm, target: CanonicalForm) -> bool:
@@ -139,15 +127,9 @@ def reachable(source: CanonicalForm, target: CanonicalForm) -> bool:
         if isinstance(target, Hyperbolic):
             return True
         if isinstance(target, UnitPair):
-            mr, mi, nr, ni = target.mu.real, target.mu.imag, target.nu.real, target.nu.imag
-            equal, line, det = _cone_shape(mr, mi, nr, ni)
-            if equal:
-                return _near(lr, li, mr, mi)
-            if line:
-                return _on_line(lr, li, mr, mi)
-            return _in_sector(*_cone_coefficients(lr, li, mr, mi, nr, ni, det))
+            return _in_cone(lr, li, target.mu.real, target.mu.imag, target.nu.real, target.nu.imag)
         if isinstance(target, DeltaTau):
-            return _half_plane(lr, li, target.tau.real, target.tau.imag)
+            return _im_lam_conj_tau(lr, li, target.tau.real, target.tau.imag) >= 0.0
         return False
     if isinstance(source, UnitPair) and source.antipodal and isinstance(target, DeltaTau):
         return _on_line(target.tau.real, target.tau.imag, source.mu.real, source.mu.imag)
@@ -213,11 +195,8 @@ def _relation(verts) -> np.ndarray:
         R[np.ix_(udz, hyp)] = True
         mr, mi = _parts([verts[j].mu for j in pair])
         nr, ni = _parts([verts[j].nu for j in pair])
-        equal, line, det = _cone_shape(mr, mi, nr, ni)
-        a, b = _cone_coefficients(lr, li, mr, mi, nr, ni, np.where(equal | line, 1.0, det))
-        R[np.ix_(udz, pair)] = np.where(
-            equal, _near(lr, li, mr, mi), np.where(line, _on_line(lr, li, mr, mi), _in_sector(a, b)))
-        R[np.ix_(udz, delta)] = _half_plane(lr, li, tr, ti)
+        R[np.ix_(udz, pair)] = _in_cone(lr, li, mr, mi, nr, ni)
+        R[np.ix_(udz, delta)] = _im_lam_conj_tau(lr, li, tr, ti) >= 0.0
     if anti:
         mr, mi = _parts([verts[i].mu for i in anti])
         R[np.ix_(anti, delta)] = _on_line(tr, ti, mr[:, None], mi[:, None])

@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .closure import _cone_coefficients, _cone_distance, _cone_shape, reachable
+from .closure import _cone_coefficients, _cone_distance, _im_lam_conj_tau, _in_sector, _on_ray, reachable
 from .errors import (
     ArrowExists,
     CertificateNotFound,
@@ -207,15 +207,10 @@ def _congruence_from_zero(N, delta):
 
 def _congruence_udz_pair(source, target):
     lam, mu, nu = source.lam, target.mu, target.nu
-    # read the cone's shape as reachable, which granted the arrow, reads it
-    equal, line, det = _cone_shape(mu.real, mu.imag, nu.real, nu.imag)
-    if equal:
-        a, b = 1.0, 0.0
-    elif line:
-        a, b = (1.0, 0.0) if abs(lam - mu) <= abs(lam + mu) else (0.0, 1.0)
-    else:
-        a, b = _cone_coefficients(lam.real, lam.imag, mu.real, mu.imag, nu.real, nu.imag, det)
-        a, b = max(a, 0.0), max(b, 0.0)
+    # read the cone as reachable, which granted the arrow, reads it
+    a, b, det = _cone_coefficients(lam.real, lam.imag, mu.real, mu.imag, nu.real, nu.imag)
+    if not _in_sector(a, b, det):  # lam is on a generator's ray
+        a, b = (1.0, 0.0) if _on_ray(lam.real, lam.imag, mu.real, mu.imag) else (0.0, 1.0)
     x, z = math.sqrt(a), math.sqrt(b)
 
     def congruence(f):
@@ -239,7 +234,7 @@ def _congruence_udz_hyp(source, target):
 def _congruence_udz_delta(source, target, delta):
     lam, tau = source.lam, target.tau
     c = tau.conjugate() * lam
-    im_c = max(c.imag, 0.0)  # reachable() guarantees >= -GEOM_TOL
+    im_c = _im_lam_conj_tau(lam.real, lam.imag, tau.real, tau.imag)  # reachable() found it >= 0
 
     def congruence(f):
         eta = 0.4 * delta * f
@@ -258,8 +253,8 @@ def _congruence_udz_delta(source, target, delta):
 
 def _congruence_pair_delta(source, target, delta):
     # S* (tau Delta_2) S = sign tau diag(1, -1) + i tau r^2 [[1, -1], [-1, 1]],
-    # sign picking the nearer of +-l, so E also absorbs sign tau - l
-    sign = 1.0 if abs(target.tau - source.mu) <= abs(target.tau + source.mu) else -1.0
+    # and sign tau = l exactly, as reachable() found tau = +-l
+    sign = 1.0 if target.tau == source.mu else -1.0
 
     def congruence(f):
         r = math.sqrt(0.45 * delta * f)
@@ -273,40 +268,46 @@ def _congruence_pair_delta(source, target, delta):
 
 def _cosquare_spectrum(form) -> tuple[complex, complex] | None:
     """Cosquare spectrum, a congruence invariant, read from the parameters:
-    {mu^2, nu^2}, {1/conj(sigma), sigma} or {tau^2, tau^2}; None if singular."""
+    {mu^2, nu^2}, {1/conj(sigma), sigma} or {tau^2, tau^2}; None if singular.
+
+    1/conj(sigma) has a part beyond half the largest float only for |sigma|
+    below about 1.1e-308 (and overflows below 5.6e-309): its parts are clamped
+    to +-half of it, so every point, and the distance between any two, is
+    finite, and a distance from the clamped point is still a lower bound.
+    """
     if isinstance(form, UnitPair):
         return form.mu * form.mu, form.nu * form.nu
     if isinstance(form, Hyperbolic) and form.sigma != 0:
-        return 1.0 / form.sigma.conjugate(), form.sigma
+        p = 1.0 / form.sigma.conjugate()
+        return complex(_clamp(p.real), _clamp(p.imag)), form.sigma
     if isinstance(form, DeltaTau):
         return form.tau * form.tau, form.tau * form.tau
     return None
 
 
-def _spectrum_certificate(gap, spec_m, spec_n) -> ObstructionCertificate:
-    # 1/conj(sigma) overflows for |sigma| below about 5.6e-309: the largest
-    # float is still a lower bound on the gap
-    return ObstructionCertificate("SpectrumGap", margin=min(gap, sys.float_info.max), data={
-        "spectrum_source": [format_complex(s) for s in spec_m],
-        "spectrum_target": [format_complex(s) for s in spec_n]})
+def _clamp(x: float) -> float:
+    return max(-sys.float_info.max / 2.0, min(x, sys.float_info.max / 2.0))
 
 
 def _spectral_spread(form) -> float:
-    """|p - q| > 0 for the cosquare spectrum {mu^2, nu^2} or {sigma, 1/conj(sigma)}."""
+    """|p - q| > 0 for the cosquare spectrum {mu^2, nu^2} or {sigma, 1/conj(sigma)}
+    of a target with two distinct points, clamped as ``_cosquare_spectrum`` clamps."""
     if isinstance(form, UnitPair):
         return abs(form.mu - form.nu) * abs(form.mu + form.nu)
     s = abs(form.sigma)
-    return (1.0 - s * s) / s
+    return _clamp((1.0 - s * s) / s)
 
 
 def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> ObstructionCertificate:
     """First applicable obstruction proving there is no arrow source -> target.
 
-    Past CodimMonotonicity only udz and pair(m, +-m) sources remain.  udz gives
-    ConeMargin (-> pair) or HalfPlaneMargin (-> delta).  pair(m, +-m) gives
-    SpectrumGap (-> pair(mu, nu != +-mu) or hyp(sigma != 0)), DetPhaseGap
-    (-> hyp(0), delta, or determinant phases over 1e-12 apart) or
-    HermitianRankGap (-> delta(t) with t^2 within 1e-12 of -m^2).
+    Past CodimMonotonicity only udz and pair(m, +-m) sources remain, and each
+    certificate reads the numbers ``reachable`` refused on, so its margin is
+    positive by construction.  udz gives ConeMargin (-> pair) or
+    HalfPlaneMargin (-> delta).  pair(m, +-m) gives SpectrumGap (-> pair(mu,
+    nu != +-mu) or hyp(sigma != 0)), DetPhaseGap (-> hyp(0), or delta(t) with
+    t != +-m', where m' = m for pair(m, -m) and i m for pair(m, m)) or
+    HermitianRankGap (pair(m, m) -> delta(+-i m)).
     """
     if source == target:
         raise InvalidInput("source and target must differ")
@@ -321,58 +322,51 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
             data={"codim_source": cm, "codim_target": cn},
         )
 
-    # spectral: the target's spectrum has two distinct points; the source's is
-    # the one point m^2 of pair(m, +-m), so the Hausdorff gap is the larger distance
-    spec_m, spec_n = _cosquare_spectrum(source), _cosquare_spectrum(target)
-    spectral = spec_m is not None and (
-        (isinstance(target, UnitPair) and not target.equal_pair and not target.antipodal)
-        or (isinstance(target, Hyperbolic) and target.sigma != 0))
-    if spectral:
-        spec_gap = max(abs(spec_m[0] - s) for s in spec_n)
-        if spec_gap > 1e-12:
-            return _spectrum_certificate(spec_gap, spec_m, spec_n)
-
-    if isinstance(source, UnitDirectZero) and isinstance(target, UnitPair):
-        dist = _cone_distance(source.lam, target.mu, target.nu)
-        if dist > 0.0:
+    if isinstance(source, UnitDirectZero):
+        lam = source.lam
+        if isinstance(target, UnitPair):
             return ObstructionCertificate(
-                "ConeMargin", margin=dist,
-                data={"lambda": format_complex(source.lam)})
+                "ConeMargin", margin=_cone_distance(lam, target.mu, target.nu),
+                data={"lambda": format_complex(lam)})
+        # udz -> hyp is always an arrow: the target is a delta
+        im = _im_lam_conj_tau(lam.real, lam.imag, target.tau.real, target.tau.imag)
+        return ObstructionCertificate("HalfPlaneMargin", margin=-im, data={"im_lambda_conj_tau": im})
 
-    if isinstance(source, UnitDirectZero) and isinstance(target, DeltaTau):
-        gap = -(source.lam * target.tau.conjugate()).imag
-        if gap > 0.0:
-            return ObstructionCertificate(
-                "HalfPlaneMargin", margin=float(gap),
-                data={"im_lambda_conj_tau": float(-gap)})
+    # pair(m, +-m) -> a class of codimension 2: a generic pair, hyp or delta
+    if isinstance(target, UnitPair) or (isinstance(target, Hyperbolic) and target.sigma != 0):
+        # the target's spectrum has two distinct points and is constant on its
+        # class; the source's is the one point m^2, at least half the target's
+        # spread from the farther of them, a bound rounding cannot close
+        spec_m, spec_n = _cosquare_spectrum(source), _cosquare_spectrum(target)
+        gap = max(abs(spec_m[0] - s) for s in spec_n)
+        return ObstructionCertificate(
+            "SpectrumGap", margin=max(gap, _spectral_spread(target) / 2.0), data={
+                "spectrum_source": [format_complex(s) for s in spec_m],
+                "spectrum_target": [format_complex(s) for s in spec_n]})
 
     m, n = _entries(source), _entries(target)
     det_m, det_n = m[0] * m[3] - m[1] * m[2], n[0] * n[3] - n[1] * n[2]
-    if abs(det_m) > 0.0:
-        if abs(det_n) == 0.0:
-            margin = abs(det_m) / _norm4(*m) ** 2
+    if isinstance(target, Hyperbolic):  # hyp(0), the singular target
+        return ObstructionCertificate(
+            "DetPhaseGap", margin=abs(det_m) / _norm4(*m) ** 2,
+            data={"det_source": format_complex(det_m), "det_target": "0"})
+
+    if isinstance(target, DeltaTau):
+        # the det phases -t^2 of the target and -m'^2 of the source (its det is
+        # +-m^2) differ by |t^2 - m'^2| = |t - m'| |t + m'|, positive exactly
+        # when t != +-m'
+        mp = source.mu if source.antipodal else 1j * source.mu
+        margin = abs(target.tau - mp) * abs(target.tau + mp)
+        if margin > 0.0:
             return ObstructionCertificate(
                 "DetPhaseGap", margin=margin,
-                data={"det_source": format_complex(det_m), "det_target": "0"})
-        phase_gap = abs(det_m / abs(det_m) - det_n / abs(det_n))
-        if phase_gap > 1e-12:
-            return ObstructionCertificate(
-                "DetPhaseGap", margin=phase_gap,
                 data={
                     "det_phase_source": format_complex(det_m / abs(det_m)),
                     "det_phase_target": format_complex(det_n / abs(det_n)),
                 })
-
-    if spectral:
-        # the spectrum is constant on the target class, so any positive gap
-        # proves the non-arrow; m^2 is at least half the target's spread away
-        # from the farther of its two points, a bound rounding cannot close
-        return _spectrum_certificate(max(spec_gap, _spectral_spread(target) / 2.0), spec_m, spec_n)
-
-    if isinstance(source, UnitPair) and source.equal_pair and isinstance(target, DeltaTau):
-        # only det phases m^2, -t^2 within 1e-12 get here: c = conj(m) t has
-        # |Re c| = |m^2 + t^2| / 2 <= 5e-13, so the Hermitian part [[0, 2 Re c],
-        # [2 Re c, -2 Im c]] of c Delta_2 has rank 1, that of conj(m) diag(m, m) 2
+        # pair(m, m) -> delta(+-i m): c = conj(m) t = +-i, so the Hermitian part
+        # [[0, 2 Re c], [2 Re c, -2 Im c]] of c Delta_2 has rank 1, that of
+        # conj(m) diag(m, m) rank 2
         return ObstructionCertificate(
             "HermitianRankGap", margin=1.0, data={"rank_source_sum": 2, "rank_target_sum": 1})
 
@@ -449,10 +443,14 @@ def _spectrum_drift(p: np.ndarray, q: np.ndarray, p0: complex, q0: complex) -> n
 def _drift_stats(values: np.ndarray) -> dict:
     import numpy as np
 
+    with np.errstate(over="ignore"):
+        mean = np.mean(values)
+    if mean == np.inf:  # drifts near the largest float, from a clamped spectrum, overflow their sum
+        mean = np.sum(values / values.size)
     return {
         "min": float(np.min(values)),
         "max": float(np.max(values)),
-        "mean": float(np.mean(values)),
+        "mean": float(mean),
     }
 
 

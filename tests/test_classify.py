@@ -171,20 +171,18 @@ def test_hyperbolic_cosquare_eigenvalues():
         assert abs(p - expect[0]) < 1e-12 and abs(q - expect[1]) < 1e-12
 
 
-def test_jordan_branch_eigenvector_is_isotropic():
-    # for members of the delta class, the cosquare eigenvector x has x* A x = 0
+def test_jordan_branch_sign_statistic():
+    # A = S* tau Delta_2 S makes (conj(tau) A - tau A*) / 2i = S* diag(0, 1) S
+    # positive definite, so Im(conj(tau) tr A) has the sign of the member's
+    # +-tau; the Jordan branch reads tau's sign from that statistic
     for s in range(25):
-        form = DeltaTau(unit(0.25 * s))
-        _, A = random_congruence(form, seed=s)
-        K = np.linalg.inv(A).conj().T @ A
-        xi = (K[0, 0] + K[1, 1]) / 2
-        M = K - xi * np.eye(2)
-        c1 = np.array([M[0, 1], -M[0, 0]])
-        c2 = np.array([M[1, 1], -M[1, 0]])
-        x = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-        x = x / np.linalg.norm(x)
-        val = abs(x.conj() @ A @ x)
-        assert val <= 1e-9 * np.linalg.norm(A)
+        tau = unit(0.25 * s)
+        for sign in (1, -1):
+            form = DeltaTau(sign * tau)
+            _, A = random_congruence(form, seed=s)
+            assert sign * (tau.conjugate() * np.trace(A)).imag > 0, form
+            got = classify(A).form
+            assert isinstance(got, DeltaTau) and forms_close(got, form, 1e-9), (form, got)
 
 
 #: Boundary ladders: (name, matrix at rung eps, its form, the degenerate form

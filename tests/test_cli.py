@@ -123,8 +123,8 @@ def test_codim_near_antipodal_pair():
     ("pair(1,-1)", "hyp(0.99999999999999)"),
 ])
 def test_arrow_near_degenerate_pair_certificate(source, target):
-    # a target 1e-13 off the source's class: the spectral gap lies below the
-    # SpectrumGap floor, but any positive gap proves the non-arrow
+    # a target 1e-13 off the source's class: the spectral gap is tiny, but any
+    # positive gap proves the non-arrow
     res = run_cli("arrow", source, target)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
@@ -161,13 +161,14 @@ def test_arrow_command():
 
 
 def test_arrow_pair_to_delta_near_plus_minus_lambda():
-    # tau 5e-10 off lambda: E absorbs tau - lambda, so the witness verifies
-    res = run_cli("arrow", "pair(1,-1)", "delta(0.99999999999999989+5e-10i)")
-    assert res.returncode == 0, res.stderr
-    lines = res.stdout.splitlines()
-    assert lines[0] == "reachable: true"
-    assert lines[1].startswith("witness at delta 0.0001")
-    assert lines[2].startswith("E = ")
+    # tau off lambda by 5e-10 or 1e-13: no slack grants the arrow, so it is
+    # refused at every delta with DetPhaseGap margin |tau - 1| |tau + 1|
+    for target, margin in (("delta(0.99999999999999989+5e-10i)", "1.0000000000000003e-09"),
+                           ("delta(1+1e-13i)", "2.0000000000000001e-13")):
+        for delta in ("1e-4", "5e-10"):
+            res = run_cli("arrow", "pair(1,-1)", target, "--delta", delta)
+            assert res.returncode == 0, res.stderr
+            assert res.stdout.splitlines() == ["reachable: false", f"certificate: DetPhaseGap  margin {margin}"]
 
 
 def test_witness_tiny_delta_is_a_domain_error():

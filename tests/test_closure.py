@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from starcong import (
+    ArrowExists,
     DeltaTau,
     DuplicateVertex,
     Hyperbolic,
@@ -12,6 +15,7 @@ from starcong import (
     codimension,
     format_form,
     hasse_subgraph,
+    no_arrow_certificate,
     parse_form,
     reachable,
     to_dot,
@@ -223,7 +227,7 @@ def test_dot_output_shape():
 
 # --- hasse_subgraph against the scalar predicates -------------------------------
 
-LADDER = range(3, 16)  # 10^-k off a boundary; k = 9 is the GEOM_TOL rung
+LADDER = range(3, 16)  # 10^-k off a boundary
 
 
 def ladder_set(rng: SplitMix64):
@@ -360,17 +364,92 @@ def test_hasse_limits_checked_first(monkeypatch):
 
 
 def test_cone_distance_positive_on_refusal():
+    # zero exactly where reachable grants: no arrow is granted outside the cone
     rng = SplitMix64(3)
-    granted_outside = 0
     for verts in (ladder_set(rng) for _ in range(3)):
         udz = [v for v in verts if isinstance(v, UnitDirectZero)]
         pairs = [v for v in verts if isinstance(v, UnitPair)]
         for u in udz:
             for p in pairs:
                 d = closure._cone_distance(u.lam, p.mu, p.nu)
-                if not reachable(u, p):
-                    assert d > 0.0, (u, p)
-                elif d > 0.0:
-                    granted_outside += 1
-    # the converse does not hold: arrows granted within GEOM_TOL of the cone
-    assert granted_outside > 0
+                assert (d == 0.0) == reachable(u, p), (u, p, d)
+                assert d >= 0.0
+
+
+# --- every edge of the order, 10^-k and one ulp to either side -------------------
+
+
+def near(z):
+    """z, z turned by +-10^-k for k = 1..16, and z with one part moved one ulp."""
+    out = [z] + [z * unit(s * 10.0**-k) for k in range(1, 17) for s in (1, -1)]
+    for inf in (math.inf, -math.inf):
+        out += [complex(math.nextafter(z.real, inf), z.imag), complex(z.real, math.nextafter(z.imag, inf))]
+    return out
+
+
+def edge_ladder(rng: SplitMix64):
+    """(source, target) pairs on both sides of every edge the predicates decide."""
+    m, n, t = (unit(2 * np.pi * rng.uniform()) for _ in range(3))
+    n = m * unit(0.3 + 2.5 * rng.uniform())
+    generic, equal, anti = UnitPair(m, n), UnitPair(m, m), UnitPair(m, -m)
+    cases = []
+    # udz -> pair: lam near a generator of a sector, of the ray, of the line;
+    # the equal and antipodal targets with one generator moved off
+    for target, rays in ((generic, (m, n)), (equal, (m,)), (anti, (m, -m))):
+        cases += [(UnitDirectZero(z), target) for r in rays for z in near(r)]
+    cases += [(UnitDirectZero(lam), UnitPair(m, nu)) for nu in near(m) + near(-m) for lam in (m, 1j * m, -m)]
+    # udz -> delta: lam near the boundary +-tau of the half-plane
+    cases += [(UnitDirectZero(z), DeltaTau(t)) for z in near(t) + near(-t)]
+    # pair(l, -l) -> delta(+-l) and pair(l, l) -> delta(+-i l)
+    cases += [(anti, DeltaTau(z)) for z in near(m) + near(-m)]
+    cases += [(equal, DeltaTau(z)) for z in near(1j * m) + near(-1j * m)]
+    return [(s, t) for s, t in cases if s != t]
+
+
+def test_edge_ladders_reachable_xor_certificate():
+    rng = SplitMix64(2026)
+    for _ in range(4):
+        cases = edge_ladder(rng)
+        for s, t in cases:
+            if reachable(s, t):
+                with pytest.raises(ArrowExists):
+                    no_arrow_certificate(s, t)
+            else:
+                assert no_arrow_certificate(s, t).margin > 0.0, (s, t)
+            if isinstance(s, UnitDirectZero) and isinstance(t, UnitPair):
+                assert (closure._cone_distance(s.lam, t.mu, t.nu) == 0.0) == reachable(s, t), (s, t)
+        # the array relation and its reduction are those of n^2 reachable calls
+        verts = list(dict.fromkeys(v for case in cases for v in case))
+        n = len(verts)
+        R = np.array([[i != j and reachable(verts[i], verts[j]) for j in range(n)] for i in range(n)])
+        assert np.array_equal(closure._relation(tuple(verts)), R)
+        implied = (R.astype(np.int64) @ R.astype(np.int64)) > 0
+        assert edge_tuples(hasse_subgraph(verts)) == tuple(zip(*np.nonzero(R & ~implied)))
+
+
+def test_edge_ladders_decide_without_slack():
+    # a rung 10^-k off an edge, k <= 15, lies on the side double precision
+    # resolves for it: no slack grants an arrow from outside
+    rng = SplitMix64(2027)
+    for _ in range(4):
+        m, t = (unit(2 * np.pi * rng.uniform()) for _ in range(2))
+        n = m * unit(0.3 + 2.5 * rng.uniform())  # counter-clockwise of m
+        generic, equal, anti = UnitPair(m, n), UnitPair(m, m), UnitPair(m, -m)
+        for z in (m, n):
+            assert reachable(UnitDirectZero(z), generic)
+        assert reachable(UnitDirectZero(m), equal)
+        assert reachable(UnitDirectZero(m), anti) and reachable(UnitDirectZero(-m), anti)
+        assert reachable(UnitDirectZero(t), DeltaTau(t)) and reachable(UnitDirectZero(-t), DeltaTau(t))
+        assert reachable(anti, DeltaTau(m)) and reachable(anti, DeltaTau(-m))
+        for k in range(1, 16):
+            for s in (1, -1):
+                turn = unit(s * 10.0**-k)
+                assert reachable(UnitDirectZero(m * turn), generic) == (s > 0), (k, s)
+                assert reachable(UnitDirectZero(n * turn), generic) == (s < 0), (k, s)
+                assert not reachable(UnitDirectZero(m * turn), equal)
+                assert not reachable(UnitDirectZero(m * turn), anti)
+                assert not reachable(UnitDirectZero(-m * turn), anti)
+                assert reachable(UnitDirectZero(t * turn), DeltaTau(t)) == (s > 0), (k, s)
+                assert reachable(UnitDirectZero(-t * turn), DeltaTau(t)) == (s < 0), (k, s)
+                assert not reachable(anti, DeltaTau(m * turn))
+                assert not reachable(anti, DeltaTau(-m * turn))

@@ -122,10 +122,14 @@ ARROW_CASES = [
     (UnitDirectZero(unit(0.5)), DeltaTau(-unit(0.5))),                # boundary, other sign
     (UnitPair(unit(1.2), -unit(1.2)), DeltaTau(unit(1.2))),
     (UnitPair(unit(1.2), -unit(1.2)), DeltaTau(-unit(1.2))),
-    # targets 2e-10..9e-10 off +-m: E absorbs tau -+ m
-    *((UnitPair(unit(1.2), -unit(1.2)), DeltaTau(sign * unit(1.2 + eps)))
+    # the 2e-10..9e-10 angles of NEAR_PLUS_MINUS_M, with the source on the target's edge
+    *((UnitPair(unit(1.2 + eps), -unit(1.2 + eps)), DeltaTau(sign * unit(1.2 + eps)))
       for eps in (2e-10, 5e-10, 9e-10) for sign in (1, -1)),
 ]
+
+#: Targets 2e-10..9e-10 off +-m: no arrows, as tau != +-m for the stored doubles.
+NEAR_PLUS_MINUS_M = [(UnitPair(unit(1.2), -unit(1.2)), DeltaTau(sign * unit(1.2 + eps)))
+                     for eps in (2e-10, 5e-10, 9e-10) for sign in (1, -1)]
 
 
 @pytest.mark.parametrize("src,dst", ARROW_CASES)
@@ -173,6 +177,20 @@ def test_witness_arrays(src, dst):
         assert isinstance(A, np.ndarray) and A.dtype == np.complex128 and A.shape == (2, 2)
         assert A.ravel().tolist() == list(entries)
         assert all(type(z) is complex for z in entries)
+
+
+@pytest.mark.parametrize("src,dst", NEAR_PLUS_MINUS_M)
+def test_witness_refuses_near_plus_minus_m(src, dst):
+    # no slack grants these arrows: witness refuses at every delta with the
+    # DetPhaseGap of no_arrow_certificate, |t - m| |t + m| = |t^2 - m^2| > 0
+    assert not reachable(src, dst)
+    cert = no_arrow_certificate(src, dst)
+    assert cert.kind == "DetPhaseGap"
+    assert cert.margin == pytest.approx(abs(dst.tau**2 - src.mu**2), rel=1e-5)
+    for k in range(1, 301):
+        with pytest.raises(NoArrow) as info:
+            witness(src, dst, 10.0**-k)
+        assert info.value.certificate == cert
 
 
 def test_witness_uses_the_one_budget_rule():
@@ -309,6 +327,27 @@ def test_certificate_tiny_hyperbolic_target(sigma):
     assert rep.max_spectrum_drift > 0
 
 
+@pytest.mark.parametrize("sigma", [5e-324, 1e-320, 3.2e-309 + 3.2e-309j, 1e-320j - 1e-320])
+def test_spectrum_finite_below_overflow(sigma):
+    # 1/conj(sigma) or its modulus overflows: its parts are clamped, so the
+    # spectrum, the spread, the certificate's margin and the drifts stay finite
+    import cmath
+    import math
+
+    from starcong.perturb import _cosquare_spectrum, _spectral_spread
+
+    target = Hyperbolic(sigma)
+    assert all(cmath.isfinite(z) for z in _cosquare_spectrum(target))
+    assert 0.0 < _spectral_spread(target) < math.inf
+    for src in (UnitPair(1, 1), UnitPair(1, -1), UnitPair(1j, 1j)):
+        cert = no_arrow_certificate(src, target)
+        assert cert.kind == "SpectrumGap" and 0.0 < cert.margin < math.inf
+        assert "inf" not in json.dumps(cert.to_json_dict())
+    rep = sample_neighborhood(target, 1e-3, 200, seed=1)
+    assert 0.0 < rep.max_spectrum_drift < math.inf
+    assert all(0.0 < v < math.inf for stats in rep.spectrum_drift.values() for v in stats.values())
+
+
 def test_certificate_errors():
     with pytest.raises(ArrowExists):
         no_arrow_certificate(Zero(), DeltaTau(1))
@@ -318,10 +357,9 @@ def test_certificate_errors():
 
 @pytest.mark.parametrize("k", range(10, 17))
 def test_certificate_near_degenerate_pair_sources(k):
-    # targets 10^-k off the source's class: the cosquare spectra differ by a
-    # gap below the 1e-12 floors of SpectrumGap and DetPhaseGap (at k = 16
-    # the computed gap can be 0), which still proves the non-arrow since the
-    # spectrum is constant on the target class
+    # targets 10^-k off the source's class: the computed cosquare gap can be
+    # 0 at k = 16, but half the target's spread is positive and still proves
+    # the non-arrow, since the spectrum is constant on the target class
     eps = 10.0**-k
     for j in range(40):
         m = unit(2 * np.pi * j / 40)
@@ -500,10 +538,10 @@ def test_sample_neighborhood_chunk_invariant(monkeypatch):
 
 
 def test_near_degenerate_cone_corner():
-    # generators that are antipodal only up to 1e-10: the cone predicate
-    # collapses them to a line, certificate margins stay consistent with it,
-    # and the witness either succeeds or refuses honestly (the target class
-    # sits below the parameter resolution of double precision)
+    # generators that are antipodal only up to 1e-10: the cone is a sector
+    # 1e-10 short of a half-plane, lam on its ray mu R+ is granted, and the
+    # witness either succeeds or refuses honestly (the target class sits below
+    # the parameter resolution of double precision)
     from starcong import StarcongError
 
     lam = unit(0.5)
@@ -517,10 +555,12 @@ def test_near_degenerate_cone_corner():
     except StarcongError:
         pass
 
-    off = UnitDirectZero(unit(0.5 + 0.4))  # off the collapsed line
+    off = UnitDirectZero(unit(0.5 + 0.4))  # outside the sector
     assert not reachable(off, target)
     cert = no_arrow_certificate(off, target)
     assert cert.kind == "ConeMargin" and cert.margin > 0
+    # inside it, though 1e-10 from the line mu R, as no slack snaps nu to -mu
+    assert reachable(UnitDirectZero(unit(0.5 - 0.4)), target)
 
 
 def test_boundary_bucket_via_classify_many():
