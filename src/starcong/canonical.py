@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousClassification, InvalidInput
-from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, realize
+from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _entries
 from .linalg import EPS, _form, _norm4, as_mat2, hermitian_eigenvalues
 from .rng import seeded_rng
 
@@ -371,7 +371,7 @@ def random_congruence(form: CanonicalForm, seed: int):
         entries = [complex(rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)) for _ in range(4)]
         if _cond2(*entries) <= 20.0:
             break
-    r = realize(form).ravel().tolist()
+    r = _entries(form)
     cols = (entries[0], entries[2]), (entries[1], entries[3])
     member = [[_form(*r, x, y) for y in cols] for x in cols]
     return np.array([entries[:2], entries[2:]], dtype=np.complex128), np.array(member, dtype=np.complex128)

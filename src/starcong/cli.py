@@ -6,6 +6,10 @@ as JSON ``{"m":[["..",".."],["..",".."]]}``.  Exit codes: 0 success,
 1 domain refusal (no arrow, ambiguous classification), 2 usage or parse
 errors.  Output is byte-stable for fixed arguments and version.
 
+Under ``--format json`` every subcommand but selftest prints one report with
+the keys ``command``, ``version``, ``inputs`` and ``outputs`` in that order;
+``sample`` adds ``seed`` after ``version``.
+
 ``codim``, ``arrow`` and ``witness`` run on Python scalars and never import
 numpy; ``classify``, ``sample``, ``graph`` and ``selftest`` load it.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -26,7 +31,8 @@ from .errors import (
     NoArrow,
     StarcongError,
 )
-from .forms import _entries, format_complex, format_form, parse_complex, parse_form, forms_close, realize
+from .forms import (DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _entries, format_complex, format_form,
+                    forms_close, parse_complex, parse_form, realize)
 from .jsonutil import render_json
 from .perturb import _check_delta, no_arrow_certificate, sample_neighborhood, witness
 from .stratify import codimension, tangent_space_dim, versal_profile
@@ -51,21 +57,18 @@ def parse_matrix(text: str) -> np.ndarray:
     return np.array([parse_complex(str(e)) for row in rows for e in row], dtype=np.complex128).reshape(2, 2)
 
 
-def format_matrix(M: np.ndarray) -> str:
-    return _format_entries(M.ravel().tolist())
-
-
 def _format_entries(m) -> str:
     """``m00,m01;m10,m11`` for the entries (m00, m01, m10, m11) of a 2x2 matrix."""
     return ";".join(",".join(format_complex(z) for z in row) for row in (m[:2], m[2:]))
 
 
-def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        print(render_json(report))
+def _emit(args, inputs: dict, outputs: dict, lines, **head) -> int:
+    """Print the report envelope under ``--format json``, else the text ``lines``."""
+    if args.format == "json":
+        print(render_json({"command": args.cmd, "version": __version__, **head, "inputs": inputs, "outputs": outputs}))
     else:
-        for line in text_lines:
-            print(line)
+        print(*lines, sep="\n")
+    return 0
 
 
 def _cmd_classify(args) -> int:
@@ -75,33 +78,25 @@ def _cmd_classify(args) -> int:
     rep = classify(M, args.tol)
     cd = codimension(rep.form)
     form_text = format_form(rep.form)
-    report = {
-        "command": "classify",
-        "version": __version__,
-        "inputs": {"matrix": format_matrix(M), "tol": args.tol},
-        "outputs": {"form": form_text, "codim": cd, "margin": rep.margin, "scale": rep.scale},
-    }
-    _emit(report, args.format, [f"{form_text}  codim {cd}", f"margin {rep.margin:.17g}"])
-    return 0
+    return _emit(
+        args,
+        {"matrix": _format_entries(M.ravel().tolist()), "tol": args.tol},
+        {"form": form_text, "codim": cd, "margin": rep.margin, "scale": rep.scale},
+        [f"{form_text}  codim {cd}", f"margin {rep.margin:.17g}"],
+    )
 
 
 def _cmd_codim(args) -> int:
     form = parse_form(args.form)
     cd = codimension(form)
     profile = versal_profile(form)
-    report = {
-        "command": "codim",
-        "version": __version__,
-        "inputs": {"form": format_form(form)},
-        "outputs": {
-            "codim": cd,
-            "versal_grid": [list(row) for row in profile.grid],
-            "star_count": profile.star_count,
-            "eps_count": profile.eps_count,
-        },
+    outputs = {
+        "codim": cd,
+        "versal_grid": [list(row) for row in profile.grid],
+        "star_count": profile.star_count,
+        "eps_count": profile.eps_count,
     }
-    _emit(report, args.format, [str(cd)])
-    return 0
+    return _emit(args, {"form": format_form(form)}, outputs, [str(cd)])
 
 
 def _cmd_arrow(args) -> int:
@@ -122,14 +117,8 @@ def _cmd_arrow(args) -> int:
         cert = no_arrow_certificate(src, dst)
         outputs["certificate"] = cert.to_json_dict()
         lines.append(f"certificate: {cert.kind}  margin {cert.margin:.17g}")
-    report = {
-        "command": "arrow",
-        "version": __version__,
-        "inputs": {"source": format_form(src), "target": format_form(dst), "delta": args.delta},
-        "outputs": outputs,
-    }
-    _emit(report, args.format, lines)
-    return 0
+    inputs = {"source": format_form(src), "target": format_form(dst), "delta": args.delta}
+    return _emit(args, inputs, outputs, lines)
 
 
 def _cmd_witness(args) -> int:
@@ -137,68 +126,54 @@ def _cmd_witness(args) -> int:
     dst = parse_form(args.target)
     w = witness(src, dst, args.delta)
     perturbed = [m + e for m, e in zip(_entries(src), w.E_entries)]
-    report = {
-        "command": "witness",
-        "version": __version__,
-        "inputs": {"source": format_form(src), "target": format_form(dst), "delta": args.delta},
-        "outputs": {
-            "witness": w.to_json_dict(),
-            "perturbed": _format_entries(perturbed),
-            "certified_form": format_form(dst),
-        },
-    }
-    _emit(
-        report,
-        args.format,
+    return _emit(
+        args,
+        {"source": format_form(src), "target": format_form(dst), "delta": args.delta},
+        {"witness": w.to_json_dict(), "perturbed": _format_entries(perturbed), "certified_form": format_form(dst)},
         [
             f"E = {_format_entries(w.E_entries)}",
             f"||E|| = {w.norm_E:.17g} <= delta = {args.delta:.17g}",
             f"source + E lies in class {format_form(dst)}",
         ],
     )
-    return 0
 
 
 def _cmd_sample(args) -> int:
     form = parse_form(args.form)
     rep = sample_neighborhood(form, args.delta, args.samples, args.seed)
-    report = {
-        "command": "sample",
-        "version": __version__,
-        "seed": args.seed,
-        "inputs": {"form": format_form(form), "delta": args.delta, "samples": args.samples},
-        "outputs": rep.to_json_dict(),
-    }
     hist = "  ".join(f"{k}:{v}" for k, v in rep.histogram.items() if v)
     drift = "none" if rep.max_spectrum_drift is None else f"{rep.max_spectrum_drift:.17g}"
-    _emit(report, args.format, [f"histogram {hist}", f"max spectrum drift {drift}"])
-    return 0
+    return _emit(
+        args,
+        {"form": format_form(form), "delta": args.delta, "samples": args.samples},
+        rep.to_json_dict(),
+        [f"histogram {hist}", f"max spectrum drift {drift}"],
+        seed=args.seed,
+    )
 
 
 def _cmd_graph(args) -> int:
     forms = [parse_form(t) for t in args.forms]
     graph = hasse_subgraph(forms)
-    if args.format == "json":
-        report = {
-            "command": "graph",
-            "version": __version__,
-            "inputs": {"forms": [format_form(f) for f in forms]},
-            "outputs": {
-                "vertices": [format_form(v) for v in graph.vertices],
-                "edges": graph.edges.tolist(),
-            },
-        }
-        print(render_json(report))
-    else:
+    if args.format == "dot":
         sys.stdout.write(to_dot(graph))
-    return 0
+        return 0
+    outputs = {"vertices": [format_form(v) for v in graph.vertices], "edges": graph.edges.tolist()}
+    return _emit(args, {"forms": [format_form(f) for f in forms]}, outputs, [])
 
 
 def _cmd_selftest(args) -> int:
+    grid = _selftest_grid()
+    suites = (
+        ("codim table and deformation profiles", _codims_agree),
+        ("classification round-trips", lambda forms: _round_trips(forms, args.seed)),
+        ("witnesses and obstruction certificates", _arrows_certified),
+    )
     failures = 0
-    failures += _selftest_codim_table()
-    failures += _selftest_round_trip(args.seed)
-    failures += _selftest_certificates()
+    for name, passes in suites:
+        ok = passes(grid)
+        failures += not ok
+        print(f"{'ok' if ok else 'FAIL'}  {name}")
     if failures:
         print(f"FAIL  {failures} selftest suite(s) failed")
         return DOMAIN_ERROR
@@ -206,66 +181,42 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
-def _selftest_grid():
-    import math as _m
-
-    phases = [_m.pi * k / 7.0 + 0.05 for k in range(8)]
-    units = [complex(_m.cos(t), _m.sin(t)) for t in phases]
-    forms = [parse_form("zero")]
-    forms += [parse_form(f"udz({format_complex(u)})") for u in units[:4]]
-    forms += [parse_form(f"pair({format_complex(units[0])},{format_complex(units[3])})")]
-    forms += [parse_form(f"pair({format_complex(u)},{format_complex(u)})") for u in units[:2]]
-    forms += [parse_form(f"pair({format_complex(u)},{format_complex(-u)})") for u in units[:2]]
-    forms += [parse_form("hyp(0.3)"), parse_form("hyp(0.1+0.2i)")]
-    forms += [parse_form(f"delta({format_complex(u)})") for u in units[:4]]
-    return forms
+def _selftest_grid() -> list:
+    u = [complex(math.cos(t), math.sin(t)) for t in (math.pi * k / 7.0 + 0.05 for k in range(4))]
+    return [
+        Zero(), *map(UnitDirectZero, u),
+        UnitPair(u[0], u[3]), *(UnitPair(v, v) for v in u[:2]), *(UnitPair(v, -v) for v in u[:2]),
+        Hyperbolic(0.3), Hyperbolic(0.1 + 0.2j), *map(DeltaTau, u),
+    ]
 
 
-def _selftest_codim_table() -> int:
-    bad = 0
-    for form in _selftest_grid():
-        cd = codimension(form)
-        profile = versal_profile(form)
-        if cd != 8 - tangent_space_dim(realize(form)) or 2 * profile.star_count + profile.eps_count != cd:
-            bad += 1
-    print(("ok" if bad == 0 else "FAIL") + "  codim table and deformation profiles")
-    return 1 if bad else 0
+def _codims_agree(grid) -> bool:
+    return all(
+        codimension(form) == 8 - tangent_space_dim(realize(form)) == 2 * profile.star_count + profile.eps_count
+        for form, profile in zip(grid, map(versal_profile, grid))
+    )
 
 
-def _selftest_round_trip(seed: int) -> int:
+def _round_trips(grid, seed: int) -> bool:
     from .canonical import classify, random_congruence
 
-    bad = 0
-    for k, form in enumerate(_selftest_grid()):
-        got = classify(realize(form)).form
-        if not forms_close(got, form, 1e-9):
-            bad += 1
-        _, member = random_congruence(form, seed + k)
-        got = classify(member).form
-        if not forms_close(got, form, 1e-6):
-            bad += 1
-    print(("ok" if bad == 0 else "FAIL") + "  classification round-trips")
-    return 1 if bad else 0
+    return all(
+        forms_close(classify(realize(form)).form, form, 1e-9)
+        and forms_close(classify(random_congruence(form, seed + k)[1]).form, form, 1e-6)
+        for k, form in enumerate(grid)
+    )
 
 
-def _selftest_certificates() -> int:
-    bad = 0
-    grid = _selftest_grid()
-    for src in grid:
-        for dst in grid:
-            if src == dst:
-                continue
-            try:
-                if reachable(src, dst):
-                    witness(src, dst, 1e-4)
-                else:
-                    cert = no_arrow_certificate(src, dst)
-                    if not cert.margin > 0:
-                        bad += 1
-            except StarcongError:
-                bad += 1
-    print(("ok" if bad == 0 else "FAIL") + "  witnesses and obstruction certificates")
-    return 1 if bad else 0
+def _arrows_certified(grid) -> bool:
+    try:
+        for src, dst in ((s, d) for s in grid for d in grid if s != d):
+            if reachable(src, dst):
+                witness(src, dst, 1e-4)
+            elif not no_arrow_certificate(src, dst).margin > 0:
+                return False
+    except StarcongError:
+        return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

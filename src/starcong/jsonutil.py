@@ -1,15 +1,15 @@
 """Byte-stable JSON rendering.
 
 Field order is insertion order, reals are printed with 17 significant digits
-(so they re-parse to the same float), complex values use the package's
-complex-literal grammar as strings.
+(so they re-parse to the same float), and complex values must arrive as
+strings in the package's complex-literal grammar (``forms.format_complex``).
 """
 
 from __future__ import annotations
 
 import json
 
-from .forms import format_complex, format_real
+from .forms import format_real
 
 
 def render_json(value, indent: int = 0) -> str:
@@ -25,8 +25,6 @@ def render_json(value, indent: int = 0) -> str:
         if value != value or value in (float("inf"), float("-inf")):
             return json.dumps(str(value))
         return format_real(value)
-    if isinstance(value, complex):
-        return json.dumps(format_complex(value))
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):

@@ -262,11 +262,11 @@ def test_printed_matrices_reparse():
     import numpy as np
 
     w = witness(Zero(), DeltaTau(1), 1e-3)
-    from starcong.cli import format_matrix
+    from starcong.cli import _format_entries
 
     M = realize(Zero()) + w.E
-    assert np.array_equal(parse_matrix(format_matrix(M)), M)
-    assert np.array_equal(parse_matrix(format_matrix(w.E)), w.E)
+    assert np.array_equal(parse_matrix(_format_entries(M.ravel().tolist())), M)
+    assert np.array_equal(parse_matrix(_format_entries(w.E.ravel().tolist())), w.E)
 
 
 def test_graph_golden_file():
@@ -331,6 +331,19 @@ def test_selftest():
     assert "ok" in res.stdout
     # selftest prints text only; it has no --format option
     assert run_cli("selftest", "--format", "json").returncode == 2
+
+
+def test_selftest_reports_a_failing_suite(monkeypatch, capsys):
+    from starcong import cli
+
+    monkeypatch.setattr(cli, "tangent_space_dim", lambda M: -1)
+    assert cli.main(["selftest"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  codim table and deformation profiles",
+        "ok  classification round-trips",
+        "ok  witnesses and obstruction certificates",
+        "FAIL  1 selftest suite(s) failed",
+    ]
 
 
 def test_usage_error_exit_code():
@@ -411,3 +424,17 @@ def test_fresh_process_prints_what_main_prints(args):
     res = run_cli(*args)
     assert code == 0
     assert res.returncode == 0 and res.stdout == buf.getvalue()
+
+
+@pytest.mark.parametrize("args", [args for args in PROCESS_CASES if "json" in args] + [
+    ("graph", "zero", "udz(1)", "hyp(0)", "--format", "json"),
+])
+def test_json_report_envelope(args, capsys):
+    from starcong import __version__
+    from starcong.cli import main
+
+    assert main(list(args)) == 0
+    report = json.loads(capsys.readouterr().out)
+    head = ["command", "version", "seed"] if args[0] == "sample" else ["command", "version"]
+    assert list(report) == head + ["inputs", "outputs"]
+    assert report["command"] == args[0] and report["version"] == __version__
