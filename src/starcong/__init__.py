@@ -6,8 +6,8 @@ named obstruction certificates, and deterministic neighborhood sampling.
 
 Importing the package imports none of its modules: each public name is listed
 once in ``_PUBLIC`` with its home module, which is imported when the name is
-first used.  numpy is loaded by ``canonical``, the classifier, and elsewhere
-only inside the functions that build or read arrays.
+first used.  numpy is loaded only inside the functions that build or read
+arrays, so the classifier on Python numbers runs without it.
 """
 
 from importlib import import_module

@@ -28,6 +28,10 @@ Inside this module a 2x2 matrix is the tuple of its entries (m00, m01, m10,
 m11): Python complex scalars in classify, arrays over the stack in
 classify_many.  The kernels the two share take either; the norm and the
 form x* A y come from ``linalg``.  classify and classify_many reject NaN/Inf.
+
+classify reads two rows of Python floats or complex numbers, as ``starcong
+classify`` passes them, without numpy.  numpy is imported only inside the
+functions that build or read arrays, so a ``classify`` process never loads it.
 """
 
 from __future__ import annotations
@@ -36,11 +40,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AmbiguousClassification, InvalidInput
 from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _entries
-from .linalg import EPS, _form, _norm4, as_mat2, hermitian_eigenvalues
+from .linalg import EPS, _form, _mat2_entries, _norm4, hermitian_eigenvalues
 from .rng import seeded_rng
 
 #: Ambiguity cutoff as a fraction of the requested tolerance.  Exact
@@ -80,10 +82,9 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     every matrix to the rank <= 1 branch.  Raises AmbiguousClassification
     when the input is closer than ``tol / 2`` to a decision boundary.
     """
-    A = as_mat2(A)
+    entries = _mat2_entries(A)
     if not 0.0 < tol < 0.5:
         raise InvalidInput("tol must lie in (0, 0.5)")
-    entries = A.ravel().tolist()
     scale = _norm4(*entries)
     if scale == 0.0:
         return ClassificationReport(Zero(), math.inf, 0.0)
@@ -140,6 +141,8 @@ def _prescale(entries):
     if isinstance(entries, list):
         e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
         return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in entries]
+    import numpy as np
+
     parts = entries.view(np.float64)
     e = np.frexp(np.max(np.abs(parts), axis=(1, 2)))[1]
     return np.ldexp(parts, -e[:, None, None]).view(np.complex128)
@@ -297,6 +300,8 @@ def classify_many(As: np.ndarray) -> dict:
     FAMILY_CODES, with sub-tolerance margins mapped to "boundary"), margins,
     and the cosquare eigenvalues, the larger modulus first (NaN if singular).
     """
+    import numpy as np
+
     As = np.ascontiguousarray(As, dtype=np.complex128)
     if As.ndim != 3 or As.shape[1:] != (2, 2):
         raise InvalidInput("expected an (n, 2, 2) array")
@@ -366,6 +371,8 @@ def random_congruence(form: CanonicalForm, seed: int):
     the complex unit square, resampled until cond(S) <= 20.
     Deterministic per seed.
     """
+    import numpy as np
+
     rng = seeded_rng(seed)
     while True:
         entries = [complex(rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)) for _ in range(4)]

@@ -10,8 +10,8 @@ Under ``--format json`` every subcommand but selftest prints one report with
 the keys ``command``, ``version``, ``inputs`` and ``outputs`` in that order;
 ``sample`` adds ``seed`` after ``version``.
 
-``codim``, ``arrow`` and ``witness`` run on Python scalars and never import
-numpy; ``classify``, ``sample``, ``graph`` and ``selftest`` load it.
+``classify``, ``codim``, ``arrow`` and ``witness`` run on Python scalars and
+never import numpy; ``sample``, ``graph`` and ``selftest`` load it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
 
-def parse_matrix(text: str) -> np.ndarray:
+def parse_matrix(text: str) -> list[list[complex]]:
     text = text.strip()
     if text.startswith("{"):
         try:
@@ -52,9 +52,7 @@ def parse_matrix(text: str) -> np.ndarray:
         rows = [r.split(",") for r in text.split(";")]
     if not (type(rows) is list and len(rows) == 2 and all(type(r) is list and len(r) == 2 for r in rows)):
         raise FormSyntaxError("matrix must have 2 rows of 2 entries")
-    import numpy as np
-
-    return np.array([parse_complex(str(e)) for row in rows for e in row], dtype=np.complex128).reshape(2, 2)
+    return [[parse_complex(str(e)) for e in row] for row in rows]
 
 
 def _format_entries(m) -> str:
@@ -80,7 +78,7 @@ def _cmd_classify(args) -> int:
     form_text = format_form(rep.form)
     return _emit(
         args,
-        {"matrix": _format_entries(M.ravel().tolist()), "tol": args.tol},
+        {"matrix": _format_entries(M[0] + M[1]), "tol": args.tol},
         {"form": form_text, "codim": cd, "margin": rep.margin, "scale": rep.scale},
         [f"{form_text}  codim {cd}", f"margin {rep.margin:.17g}"],
     )

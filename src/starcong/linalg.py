@@ -7,6 +7,9 @@ quadratic-formula eigensolver, row-reduction rank over the reals, and the
 eigenvalues of a Hermitian 2x2 matrix.  ``as_mat2``, ``eigenvalues2``,
 ``inverse2`` and ``real_rank`` reject NaN/Inf, ``as_mat2`` by ``cmath.isfinite``
 on its four entries as Python complex; the kernels do not check.
+``_mat2_entries``, classify's reader, takes two rows of Python floats or
+complex numbers without numpy, with the same check, and hands any other input
+to ``as_mat2``.
 
 numpy is imported inside the functions that build or read arrays, so the
 scalar kernels load without it.
@@ -35,6 +38,22 @@ def as_mat2(A) -> np.ndarray:
     if not all(map(cmath.isfinite, M.ravel().tolist())):
         raise InvalidInput("matrix contains NaN or Inf entries")
     return M
+
+
+def _mat2_entries(A) -> list[complex]:
+    """The entries [m00, m01, m10, m11] of the 2x2 matrix ``A`` as Python complex.
+
+    Two rows of two Python floats or complex numbers are read as they are,
+    which equals numpy's conversion bit for bit; any other input goes through
+    as_mat2 and so fails with its messages."""
+    if type(A) in (list, tuple) and len(A) == 2 and all(type(row) in (list, tuple) and len(row) == 2 for row in A):
+        entries = [*A[0], *A[1]]
+        if all(type(z) in (float, complex) for z in entries):
+            entries = [complex(z) for z in entries]
+            if not all(map(cmath.isfinite, entries)):
+                raise InvalidInput("matrix contains NaN or Inf entries")
+            return entries
+    return as_mat2(A).ravel().tolist()
 
 
 def _check_scalar(z: complex, name: str = "value") -> complex:

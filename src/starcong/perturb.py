@@ -465,7 +465,7 @@ def sample_neighborhood(
     that of the source representative is aggregated per family.  Samples are
     drawn and classified in chunks of SAMPLE_CHUNK, so memory stays bounded.
     Deterministic per (seed, samples, version); the first k samples do not
-    depend on n, the number of samples drawn.
+    depend on n, the number of samples drawn.  ``seed`` must lie in [0, 2^64).
     """
     import numpy as np
 
@@ -474,6 +474,8 @@ def sample_neighborhood(
     _check_delta(delta)
     if not 0 <= samples <= 10**7:
         raise InvalidInput("samples must lie in [0, 10^7]")
+    if not 0 <= seed < 2**64:  # the generator reads the seed modulo 2^64
+        raise InvalidInput("seed must lie in [0, 2^64)")
     R = realize(source)
     fam = np.empty(samples, dtype=np.int8)
     spectrum = _cosquare_spectrum(source)

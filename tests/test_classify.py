@@ -329,6 +329,36 @@ def test_random_congruence_cond_bound():
         assert np.linalg.cond(S) <= 20.0 * (1 + 1e-9)
 
 
+def _outcome(A):
+    """classify's answer to ``A`` down to the bits, or the text of its refusal."""
+    try:
+        rep = classify(A)
+    except AmbiguousClassification as exc:
+        return str(exc)
+    return repr(rep.form), repr(rep.margin), repr(rep.scale)
+
+
+def test_nested_lists_classify_as_arrays_do():
+    # classify reads two rows of Python complex without numpy, as the CLI
+    # passes them, and any other input through as_mat2: the bits must agree,
+    # also on members 1e-8..1e-12 off a representative, some of them refused
+    near_rng = np.random.default_rng(5)
+    mats = []
+    for k, form in enumerate(form_grid()):
+        mats.append(realize(form))
+        mats += [random_congruence(form, seed=100 * k + s)[1] for s in range(5)]
+        for e in range(8, 13):
+            E = near_rng.standard_normal((2, 2)) + 1j * near_rng.standard_normal((2, 2))
+            mats.append(realize(form) + 10.0**-e * E / np.linalg.norm(E))
+    refused = 0
+    for A in mats:
+        want = _outcome(A)
+        refused += isinstance(want, str)
+        assert _outcome(A.tolist()) == want
+        assert _outcome(tuple(map(tuple, A.tolist()))) == want
+    assert 0 < refused < len(mats) // 4
+
+
 def test_classify_many_matches_scalar():
     mats = []
     for k, form in enumerate(form_grid(8)):

@@ -308,6 +308,15 @@ def test_sample_command_deterministic_bytes():
     assert a.stdout != c.stdout
 
 
+@pytest.mark.parametrize("seed, code", [("0", 0), ("18446744073709551615", 0),
+                                        ("-1", 2), ("18446744073709551616", 2), ("18446744073709551617", 2)])
+def test_sample_seed_range(seed, code, capsys):
+    from starcong.cli import main
+
+    assert main(["sample", "zero", "--samples", "10", "--seed", seed]) == code
+    assert capsys.readouterr().err == ("error: seed must lie in [0, 2^64)\n" if code else "")
+
+
 @pytest.mark.parametrize("delta", ["0", "nan", "0.2"])
 def test_witness_bad_delta_is_usage_error(delta):
     # an arrow with a witness, and a non-arrow that needs none
@@ -370,9 +379,17 @@ argv = sys.argv[1:]
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    assert code == 0, code
+    print(code)
 print("numpy" in sys.modules)
 """
+
+
+def run_no_numpy_probe(*args):
+    """Run ``cli.main(args)`` in a fresh process; its stdout is the exit code, if any, and whether numpy loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE, *args],
+                          capture_output=True, text=True, env=env, timeout=300)
 
 
 @pytest.mark.parametrize("args", [
@@ -385,14 +402,21 @@ print("numpy" in sys.modules)
     ("arrow", "pair(1,-1)", "delta(1i)"),                       # DetPhaseGap
     ("witness", "zero", "hyp(0.3)"),
     ("witness", "udz(1)", "delta(1)", "--format", "json"),
+    ("classify", "0,1;1,1i"),                                   # inline, delta(1)
+    ("classify", '{"m":[["0","1"],["1","1i"]]}', "--format", "json"),
+    ("classify", "0,0;0,0"),                                    # the zero branch
 ])
 def test_scalar_commands_leave_numpy_unloaded(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    res = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE, *args],
-                         capture_output=True, text=True, env=env, timeout=300)
+    res = run_no_numpy_probe(*args)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\n"
+    assert res.stdout == ("0\n" if args else "") + "False\n"
+
+
+def test_classify_refuses_nonfinite_input_without_numpy():
+    res = run_no_numpy_probe("classify", "1e309,0;0,1")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "2\nFalse\n"
+    assert res.stderr == "error: matrix contains NaN or Inf entries\n"
 
 
 #: One call per subcommand line of the cli-process benchmark rotation.
@@ -410,8 +434,8 @@ PROCESS_CASES = [
 
 @pytest.mark.parametrize("args", PROCESS_CASES)
 def test_fresh_process_prints_what_main_prints(args):
-    # this process has numpy loaded; a fresh `codim`, `arrow` or `witness`
-    # process does not, and must print the same bytes
+    # this process has numpy loaded; a fresh `classify`, `codim`, `arrow` or
+    # `witness` process does not, and must print the same bytes
     import contextlib
     import io
 

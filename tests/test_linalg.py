@@ -5,7 +5,7 @@ import pytest
 
 from starcong import InvalidInput, classify, classify_many, real_rank, tangent_space_dim
 from starcong.errors import SingularMatrix
-from starcong.linalg import _form, _norm4, as_mat2, eigenvalues2, hermitian_eigenvalues, inverse2
+from starcong.linalg import _form, _mat2_entries, _norm4, as_mat2, eigenvalues2, hermitian_eigenvalues, inverse2
 
 DELTA2 = np.array([[0, 1], [1, 1j]])
 
@@ -190,3 +190,23 @@ def test_as_mat2_returns_a_fresh_array(A):
     assert type(M) is np.ndarray and M.dtype == np.complex128 and M.shape == (2, 2)
     M[0, 0] = 7
     assert np.asarray(A)[0, 0] != 7
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0, 1.0], [1.0, 1j]],
+    ((-0.0, complex(0.0, -0.0)), (1e-320, 2.5 - 1e300j)),
+    [[1, 2], [3, 4j]],                                          # int: through as_mat2
+    [[np.float64(0.5), 1j], [True, np.complex128(1 - 1j)]],      # numpy scalars, bool
+    np.eye(2),
+])
+def test_mat2_entries_equal_as_mat2_bits(A):
+    got = _mat2_entries(A)
+    assert all(type(z) is complex for z in got)
+    assert [repr(z) for z in got] == [repr(z) for z in as_mat2(A).ravel().tolist()]
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), float("-inf"), float("nan")])
+def test_mat2_entries_reject_nonfinite_lists(bad):
+    for A in ([[1.0, 0.0], [bad, 1.0]], ((1.0, 0.0), (bad, 1.0))):
+        with pytest.raises(InvalidInput, match=r"^matrix contains NaN or Inf entries$"):
+            _mat2_entries(A)

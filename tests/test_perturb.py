@@ -474,6 +474,13 @@ def test_sample_neighborhood_validates():
         sample_neighborhood(Zero(), 0.2, 10, seed=0)
     with pytest.raises(InvalidInput):
         sample_neighborhood(Zero(), 1e-3, 10**7 + 1, seed=0)
+    # the generator reads a seed modulo 2^64, so seeds 1 and 2^64 + 1 would draw
+    # the same samples under different ``seed`` keys
+    for seed in (0, 2**64 - 1):
+        assert sample_neighborhood(Zero(), 1e-3, 10, seed=seed).seed == seed
+    for seed in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(InvalidInput, match=r"^seed must lie in \[0, 2\^64\)$"):
+            sample_neighborhood(Zero(), 1e-3, 10, seed=seed)
 
 
 def test_ball_sample_uniform_moments():
