@@ -134,18 +134,25 @@ def _classify_rank1(a, b, c, d, tol, slacks):
 
 def _prescale(entries):
     """The entries times 2^-e, e the binary exponent of their largest real or
-    imaginary part: a list of four Python complex, or an (n, 2, 2) stack scaled
-    matrix by matrix.  Exact outside the subnormal range; afterwards every
-    modulus is below sqrt(2) and the largest at least 1/2, so no square
-    overflows and none that matters underflows."""
+    imaginary part: a list of four Python complex, or a contiguous (n, 2, 2)
+    stack scaled matrix by matrix and returned as its four entry columns.
+    Exact outside the subnormal range; afterwards every modulus is below
+    sqrt(2) and the largest at least 1/2, so no square overflows and none that
+    matters underflows."""
     if isinstance(entries, list):
         e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
         return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in entries]
     import numpy as np
 
-    parts = entries.view(np.float64)
-    e = np.frexp(np.max(np.abs(parts), axis=(1, 2)))[1]
-    return np.ldexp(parts, -e[:, None, None]).view(np.complex128)
+    parts = entries.view(np.float64).reshape(len(entries), 8)
+    # the row maximum as column-wise maxima: a reduction over the 8 parts of a
+    # row costs many times the same comparisons made across the stack
+    absparts = np.abs(parts)
+    largest = absparts[:, 0].copy()
+    for j in range(1, 8):
+        np.maximum(largest, absparts[:, j], out=largest)
+    e = np.frexp(largest)[1]
+    return tuple(np.ldexp(parts, -e[:, None]).view(np.complex128).T)
 
 
 def _rank1_residual(a, b, c, d):
@@ -312,15 +319,15 @@ def classify_many(As: np.ndarray) -> dict:
     margin = np.full(len(As), np.inf)
     p_out, q_out = np.full((2, len(As)), np.nan, dtype=np.complex128)
 
-    As = _prescale(As)
-    scale = np.sqrt(np.sum(np.abs(As) ** 2, axis=(1, 2)))
+    entries = _prescale(As)
+    scale = _norm4(*entries)
     nonzero = scale > 0.0
     if not np.any(nonzero):
         return {"family": fam, "margin": margin, "p": p_out, "q": q_out}
 
-    An = np.where(nonzero[:, None, None], As / np.where(nonzero, scale, 1.0)[:, None, None], 0.0)
-    a, b = An[:, 0, 0], An[:, 0, 1]
-    c, d = An[:, 1, 0], An[:, 1, 1]
+    # zero rows divide by 1; every output masks them
+    divisor = np.where(nonzero, scale, 1.0)
+    a, b, c, d = (m / divisor for m in entries)
     det, absdet, h, r, nr, rho2, n_rho2 = _invariants(a, b, c, d)
     margin = np.minimum(margin, np.where(nonzero, np.abs(absdet - tol - _E), np.inf))
 
@@ -369,10 +376,12 @@ def random_congruence(form: CanonicalForm, seed: int):
 
     Returns (S, S* realize(form) S) where S has entries drawn uniformly from
     the complex unit square, resampled until cond(S) <= 20.
-    Deterministic per seed.
+    Deterministic per seed, which must lie in [0, 2^64).
     """
     import numpy as np
 
+    if not 0 <= seed < 2**64:  # the generator reads the seed modulo 2^64
+        raise InvalidInput("seed must lie in [0, 2^64)")
     rng = seeded_rng(seed)
     while True:
         entries = [complex(rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)) for _ in range(4)]

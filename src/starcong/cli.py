@@ -162,6 +162,8 @@ def _cmd_graph(args) -> int:
 
 def _cmd_selftest(args) -> int:
     grid = _selftest_grid()
+    if not 0 <= args.seed <= 2**64 - len(grid):  # the round trips use seeds seed .. seed + len(grid) - 1
+        raise InvalidInput(f"seed must lie in [0, 2^64 - {len(grid)}]")
     suites = (
         ("codim table and deformation profiles", _codims_agree),
         ("classification round-trips", lambda forms: _round_trips(forms, args.seed)),

@@ -393,38 +393,47 @@ def _ball_sample(seed: int, samples: int, delta: float, start: int = 0) -> np.nd
     (Dirichlet(1, ..., 1) weights), and each phase is a point of the unit
     disk found by rejection (acceptance pi/4), normalized.  Only + - * / and
     sqrt are used, so the draws are bit-reproducible across platforms.
+
+    The work runs on whole-chunk arrays, one per coordinate: a five-comparator
+    min/max network sorts the uniforms and three subtractions take the
+    spacings, both exact.  Each entry's first disk draw covers the chunk;
+    only the rejected samples (about 21.5%) are gathered, redrawn from their
+    own sub-streams and scattered back, round after round, so a sample's
+    draws are those a loop over its sub-stream alone would make.
     """
     import numpy as np
 
     states = substream_seeds(seed, samples, start)
-    u = np.empty((samples, 4))
-    for k in range(4):
-        states, u[:, k] = uniform_step(states)
-    u.sort(axis=1)
-    weights = np.diff(u, axis=1, prepend=0.0)
-
-    re = np.empty((samples, 4))
-    im = np.empty((samples, 4))
-    for k in range(4):
-        pending = np.arange(samples)
-        while pending.size:
-            active, ux = uniform_step(states[pending])
-            active, uy = uniform_step(active)
-            states[pending] = active
-            x = 2.0 * ux - 1.0
-            y = 2.0 * uy - 1.0
-            r2 = x * x + y * y
-            ok = (r2 > 0.0) & (r2 <= 1.0)
-            idx = pending[ok]
-            scale = np.sqrt(weights[idx, k]) / np.sqrt(r2[ok])
-            re[idx, k] = x[ok] * scale
-            im[idx, k] = y[ok] * scale
-            pending = pending[~ok]
+    u = []
+    for _ in range(4):
+        states, uk = uniform_step(states)
+        u.append(uk)
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        u[i], u[j] = np.minimum(u[i], u[j]), np.maximum(u[i], u[j])
+    weights = (u[0], u[1] - u[0], u[2] - u[1], u[3] - u[2])
 
     E = np.empty((samples, 4), dtype=np.complex128)
-    E.real = delta * re
-    E.imag = delta * im
+    for k, w in enumerate(weights):
+        states, x, y, r2, rejected = _disk_draw(states)
+        pending = np.flatnonzero(rejected)
+        while pending.size:
+            states[pending], x[pending], y[pending], r2[pending], rejected = _disk_draw(states[pending])
+            pending = pending[rejected]
+        scale = np.sqrt(w) / np.sqrt(r2)
+        E.real[:, k] = delta * (x * scale)
+        E.imag[:, k] = delta * (y * scale)
     return E.reshape(samples, 2, 2)
+
+
+def _disk_draw(states: np.ndarray) -> tuple:
+    """One point (x, y) of the square [-1, 1)^2 per state: (new states, x, y,
+    r2 = x^2 + y^2, rejected), a point being rejected unless 0 < r2 <= 1."""
+    states, ux = uniform_step(states)
+    states, uy = uniform_step(states)
+    x = 2.0 * ux - 1.0
+    y = 2.0 * uy - 1.0
+    r2 = x * x + y * y
+    return states, x, y, r2, ~((r2 > 0.0) & (r2 <= 1.0))
 
 
 def _spectrum_drift(p: np.ndarray, q: np.ndarray, p0: complex, q0: complex) -> np.ndarray:
@@ -487,7 +496,8 @@ def sample_neighborhood(
         if drift is not None:
             drift[lo:hi] = _spectrum_drift(res["p"], res["q"], *spectrum)
 
-    histogram = {name: int(np.count_nonzero(fam == code)) for code, name in enumerate(FAMILY_CODES)}
+    counts = np.bincount(fam, minlength=len(FAMILY_CODES))
+    histogram = {name: int(count) for name, count in zip(FAMILY_CODES, counts)}
 
     drift_by_family: dict[str, dict] = {}
     max_drift = None

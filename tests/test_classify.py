@@ -254,6 +254,78 @@ def test_classify_many_serves_every_scale():
     assert sample_neighborhood(Zero(), 1e-170, 1000, seed=1).histogram["zero"] == 0
 
 
+def _classify_many_by_stack_reductions(As):
+    """classify_many as of 0.9.0, which prescaled and normalized the (n, 2, 2)
+    stack with reductions over axes (1, 2): the reference for its column-wise
+    front.  The kernels after the front are the package's."""
+    from starcong.canonical import _E, _coincidence, _departure, _invariants, _rank1_residual
+
+    tol = 1e-9
+    fam = np.zeros(len(As), dtype=np.int64)
+    margin = np.full(len(As), np.inf)
+    p_out, q_out = np.full((2, len(As)), np.nan, dtype=np.complex128)
+    parts = As.view(np.float64)
+    e = np.frexp(np.max(np.abs(parts), axis=(1, 2)))[1]
+    As = np.ldexp(parts, -e[:, None, None]).view(np.complex128)
+    scale = np.sqrt(np.sum(np.abs(As) ** 2, axis=(1, 2)))
+    nonzero = scale > 0.0
+    An = np.where(nonzero[:, None, None], As / np.where(nonzero, scale, 1.0)[:, None, None], 0.0)
+    a, b, c, d = An[:, 0, 0], An[:, 0, 1], An[:, 1, 0], An[:, 1, 1]
+    det, absdet, h, r, nr, rho2, n_rho2 = _invariants(a, b, c, d)
+    margin = np.minimum(margin, np.where(nonzero, np.abs(absdet - tol - _E), np.inf))
+    singular = nonzero & (absdet <= tol + _E)
+    resid = _rank1_residual(a, b, c, d)
+    margin = np.where(singular, np.minimum(margin, np.abs(resid - tol - 2.0 * _E)), margin)
+    fam = np.where(singular, np.where(resid <= tol + 2.0 * _E, 1, 3), fam)
+    nonsing = nonzero & (absdet > tol + _E)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, rel, threshold, slack = _coincidence(h, rho2, n_rho2, tol)
+        margin = np.where(nonsing, np.minimum(margin, slack), margin)
+        distinct = nonsing & (rel > threshold)
+        coincident = nonsing & ~distinct
+        fam = np.where(distinct, np.where(rho2 > 0.0, 3, 2), fam)
+        j_threshold, j_slack = _departure(absdet, h, nr, tol)
+        margin = np.where(coincident, np.minimum(margin, j_slack), margin)
+        fam = np.where(coincident, np.where(nr <= j_threshold, 2, 4), fam)
+        hyp = rho2 > 0.0
+        h_root = h + np.where(hyp, np.copysign(t, h), 1j * t)
+        q = det / h_root
+        p_out = np.where(nonsing, np.where(hyp, 1.0 / q.conjugate(), h_root / det.conjugate()), p_out)
+        q_out = np.where(nonsing, q, q_out)
+    fam = np.where(nonzero & (margin < AMBIG_FRACTION * tol), 5, fam)
+    return {"family": fam, "margin": margin, "p": p_out, "q": q_out}
+
+
+def test_classify_many_columns_match_stack_reductions():
+    # the column-wise prescale and norm give the bits of the stack reductions
+    # at every binary exponent, on zero, signed-zero and subnormal rows, and
+    # near every boundary of the tree
+    near_rng = np.random.default_rng(11)
+    mats = [np.eye(2), [[0, 1], [0.3, 0]], [[1, 0], [0, 0]], [[1, 0.01], [0, 0]]]
+    mats += [random_congruence(form, seed=k)[1] for k, form in enumerate(form_grid(1))]
+    for form in form_grid(2):
+        for e in range(3, 13):
+            E = near_rng.standard_normal((2, 2)) + 1j * near_rng.standard_normal((2, 2))
+            mats.append(realize(form) + 10.0**-e * E)
+    stack = np.array(mats, dtype=complex)
+    sweep = [np.ldexp(stack.view(np.float64), k).view(np.complex128) for k in range(-1070, 1024)]
+    z, s = -0.0, 5e-324
+    special = np.array([
+        [[0, 0], [0, 0]],
+        [[complex(z, z), complex(0, z)], [complex(z, 0), complex(z, z)]],
+        [[s, 0], [0, 0]],
+        [[complex(-s, 1e-320), complex(z, s)], [complex(s, z), 2e-310]],
+        [[s, s], [s, complex(0, s)]],
+    ], dtype=complex)
+    As = np.concatenate(sweep + [special])
+    want = _classify_many_by_stack_reductions(As)
+    got = classify_many(As)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
 def test_ambiguous_near_rank_boundary():
     # relative determinant just inside the ambiguity window around tol
     A = np.diag([1.0, 1.2e-9]).astype(complex)
@@ -316,6 +388,18 @@ def test_random_congruence_deterministic():
     np.testing.assert_array_equal(B1, B2)
     S3, _ = random_congruence(form, seed=10)
     assert not np.array_equal(S1, S3)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_random_congruence_seed_range(seed):
+    # the generator reads its seed modulo 2^64, so -1 would alias 2^64 - 1
+    with pytest.raises(InvalidInput, match=r"seed must lie in \[0, 2\^64\)"):
+        random_congruence(Zero(), seed)
+
+
+def test_random_congruence_top_seed():
+    S, _ = random_congruence(UnitPair(1, -1), 2**64 - 1)
+    assert not np.array_equal(S, random_congruence(UnitPair(1, -1), 0)[0])
 
 
 def test_random_congruence_zero():

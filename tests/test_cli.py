@@ -355,6 +355,19 @@ def test_selftest_reports_a_failing_suite(monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize("seed, code", [("0", 0), ("18446744073709551600", 0), ("-1", 2),
+                                        ("18446744073709551601", 2), ("18446744073709551616", 2)])
+def test_selftest_seed_range(seed, code, capsys):
+    # the round trips draw the 16 grid members from seeds seed .. seed + 15,
+    # which must all lie in [0, 2^64); the top seed is 2^64 - 16
+    from starcong.cli import main
+
+    assert main(["selftest", "--seed", seed]) == code
+    out = capsys.readouterr()
+    assert out.err == ("error: seed must lie in [0, 2^64 - 16]\n" if code else "")
+    assert out.out.endswith("ok  all selftest suites passed\n") if code == 0 else out.out == ""
+
+
 def test_usage_error_exit_code():
     assert run_cli("no-such-command").returncode == 2
     assert run_cli().returncode == 2

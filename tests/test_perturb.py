@@ -500,27 +500,36 @@ def test_ball_sample_uniform_moments():
 
 def test_ball_sample_matches_scalar_stream():
     # sample i: 4 sorted uniforms give the squared moduli as spacings, then one
-    # disk-rejection phase per entry, all from sub-stream i
+    # disk-rejection phase per entry, all from sub-stream start + i; a whole
+    # chunk and five more samples, from an offset
     import math
 
-    from starcong.perturb import _ball_sample
+    from starcong.perturb import SAMPLE_CHUNK, _ball_sample
     from test_rng import substream_seed
 
-    delta = 1e-3
-    E = _ball_sample(9, 40, delta)
-    for i in range(40):
-        rng = SplitMix64(substream_seed(9, i))
+    delta, start, n = 1e-3, 3, SAMPLE_CHUNK + 5
+    E = _ball_sample(9, n, delta, start)
+    expected, rounds = [], []
+    for i in range(n):
+        rng = SplitMix64(substream_seed(9, start + i))
         u = sorted(rng.uniform() for _ in range(4))
         weights = [b - a for a, b in zip([0.0] + u, u)]
-        for k, w in enumerate(weights):
+        for w in weights:
+            draws = 0
             while True:
+                draws += 1
                 x = 2.0 * rng.uniform() - 1.0
                 y = 2.0 * rng.uniform() - 1.0
                 r2 = x * x + y * y
                 if 0.0 < r2 <= 1.0:
                     break
+            rounds.append(draws)
             scale = math.sqrt(w) / math.sqrt(r2)
-            assert E[i, k // 2, k % 2] == complex(delta * (x * scale), delta * (y * scale))
+            expected.append(complex(delta * (x * scale), delta * (y * scale)))
+    assert np.array(expected).tobytes() == E.tobytes()
+    # the sampler redraws until its last pending entry is accepted: the
+    # deepest entries here need 8 draws, so every redraw round is compared
+    assert max(rounds) == 8
 
 
 def test_ball_sample_prefix_and_offset():
