@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import AmbiguousClassification, InvalidInput
-from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _entries
+from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _entries, _Record
 from .linalg import EPS, _form, _mat2_entries, _norm4, hermitian_eigenvalues
 from .rng import seeded_rng
 
@@ -66,11 +65,13 @@ _U = EPS / 2.0
 _E = 8.0 * _U
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    form: CanonicalForm
-    margin: float
-    scale: float
+class ClassificationReport(_Record):
+    __match_args__ = ("form", "margin", "scale")
+
+    def __init__(self, form: CanonicalForm, margin: float, scale: float):
+        d = self.__dict__
+        d["form"], d["margin"], d["scale"] = form, margin, scale
+        d["_key"] = (form, margin, scale)
 
 
 def classify(A, tol: float = 1e-9) -> ClassificationReport:

@@ -4,14 +4,20 @@ Subcommands: classify, codim, arrow, witness, sample, graph, selftest.
 Matrices are written inline as ``a11,a12;a21,a22`` with complex literals, or
 as JSON ``{"m":[["..",".."],["..",".."]]}``.  Exit codes: 0 success,
 1 domain refusal (no arrow, ambiguous classification), 2 usage or parse
-errors.  Output is byte-stable for fixed arguments and version.
+errors, 141 (128 + SIGPIPE) when the reader of stdout went away before the
+output was written.  Output is byte-stable for fixed arguments and version.
 
 Under ``--format json`` every subcommand but selftest prints one report with
 the keys ``command``, ``version``, ``inputs`` and ``outputs`` in that order;
 ``sample`` adds ``seed`` after ``version``.
 
-``classify``, ``codim``, ``arrow`` and ``witness`` run on Python scalars and
-never import numpy; ``sample``, ``graph`` and ``selftest`` load it.
+Every subcommand loads ``forms``, ``stratify``, ``linalg``, ``errors`` and
+``jsonutil``.  Each handler imports what else it runs: ``codim`` nothing
+more; ``classify`` ``canonical`` (with ``rng``); ``arrow`` and ``witness``
+``perturb`` (with ``closure`` and ``rng``); ``graph`` ``closure``; ``sample``
+``perturb`` and ``canonical``; ``selftest`` all of these.  ``classify``,
+``codim``, ``arrow`` and ``witness`` run on Python scalars and never import
+numpy; ``sample``, ``graph`` and ``selftest`` load it.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
-from .closure import hasse_subgraph, reachable, to_dot
 from .errors import (
     AmbiguousClassification,
     DuplicateVertex,
@@ -34,11 +40,11 @@ from .errors import (
 from .forms import (DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _entries, format_complex, format_form,
                     forms_close, parse_complex, parse_form, realize)
 from .jsonutil import render_json
-from .perturb import _check_delta, no_arrow_certificate, sample_neighborhood, witness
 from .stratify import codimension, tangent_space_dim, versal_profile
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that signal ended
 
 
 def parse_matrix(text: str) -> list[list[complex]]:
@@ -98,6 +104,9 @@ def _cmd_codim(args) -> int:
 
 
 def _cmd_arrow(args) -> int:
+    from .closure import reachable
+    from .perturb import _check_delta, no_arrow_certificate, witness
+
     src = parse_form(args.source)
     dst = parse_form(args.target)
     _check_delta(args.delta)
@@ -120,6 +129,8 @@ def _cmd_arrow(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .perturb import witness
+
     src = parse_form(args.source)
     dst = parse_form(args.target)
     w = witness(src, dst, args.delta)
@@ -137,6 +148,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .perturb import sample_neighborhood
+
     form = parse_form(args.form)
     rep = sample_neighborhood(form, args.delta, args.samples, args.seed)
     hist = "  ".join(f"{k}:{v}" for k, v in rep.histogram.items() if v)
@@ -151,6 +164,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .closure import hasse_subgraph, to_dot
+
     forms = [parse_form(t) for t in args.forms]
     graph = hasse_subgraph(forms)
     if args.format == "dot":
@@ -208,6 +223,9 @@ def _round_trips(grid, seed: int) -> bool:
 
 
 def _arrows_certified(grid) -> bool:
+    from .closure import reachable
+    from .perturb import no_arrow_certificate, witness
+
     try:
         for src, dst in ((s, d) for s in grid for d in grid if s != d):
             if reachable(src, dst):
@@ -282,7 +300,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: point stdout at /dev/null so the
+        # flush at shutdown is silent (the Python docs' note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (FormSyntaxError, DuplicateVertex, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -30,8 +30,6 @@ seconds (figures in its docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DuplicateVertex, InvalidInput
 from .forms import (
     CanonicalForm,
@@ -40,6 +38,7 @@ from .forms import (
     UnitDirectZero,
     UnitPair,
     Zero,
+    _Record,
     format_form,
 )
 from .stratify import codimension
@@ -136,22 +135,23 @@ def reachable(source: CanonicalForm, target: CanonicalForm) -> bool:
     return False
 
 
-@dataclass(frozen=True, eq=False)
-class HasseSubgraph:
+class HasseSubgraph(_Record):
     """Vertices and covering edges: ``edges`` is a read-only (E, 2) int32 array
     of (source, target) indices in row-major order, converted from any sequence
     of pairs.  Graphs compare by identity, as an array takes no part in ``==``.
     """
 
-    vertices: tuple[CanonicalForm, ...]
-    edges: np.ndarray
+    __match_args__ = ("vertices", "edges")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[CanonicalForm, ...], edges):
         import numpy as np
 
-        edges = np.array(self.edges, dtype=np.int32).reshape(len(self.edges), 2)
+        edges = np.array(edges, dtype=np.int32).reshape(len(edges), 2)
         edges.flags.writeable = False
-        object.__setattr__(self, "edges", edges)
+        d = self.__dict__
+        d["vertices"], d["edges"] = vertices, edges
 
 
 def _parts(zs) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,6 @@ significant digits so every printed value re-parses to the same float.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import FormSyntaxError, InvalidInput
 from .linalg import _check_scalar
@@ -45,8 +44,41 @@ def _unimodular(z: complex, name: str) -> complex:
     return complex(z.real + 0.0, z.imag + 0.0)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class _Record:
+    """Immutable value: the base of the package's forms and reports.
+
+    A subclass names its fields in ``__match_args__`` and writes its own
+    ``__init__``, which stores each field and the tuple of all of them, ``_key``,
+    straight into the instance dict.  Records are equal when their types are
+    the same and their keys are equal, hash as ``hash(_key)`` and print as
+    ``Name(field=value, ...)``; assigning or deleting an attribute raises
+    AttributeError.  The key is stored, not built per call, because forms are
+    compared and hashed in the closure and classification loops.
+    """
+
+    __match_args__ = ()
+    _key = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CanonicalForm(_Record):
     """Base of the five-variant tagged union."""
 
     @property
@@ -54,31 +86,29 @@ class CanonicalForm:
         return _FAMILY[type(self)]
 
 
-@dataclass(frozen=True)
 class Zero(CanonicalForm):
     pass
 
 
-@dataclass(frozen=True)
 class UnitDirectZero(CanonicalForm):
-    lam: complex
+    __match_args__ = ("lam",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _unimodular(self.lam, "lambda"))
+    def __init__(self, lam: complex):
+        lam = _unimodular(lam, "lambda")
+        d = self.__dict__
+        d["lam"], d["_key"] = lam, (lam,)
 
 
-@dataclass(frozen=True)
 class UnitPair(CanonicalForm):
-    mu: complex
-    nu: complex
+    __match_args__ = ("mu", "nu")
 
-    def __post_init__(self):
-        a = _unimodular(self.mu, "mu")
-        b = _unimodular(self.nu, "nu")
+    def __init__(self, mu: complex, nu: complex):
+        a = _unimodular(mu, "mu")
+        b = _unimodular(nu, "nu")
         if (a.real, a.imag) < (b.real, b.imag):
             a, b = b, a
-        object.__setattr__(self, "mu", a)
-        object.__setattr__(self, "nu", b)
+        d = self.__dict__
+        d["mu"], d["nu"], d["_key"] = a, b, (a, b)
 
     @property
     def antipodal(self) -> bool:
@@ -90,23 +120,25 @@ class UnitPair(CanonicalForm):
         return self.nu == self.mu
 
 
-@dataclass(frozen=True)
 class Hyperbolic(CanonicalForm):
-    sigma: complex
+    __match_args__ = ("sigma",)
 
-    def __post_init__(self):
-        s = _check_scalar(self.sigma, "sigma")
+    def __init__(self, sigma: complex):
+        s = _check_scalar(sigma, "sigma")
         if abs(s) >= 1.0:
             raise InvalidInput(f"|sigma| must be < 1, got {abs(s)!r}")
-        object.__setattr__(self, "sigma", complex(s.real + 0.0, s.imag + 0.0))
+        s = complex(s.real + 0.0, s.imag + 0.0)
+        d = self.__dict__
+        d["sigma"], d["_key"] = s, (s,)
 
 
-@dataclass(frozen=True)
 class DeltaTau(CanonicalForm):
-    tau: complex
+    __match_args__ = ("tau",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "tau", _unimodular(self.tau, "tau"))
+    def __init__(self, tau: complex):
+        tau = _unimodular(tau, "tau")
+        d = self.__dict__
+        d["tau"], d["_key"] = tau, (tau,)
 
 
 _FAMILY = {

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .closure import _cone_coefficients, _cone_distance, _im_lam_conj_tau, _in_sector, _on_ray, reachable
 from .errors import (
@@ -33,6 +32,7 @@ from .forms import (
     UnitPair,
     Zero,
     _entries,
+    _Record,
     format_complex,
     format_form,
     realize,
@@ -51,8 +51,7 @@ CERTIFICATE_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """Congruence S and perturbation E = S* realize(target) S - realize(source),
     as computed in floats, with ||E||_F.
 
@@ -62,9 +61,13 @@ class Witness:
     the only part of a witness that imports numpy.
     """
 
-    E_entries: tuple[complex, complex, complex, complex]
-    S_entries: tuple[complex, complex, complex, complex]
-    norm_E: float
+    __match_args__ = ("E_entries", "S_entries", "norm_E")
+
+    def __init__(self, E_entries: tuple[complex, complex, complex, complex],
+                 S_entries: tuple[complex, complex, complex, complex], norm_E: float):
+        d = self.__dict__
+        d["E_entries"], d["S_entries"], d["norm_E"] = E_entries, S_entries, norm_E
+        d["_key"] = (E_entries, S_entries, norm_E)
 
     @property
     def E(self) -> np.ndarray:
@@ -83,25 +86,29 @@ class Witness:
         return {"E": [E[:2], E[2:]], "norm_E": self.norm_E, "S": [S[:2], S[2:]]}
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
-    kind: str
-    margin: float
-    data: dict = field(default_factory=dict)
+class ObstructionCertificate(_Record):
+    __match_args__ = ("kind", "margin", "data")
+
+    def __init__(self, kind: str, margin: float, data: dict | None = None):
+        if data is None:
+            data = {}
+        d = self.__dict__
+        d["kind"], d["margin"], d["data"] = kind, margin, data
+        d["_key"] = (kind, margin, data)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "margin": self.margin, "data": dict(self.data)}
 
 
-@dataclass(frozen=True)
-class NeighborhoodReport:
-    source: CanonicalForm
-    delta: float
-    samples: int
-    seed: int
-    histogram: dict
-    spectrum_drift: dict
-    max_spectrum_drift: float | None
+class NeighborhoodReport(_Record):
+    __match_args__ = ("source", "delta", "samples", "seed", "histogram", "spectrum_drift", "max_spectrum_drift")
+
+    def __init__(self, source: CanonicalForm, delta: float, samples: int, seed: int, histogram: dict,
+                 spectrum_drift: dict, max_spectrum_drift: float | None):
+        d = self.__dict__
+        d["source"], d["delta"], d["samples"], d["seed"] = source, delta, samples, seed
+        d["histogram"], d["spectrum_drift"], d["max_spectrum_drift"] = histogram, spectrum_drift, max_spectrum_drift
+        d["_key"] = (source, delta, samples, seed, histogram, spectrum_drift, max_spectrum_drift)
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,10 +13,8 @@ holomorphic in the perturbation; it is table-driven here, and the identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidInput
-from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero
+from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _Record
 from .linalg import as_mat2, real_rank
 
 FIXED_ZERO = "fixed-zero"
@@ -29,13 +27,15 @@ EPS_IMAGINARY = "eps-imaginary"
 REAL_AXIS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class VersalProfile:
+class VersalProfile(_Record):
     """2x2 grid of deformation entry kinds plus the star/eps counts."""
 
-    grid: tuple[tuple[str, str], tuple[str, str]]
-    star_count: int
-    eps_count: int
+    __match_args__ = ("grid", "star_count", "eps_count")
+
+    def __init__(self, grid: tuple[tuple[str, str], tuple[str, str]], star_count: int, eps_count: int):
+        d = self.__dict__
+        d["grid"], d["star_count"], d["eps_count"] = grid, star_count, eps_count
+        d["_key"] = (grid, star_count, eps_count)
 
 
 # Basis/flattening order for R^8: (Re a11, Im a11, Re a12, Im a12,

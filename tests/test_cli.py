@@ -20,12 +20,16 @@ SEVEN_CLASS = [
 ]
 
 
-def run_cli(*args):
+def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "starcong", *args],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=src_env(), timeout=300)
 
 
 def test_classify_command():
@@ -373,6 +377,27 @@ def test_usage_error_exit_code():
     assert run_cli().returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("codim", "udz(1)", "--format", "json"),
+    ("codim", "udz(1)"),
+    ("classify", "0,1;1,1i"),
+    ("graph", *SEVEN_CLASS),
+])
+def test_closed_stdout_is_a_quiet_exit_141(args):
+    # the reader of stdout has exited before the process writes, as after a
+    # `| head -1` that already returned: nothing on stderr (no traceback), and
+    # 128 + SIGPIPE, not the domain-refusal code 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "starcong", *args], stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, env=src_env(), timeout=300)
+    finally:
+        os.close(write_end)
+    assert res.stderr == ""
+    assert res.returncode == 141
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     from starcong import __version__
@@ -393,16 +418,19 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     print(code)
-print("numpy" in sys.modules)
+print(*sorted(m for m in ("numpy", "dataclasses", "inspect", "starcong.closure", "starcong.perturb")
+              if m in sys.modules))
 """
 
 
 def run_no_numpy_probe(*args):
-    """Run ``cli.main(args)`` in a fresh process; its stdout is the exit code, if any, and whether numpy loaded."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    """Run ``cli.main(args)`` in a fresh process.
+
+    Its stdout is the exit code, if any, then which of numpy, dataclasses,
+    inspect, ``starcong.closure`` and ``starcong.perturb`` loaded.
+    """
     return subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE, *args],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=src_env(), timeout=300)
 
 
 @pytest.mark.parametrize("args", [
@@ -420,15 +448,18 @@ def run_no_numpy_probe(*args):
     ("classify", "0,0;0,0"),                                    # the zero branch
 ])
 def test_scalar_commands_leave_numpy_unloaded(args):
+    # no scalar subcommand loads numpy, dataclasses or inspect, and classify
+    # and codim load neither closure nor perturb
     res = run_no_numpy_probe(*args)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == ("0\n" if args else "") + "False\n"
+    loaded = "starcong.closure starcong.perturb" if args and args[0] in ("arrow", "witness") else ""
+    assert res.stdout == ("0\n" if args else "") + loaded + "\n"
 
 
 def test_classify_refuses_nonfinite_input_without_numpy():
     res = run_no_numpy_probe("classify", "1e309,0;0,1")
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "2\nFalse\n"
+    assert res.stdout == "2\n\n"
     assert res.stderr == "error: matrix contains NaN or Inf entries\n"
 
 
