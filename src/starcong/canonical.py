@@ -375,12 +375,11 @@ def _cond2(s00, s01, s10, s11) -> float:
 def random_congruence(form: CanonicalForm, seed: int):
     """A random member of the class of ``form``.
 
-    Returns (S, S* realize(form) S) where S has entries drawn uniformly from
-    the complex unit square, resampled until cond(S) <= 20.
-    Deterministic per seed, which must lie in [0, 2^64).
+    Returns (S, S* realize(form) S), each as two rows of two Python complex
+    numbers, where S has entries drawn uniformly from the complex unit square,
+    resampled until cond(S) <= 20.  Deterministic per seed, which must lie in
+    [0, 2^64).
     """
-    import numpy as np
-
     if not 0 <= seed < 2**64:  # the generator reads the seed modulo 2^64
         raise InvalidInput("seed must lie in [0, 2^64)")
     rng = seeded_rng(seed)
@@ -390,5 +389,4 @@ def random_congruence(form: CanonicalForm, seed: int):
             break
     r = _entries(form)
     cols = (entries[0], entries[2]), (entries[1], entries[3])
-    member = [[_form(*r, x, y) for y in cols] for x in cols]
-    return np.array([entries[:2], entries[2:]], dtype=np.complex128), np.array(member, dtype=np.complex128)
+    return [entries[:2], entries[2:]], [[_form(*r, x, y) for y in cols] for x in cols]

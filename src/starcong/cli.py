@@ -11,19 +11,19 @@ Under ``--format json`` every subcommand but selftest prints one report with
 the keys ``command``, ``version``, ``inputs`` and ``outputs`` in that order;
 ``sample`` adds ``seed`` after ``version``.
 
-Every subcommand loads ``forms``, ``stratify``, ``linalg``, ``errors`` and
-``jsonutil``.  Each handler imports what else it runs: ``codim`` nothing
-more; ``classify`` ``canonical`` (with ``rng``); ``arrow`` and ``witness``
-``perturb`` (with ``closure`` and ``rng``); ``graph`` ``closure``; ``sample``
-``perturb`` and ``canonical``; ``selftest`` all of these.  ``classify``,
-``codim``, ``arrow`` and ``witness`` run on Python scalars and never import
-numpy; ``sample``, ``graph`` and ``selftest`` load it.
+Every subcommand loads ``forms``, ``stratify``, ``linalg`` and ``errors``;
+``jsonutil`` is loaded only to print a JSON report and ``json`` only to read
+a JSON matrix or print a report.  Each handler imports what else it runs:
+``codim`` nothing more; ``classify`` ``canonical`` (with ``rng``); ``arrow``
+and ``witness`` ``perturb`` (with ``closure`` and ``rng``); ``graph``
+``closure``; ``sample`` ``perturb`` and ``canonical``; ``selftest`` all of
+these.  ``classify``, ``codim``, ``arrow``, ``witness`` and ``selftest`` run on
+Python scalars and never import numpy; only ``sample`` and ``graph`` load it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -38,8 +38,7 @@ from .errors import (
     StarcongError,
 )
 from .forms import (DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _entries, format_complex, format_form,
-                    forms_close, parse_complex, parse_form, realize)
-from .jsonutil import render_json
+                    forms_close, parse_complex, parse_form)
 from .stratify import codimension, tangent_space_dim, versal_profile
 
 USAGE_ERROR = 2
@@ -50,6 +49,8 @@ BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that signal end
 def parse_matrix(text: str) -> list[list[complex]]:
     text = text.strip()
     if text.startswith("{"):
+        import json
+
         try:
             rows = json.loads(text)["m"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -69,6 +70,8 @@ def _format_entries(m) -> str:
 def _emit(args, inputs: dict, outputs: dict, lines, **head) -> int:
     """Print the report envelope under ``--format json``, else the text ``lines``."""
     if args.format == "json":
+        from .jsonutil import render_json
+
         print(render_json({"command": args.cmd, "version": __version__, **head, "inputs": inputs, "outputs": outputs}))
     else:
         print(*lines, sep="\n")
@@ -205,9 +208,15 @@ def _selftest_grid() -> list:
     ]
 
 
+def _rows(form):
+    """The representative of ``form`` as two rows of Python complex, read by classify and the rank without numpy."""
+    m = _entries(form)
+    return [m[:2], m[2:]]
+
+
 def _codims_agree(grid) -> bool:
     return all(
-        codimension(form) == 8 - tangent_space_dim(realize(form)) == 2 * profile.star_count + profile.eps_count
+        codimension(form) == 8 - tangent_space_dim(_rows(form)) == 2 * profile.star_count + profile.eps_count
         for form, profile in zip(grid, map(versal_profile, grid))
     )
 
@@ -216,7 +225,7 @@ def _round_trips(grid, seed: int) -> bool:
     from .canonical import classify, random_congruence
 
     return all(
-        forms_close(classify(realize(form)).form, form, 1e-9)
+        forms_close(classify(_rows(form)).form, form, 1e-9)
         and forms_close(classify(random_congruence(form, seed + k)[1]).form, form, 1e-6)
         for k, form in enumerate(grid)
     )

@@ -9,10 +9,11 @@ eigenvalues of a Hermitian 2x2 matrix.  ``as_mat2``, ``eigenvalues2``,
 on its four entries as Python complex; the kernels do not check.
 ``_mat2_entries``, classify's reader, takes two rows of Python floats or
 complex numbers without numpy, with the same check, and hands any other input
-to ``as_mat2``.
+to ``as_mat2``.  ``real_rank`` eliminates in pure Python; it reads rows of
+Python floats the same way and converts any other input with numpy.
 
 numpy is imported inside the functions that build or read arrays, so the
-scalar kernels load without it.
+scalar kernels and the rank load without it.
 """
 from __future__ import annotations
 
@@ -133,31 +134,49 @@ def real_rank(M) -> int:
     """Rank over R by row reduction with partial pivoting.
 
     A pivot counts iff its magnitude exceeds 1e-10 times the largest entry
-    magnitude of the initial matrix, so the result is scale-free.
+    magnitude of the initial matrix, so the result is scale-free.  The pivot
+    is the first entry of largest magnitude in its column, and the update
+    w - (w_col / p) * t of an entry rounds the quotient, the product and the
+    difference once each.  Rows of Python floats are read as they are; any
+    other input goes through numpy's conversion and its checks.
     """
-    import numpy as np
+    if _float_rows(M):
+        W = [list(row) for row in M]
+        if not all(math.isfinite(w) for row in W for w in row):
+            raise InvalidInput("matrix contains NaN or Inf entries")
+    else:
+        import numpy as np
 
-    W = np.array(M, dtype=np.float64, copy=True)
-    if W.ndim != 2:
-        raise InvalidInput("expected a 2-d real matrix")
-    if not np.all(np.isfinite(W)):
-        raise InvalidInput("matrix contains NaN or Inf entries")
-    rows, cols = W.shape
-    threshold = 1e-10 * (np.max(np.abs(W)) if W.size else 0.0)
+        A = np.array(M, dtype=np.float64)
+        if A.ndim != 2:
+            raise InvalidInput("expected a 2-d real matrix")
+        if not np.all(np.isfinite(A)):
+            raise InvalidInput("matrix contains NaN or Inf entries")
+        W = A.tolist()
+    rows, cols = len(W), len(W[0]) if W else 0
+    threshold = 1e-10 * max((abs(w) for row in W for w in row), default=0.0)
     rank = 0
-    row = 0
     for col in range(cols):
-        if row >= rows:
+        if rank == rows:
             break
-        pivot = row + int(np.argmax(np.abs(W[row:, col])))
-        if abs(W[pivot, col]) <= threshold:
+        pivot = max(range(rank, rows), key=lambda i: abs(W[i][col]))
+        top = W[pivot]
+        p = top[col]
+        if abs(p) <= threshold:
             continue
-        if pivot != row:
-            W[[row, pivot]] = W[[pivot, row]]
-        W[row + 1:] -= np.outer(W[row + 1:, col] / W[row, col], W[row])
+        W[pivot], W[rank] = W[rank], top
+        for i in range(rank + 1, rows):
+            f = W[i][col] / p
+            W[i] = [w - f * t for w, t in zip(W[i], top)]
         rank += 1
-        row += 1
     return rank
+
+
+def _float_rows(M) -> bool:
+    """True iff ``M`` is a non-empty list or tuple of equally long rows of Python floats."""
+    return (type(M) in (list, tuple) and len(M) > 0
+            and all(type(row) in (list, tuple) and len(row) == len(M[0]) for row in M)
+            and all(type(w) is float for row in M for w in row))
 
 
 def hermitian_eigenvalues(h00: float, h11: float, h01: complex) -> tuple[float, float]:

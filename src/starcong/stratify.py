@@ -2,8 +2,9 @@
 
 The tangent space to the *congruence class of A at A is the real span of
 {C* A + A C}; its dimension is computed as the real rank of the induced
-8x8 map on the basis {E_jk, i E_jk}.  Codimension is 8 minus that; it is
-served from the closed-form family table, with the rank as its cross-check.
+8x8 map on the basis {E_jk, i E_jk}, built from A's four entries and reduced
+in pure Python, without numpy.  Codimension is 8 minus that; it is served
+from the closed-form family table, with the rank as its cross-check.
 
 The deformation template of a canonical form is the minimal parametric
 normal form to which all nearby matrices can be reduced by transformations
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from .errors import InvalidInput
 from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _Record
-from .linalg import as_mat2, real_rank
+from .linalg import _mat2_entries, real_rank
 
 FIXED_ZERO = "fixed-zero"
 STAR = "star"
@@ -38,30 +39,25 @@ class VersalProfile(_Record):
         d["_key"] = (grid, star_count, eps_count)
 
 
-# Basis/flattening order for R^8: (Re a11, Im a11, Re a12, Im a12,
-# Re a21, Im a21, Re a22, Im a22).
-def _flatten_real(M: np.ndarray) -> list[float]:
-    return [
-        M[0, 0].real, M[0, 0].imag,
-        M[0, 1].real, M[0, 1].imag,
-        M[1, 0].real, M[1, 0].imag,
-        M[1, 1].real, M[1, 1].imag,
-    ]
-
-
 def tangent_space_dim(A) -> int:
-    """dim_R of {C* A + A C : C complex 2x2}."""
-    import numpy as np
+    """dim_R of {C* A + A C : C complex 2x2}.
 
-    A = as_mat2(A)
+    A is read as classify reads it.  C = u E_jk puts conj(u) times row j of A
+    into row k of C* A and u times column j of A into column k of A C.
+    Columns 4j + 2k and 4j + 2k + 1 of the 8x8 map are the images of E_jk and
+    i E_jk, flattened as (Re m00, Im m00, Re m01, ..., Im m11).
+    """
+    a = _mat2_entries(A)
     cols = []
     for j in range(2):
         for k in range(2):
-            for unit in (1.0, 1.0j):
-                C = np.zeros((2, 2), dtype=np.complex128)
-                C[j, k] = unit
-                cols.append(_flatten_real(C.conj().T @ A + A @ C))
-    return real_rank(np.array(cols).T)
+            for u in (1.0, 1j):
+                M = [0j, 0j, 0j, 0j]
+                for s in range(2):
+                    M[2 * k + s] += u.conjugate() * a[2 * j + s]
+                    M[2 * s + k] += a[2 * s + j] * u
+                cols.append([x for z in M for x in (z.real, z.imag)])
+    return real_rank([list(row) for row in zip(*cols)])
 
 
 def codimension(form: CanonicalForm) -> int:

@@ -135,7 +135,7 @@ def test_positive_scaling_invariance():
     # the scale is a norm that squares no entry, so inputs near the ends of
     # the double range classify as their scale-1 counterparts
     for k, form in enumerate(form_grid(6)):
-        for A in (realize(form), random_congruence(form, seed=k)[1]):
+        for A in (realize(form), np.asarray(random_congruence(form, seed=k)[1])):
             want = classify(A).form
             for c in (1e-300, 1e-170, 1e-6, 0.25, 4.0, 1e6, 1e170, 1e300):
                 assert forms_close(classify(c * A).form, want, 1e-9), (form, c)
@@ -430,7 +430,7 @@ def test_nested_lists_classify_as_arrays_do():
     mats = []
     for k, form in enumerate(form_grid()):
         mats.append(realize(form))
-        mats += [random_congruence(form, seed=100 * k + s)[1] for s in range(5)]
+        mats += [np.asarray(random_congruence(form, seed=100 * k + s)[1]) for s in range(5)]
         for e in range(8, 13):
             E = near_rng.standard_normal((2, 2)) + 1j * near_rng.standard_normal((2, 2))
             mats.append(realize(form) + 10.0**-e * E / np.linalg.norm(E))

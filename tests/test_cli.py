@@ -446,14 +446,44 @@ def run_no_numpy_probe(*args):
     ("classify", "0,1;1,1i"),                                   # inline, delta(1)
     ("classify", '{"m":[["0","1"],["1","1i"]]}', "--format", "json"),
     ("classify", "0,0;0,0"),                                    # the zero branch
+    ("selftest",),
+    ("selftest", "--seed", "3"),
 ])
 def test_scalar_commands_leave_numpy_unloaded(args):
     # no scalar subcommand loads numpy, dataclasses or inspect, and classify
     # and codim load neither closure nor perturb
     res = run_no_numpy_probe(*args)
     assert res.returncode == 0, res.stderr
-    loaded = "starcong.closure starcong.perturb" if args and args[0] in ("arrow", "witness") else ""
+    loaded = "starcong.closure starcong.perturb" if args and args[0] in ("arrow", "witness", "selftest") else ""
     assert res.stdout == ("0\n" if args else "") + loaded + "\n"
+
+
+JSON_PROBE = """
+import contextlib, io, sys
+from starcong import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in ("json", "starcong.jsonutil") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("args, loaded", [
+    (("codim", "udz(1)"), ""),
+    (("classify", "0,1;1,1i"), ""),
+    (("arrow", "udz(1)", "pair(1,1i)"), ""),                    # witness
+    (("arrow", "pair(1,1i)", "hyp(0.3)"), ""),                  # certificate
+    (("witness", "zero", "hyp(0.3)"), ""),
+    (("selftest",), ""),
+    (("graph", "zero", "udz(1)"), ""),                          # DOT
+    (("classify", '{"m":[["0","1"],["1","1i"]]}'), " json"),    # JSON input, text output
+    (("codim", "udz(1)", "--format", "json"), " json starcong.jsonutil"),
+])
+def test_text_format_commands_leave_json_unloaded(args, loaded):
+    # json is imported only to read a JSON matrix, jsonutil only to print a JSON report
+    res = subprocess.run([sys.executable, "-c", JSON_PROBE, *args],
+                         capture_output=True, text=True, env=src_env(), timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "0" + loaded + "\n"
 
 
 def test_classify_refuses_nonfinite_input_without_numpy():

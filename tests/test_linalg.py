@@ -1,10 +1,13 @@
+import cmath
 import re
 
 import numpy as np
 import pytest
 
-from starcong import InvalidInput, classify, classify_many, real_rank, tangent_space_dim
+from starcong import InvalidInput, UnitPair, classify, classify_many, random_congruence, real_rank, tangent_space_dim
+from starcong.cli import _selftest_grid
 from starcong.errors import SingularMatrix
+from starcong.forms import _entries
 from starcong.linalg import _form, _mat2_entries, _norm4, as_mat2, eigenvalues2, hermitian_eigenvalues, inverse2
 
 DELTA2 = np.array([[0, 1], [1, 1j]])
@@ -150,8 +153,108 @@ def test_nan_inf_rejected(bad):
     for fn in (inverse2, eigenvalues2):
         with pytest.raises(InvalidInput):
             fn(M)
-    with pytest.raises(InvalidInput):
-        real_rank([[bad, 0], [0, 1]])
+    # rows of ints through numpy's conversion, rows of floats as they are
+    for rows in ([[bad, 0], [0, 1]], [[bad, 0.0], [0.0, 1.0]], ((1.0, 0.0), (0.0, bad))):
+        with pytest.raises(InvalidInput, match=r"^matrix contains NaN or Inf entries$"):
+            real_rank(rows)
+
+
+def test_real_rank_rejects_non_matrices():
+    for bad in ([1.0, 2.0], [], np.zeros((2, 2, 2))):
+        with pytest.raises(InvalidInput, match=r"^expected a 2-d real matrix$"):
+            real_rank(bad)
+    assert real_rank([[]]) == real_rank(np.zeros((3, 0))) == real_rank(np.zeros((0, 3))) == 0
+
+
+# --- parity with the numpy elimination ---------------------------------------
+#
+# real_rank and tangent_space_dim run in pure Python.  The references below are
+# the numpy code they replaced; the ranks must agree exactly, so these
+# tests keep today's float ranks near strata boundaries as they are.  An exact
+# rank over Q (ROADMAP open item 5) would change those on purpose.
+
+def numpy_real_rank(M) -> int:
+    W = np.array(M, dtype=np.float64, copy=True)
+    rows, cols = W.shape
+    threshold = 1e-10 * (np.max(np.abs(W)) if W.size else 0.0)
+    rank = 0
+    for col in range(cols):
+        if rank >= rows:
+            break
+        pivot = rank + int(np.argmax(np.abs(W[rank:, col])))
+        if abs(W[pivot, col]) <= threshold:
+            continue
+        if pivot != rank:
+            W[[rank, pivot]] = W[[pivot, rank]]
+        W[rank + 1:] -= np.outer(W[rank + 1:, col] / W[rank, col], W[rank])
+        rank += 1
+    return rank
+
+
+def numpy_tangent_space_dim(A) -> int:
+    A = np.array(A, dtype=np.complex128)
+    cols = []
+    for j in range(2):
+        for k in range(2):
+            for u in (1.0, 1.0j):
+                C = np.zeros((2, 2), dtype=np.complex128)
+                C[j, k] = u
+                M = C.conj().T @ A + A @ C
+                cols.append([x for z in M.ravel() for x in (z.real, z.imag)])
+    return numpy_real_rank(np.array(cols).T)
+
+
+def rank_cases():
+    """Seeded random, rank-deficient, tied, extreme-scale and near-floor real matrices."""
+    local = np.random.default_rng(27)
+    for n in range(1000):
+        r, c = local.integers(1, 9, size=2)
+        scale = 10.0 ** local.choice([-300, -150, -10, 0, 10, 150, 300])
+        kind = n % 5
+        if kind == 0:  # generic
+            M = local.standard_normal((r, c))
+        elif kind == 1:  # low rank
+            k = local.integers(1, min(r, c) + 1)
+            M = local.standard_normal((r, k)) @ local.standard_normal((k, c))
+        elif kind == 2:  # small integers: ties between pivot candidates
+            M = local.integers(-2, 3, size=(r, c)).astype(float)
+        else:  # a column dependent on the others to within 1e-13 .. 1e-8, about the floor
+            M = local.standard_normal((r, c))
+            if kind == 4:  # after a first pivot tied between rows, which one is taken shows
+                M[:, 0] = local.choice([-1.0, 1.0], size=r)
+            if c > 1:
+                noise = 10.0 ** local.uniform(-13, -8) * local.standard_normal(r)
+                M[:, -1] = M[:, :-1] @ local.standard_normal(c - 1) + noise
+        yield scale * M
+
+
+def test_real_rank_matches_numpy_elimination():
+    deficient = 0
+    for M in rank_cases():
+        want = numpy_real_rank(M)
+        deficient += want < min(M.shape)
+        assert real_rank(M) == want, M
+        assert real_rank(M.tolist()) == want, M
+        assert real_rank(tuple(map(tuple, M.tolist()))) == want, M
+    assert 150 < deficient < 600
+
+
+def test_tangent_space_dim_matches_numpy_map():
+    forms = list(_selftest_grid())
+    # pair(m, +-m e^{i eps}) sits eps off the boundary of equal and antipodal pairs
+    for m in (1.0, cmath.exp(0.3j), 1j, cmath.exp(2.5j)):
+        for eps in [0.0] + [10.0 ** -e for e in range(1, 17)]:
+            forms += [UnitPair(m, sign * m * cmath.exp(1j * eps)) for sign in (1, -1)]
+    dims = set()
+    for k, form in enumerate(forms):
+        e = _entries(form)
+        for rows in ([e[:2], e[2:]], random_congruence(form, seed=k)[1]):
+            want = numpy_tangent_space_dim(rows)
+            dims.add(want)
+            assert tangent_space_dim(rows) == tangent_space_dim(np.array(rows)) == want, (form, rows)
+    # every class's dimension, and 5 where a member of a pair 1e-10 off the
+    # boundary has a pivot between the floor and the entries' scale
+    assert dims == {0, 3, 4, 5, 6}
 
 
 # as_mat2 is the input check of classify and tangent_space_dim
