@@ -3,14 +3,14 @@
 The package's one set of 2x2 kernels lives here: a 2x2 matrix is the tuple of
 its entries (m00, m01, m10, m11), Python complex or arrays over a stack, and
 ``_norm4`` and ``_form`` take either.  Besides them: a numerically stable
-quadratic-formula eigensolver, row-reduction rank over the reals, and the
+quadratic-formula eigensolver, the exact rank of a real matrix, and the
 eigenvalues of a Hermitian 2x2 matrix.  ``as_mat2``, ``eigenvalues2``,
 ``inverse2`` and ``real_rank`` reject NaN/Inf, ``as_mat2`` by ``cmath.isfinite``
 on its four entries as Python complex; the kernels do not check.
 ``_mat2_entries``, classify's reader, takes two rows of Python floats or
 complex numbers without numpy, with the same check, and hands any other input
-to ``as_mat2``.  ``real_rank`` eliminates in pure Python; it reads rows of
-Python floats the same way and converts any other input with numpy.
+to ``as_mat2``.  ``real_rank`` is exact, on integers; it reads rows of Python
+ints or floats the same way and converts any other input with numpy.
 
 numpy is imported inside the functions that build or read arrays, so the
 scalar kernels and the rank load without it.
@@ -131,52 +131,44 @@ def inverse2(A) -> np.ndarray:
 
 
 def real_rank(M) -> int:
-    """Rank over R by row reduction with partial pivoting.
+    """Exact rank of a real matrix of finite doubles, with no tolerance.
 
-    A pivot counts iff its magnitude exceeds 1e-10 times the largest entry
-    magnitude of the initial matrix, so the result is scale-free.  The pivot
-    is the first entry of largest magnitude in its column, and the update
-    w - (w_col / p) * t of an entry rounds the quotient, the product and the
-    difference once each.  Rows of Python floats are read as they are; any
-    other input goes through numpy's conversion and its checks.
+    The doubles times one power of two are integers (``_dyadic``), reduced by
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968): the pivot is
+    the first nonzero entry of its column, and each update divides exactly by
+    the previous pivot.  The cost grows with the spread of the exponents.
+    Rows of Python ints or floats are read as they are, others through numpy.
     """
-    if _float_rows(M):
-        W = [list(row) for row in M]
-        if not all(math.isfinite(w) for row in W for w in row):
-            raise InvalidInput("matrix contains NaN or Inf entries")
-    else:
+    if not (type(M) in (list, tuple) and M and all(type(row) in (list, tuple) and len(row) == len(M[0]) for row in M)
+            and all(type(w) in (int, float) for row in M for w in row)):
         import numpy as np
 
         A = np.array(M, dtype=np.float64)
         if A.ndim != 2:
             raise InvalidInput("expected a 2-d real matrix")
-        if not np.all(np.isfinite(A)):
-            raise InvalidInput("matrix contains NaN or Inf entries")
-        W = A.tolist()
-    rows, cols = len(W), len(W[0]) if W else 0
-    threshold = 1e-10 * max((abs(w) for row in W for w in row), default=0.0)
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot = max(range(rank, rows), key=lambda i: abs(W[i][col]))
-        top = W[pivot]
-        p = top[col]
-        if abs(p) <= threshold:
+        M = A.tolist()
+    try:
+        W = _dyadic(M)
+    except (ValueError, OverflowError):  # as_integer_ratio of NaN, Inf
+        raise InvalidInput("matrix contains NaN or Inf entries") from None
+    rank, prev = 0, 1
+    while W and W[0]:  # W holds the rows not yet pivoted, from the current column on
+        k = next((i for i, row in enumerate(W) if row[0]), None)
+        if k is None:
+            W = [row[1:] for row in W]
             continue
-        W[pivot], W[rank] = W[rank], top
-        for i in range(rank + 1, rows):
-            f = W[i][col] / p
-            W[i] = [w - f * t for w, t in zip(W[i], top)]
-        rank += 1
+        top = W.pop(k)
+        p, tail = top[0], top[1:]
+        W = [[(p * w - row[0] * t) // prev for w, t in zip(row[1:], tail)] for row in W]
+        prev, rank = p, rank + 1
     return rank
 
 
-def _float_rows(M) -> bool:
-    """True iff ``M`` is a non-empty list or tuple of equally long rows of Python floats."""
-    return (type(M) in (list, tuple) and len(M) > 0
-            and all(type(row) in (list, tuple) and len(row) == len(M[0]) for row in M)
-            and all(type(w) is float for row in M for w in row))
+def _dyadic(rows) -> list[list[int]]:
+    """The finite ints or floats of ``rows`` times one common power of two, as exact ints."""
+    ratios = [[w.as_integer_ratio() for w in row] for row in rows]  # n / d, d a power of two
+    e = max((d for row in ratios for _, d in row), default=1).bit_length()
+    return [[n << (e - d.bit_length()) for n, d in row] for row in ratios]
 
 
 def hermitian_eigenvalues(h00: float, h11: float, h01: complex) -> tuple[float, float]:

@@ -1,10 +1,10 @@
 """Tangent spaces, codimension over R, and deformation templates.
 
 The tangent space to the *congruence class of A at A is the real span of
-{C* A + A C}; its dimension is computed as the real rank of the induced
-8x8 map on the basis {E_jk, i E_jk}, built from A's four entries and reduced
-in pure Python, without numpy.  Codimension is 8 minus that; it is served
-from the closed-form family table, with the rank as its cross-check.
+{C* A + A C}; its dimension is the exact rank of the induced 8x8 map on the
+basis {E_jk, i E_jk}, built over the integers from A's stored doubles without
+numpy.  Codimension is 8 minus that; it is served from the closed-form family
+table, with the rank as its cross-check.
 
 The deformation template of a canonical form is the minimal parametric
 normal form to which all nearby matrices can be reduced by transformations
@@ -16,16 +16,12 @@ from __future__ import annotations
 
 from .errors import InvalidInput
 from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _Record
-from .linalg import _mat2_entries, real_rank
+from .linalg import _dyadic, _mat2_entries, real_rank
 
 FIXED_ZERO = "fixed-zero"
 STAR = "star"
 EPS_REAL = "eps-real"
 EPS_IMAGINARY = "eps-imaginary"
-
-#: Parameters within this distance of the real axis use the pure-imaginary
-#: rule for their eps cell.
-REAL_AXIS_TOL = 1e-9
 
 
 class VersalProfile(_Record):
@@ -40,24 +36,35 @@ class VersalProfile(_Record):
 
 
 def tangent_space_dim(A) -> int:
-    """dim_R of {C* A + A C : C complex 2x2}.
+    """dim_R of {C* A + A C : C complex 2x2}, the exact rank of ``_tangent_map(A)``.
+
+    On a representative, the dimension of its class; on any other matrix, that
+    of the class its doubles lie in, at most 6 as every codimension is 2 or
+    more.  The cost grows with the spread of the entries' binary exponents.
+    """
+    return real_rank(_tangent_map(A))
+
+
+def _tangent_map(A) -> list[list[int]]:
+    """The columns of the map C -> C* A + A C on R^8, on A's parts scaled to integers.
 
     A is read as classify reads it.  C = u E_jk puts conj(u) times row j of A
-    into row k of C* A and u times column j of A into column k of A C.
-    Columns 4j + 2k and 4j + 2k + 1 of the 8x8 map are the images of E_jk and
-    i E_jk, flattened as (Re m00, Im m00, Re m01, ..., Im m11).
+    into row k and u times column j of A into column k.  Columns 4j + 2k and
+    4j + 2k + 1, the images of E_jk and i E_jk, list (Re m00, Im m00, ..., Im m11).
     """
-    a = _mat2_entries(A)
+    a = _dyadic([[z.real, z.imag] for z in _mat2_entries(A)])  # a_00, a_01, a_10, a_11 as (Re, Im)
     cols = []
-    for j in range(2):
-        for k in range(2):
-            for u in (1.0, 1j):
-                M = [0j, 0j, 0j, 0j]
-                for s in range(2):
-                    M[2 * k + s] += u.conjugate() * a[2 * j + s]
-                    M[2 * s + k] += a[2 * s + j] * u
-                cols.append([x for z in M for x in (z.real, z.imag)])
-    return real_rank([list(row) for row in zip(*cols)])
+    for j, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for ur, ui in ((1, 0), (0, 1)):
+            M = [0] * 8
+            for s in range(2):
+                (x, y), (v, w) = a[2 * j + s], a[2 * s + j]
+                M[4 * k + 2 * s] += ur * x + ui * y  # conj(u) a_js into (k, s)
+                M[4 * k + 2 * s + 1] += ur * y - ui * x
+                M[4 * s + 2 * k] += ur * v - ui * w  # u a_sj into (s, k)
+                M[4 * s + 2 * k + 1] += ur * w + ui * v
+            cols.append(M)
+    return cols
 
 
 def codimension(form: CanonicalForm) -> int:
@@ -78,7 +85,8 @@ def codimension(form: CanonicalForm) -> int:
 
 
 def _eps_kind(param: complex) -> str:
-    return EPS_IMAGINARY if abs(param.imag) <= REAL_AXIS_TOL else EPS_REAL
+    """Imaginary iff the stored unit parameter is real, that is, +-1: the tangent direction at it is R times it."""
+    return EPS_IMAGINARY if param.imag == 0.0 else EPS_REAL
 
 
 def versal_profile(form: CanonicalForm) -> VersalProfile:

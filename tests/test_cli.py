@@ -418,8 +418,8 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     print(code)
-print(*sorted(m for m in ("numpy", "dataclasses", "inspect", "starcong.closure", "starcong.perturb")
-              if m in sys.modules))
+print(*sorted(m for m in ("numpy", "dataclasses", "inspect", "fractions", "decimal", "starcong.closure",
+                         "starcong.perturb") if m in sys.modules))
 """
 
 
@@ -427,7 +427,8 @@ def run_no_numpy_probe(*args):
     """Run ``cli.main(args)`` in a fresh process.
 
     Its stdout is the exit code, if any, then which of numpy, dataclasses,
-    inspect, ``starcong.closure`` and ``starcong.perturb`` loaded.
+    inspect, fractions, decimal, ``starcong.closure`` and ``starcong.perturb``
+    loaded.
     """
     return subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE, *args],
                           capture_output=True, text=True, env=src_env(), timeout=300)
@@ -450,8 +451,9 @@ def run_no_numpy_probe(*args):
     ("selftest", "--seed", "3"),
 ])
 def test_scalar_commands_leave_numpy_unloaded(args):
-    # no scalar subcommand loads numpy, dataclasses or inspect, and classify
-    # and codim load neither closure nor perturb
+    # no scalar subcommand loads numpy, dataclasses or inspect, the exact rank
+    # runs on Python ints without fractions or decimal, and classify and codim
+    # load neither closure nor perturb
     res = run_no_numpy_probe(*args)
     assert res.returncode == 0, res.stderr
     loaded = "starcong.closure starcong.perturb" if args and args[0] in ("arrow", "witness", "selftest") else ""

@@ -1,10 +1,12 @@
 import cmath
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from starcong import InvalidInput, UnitPair, classify, classify_many, random_congruence, real_rank, tangent_space_dim
+from starcong import (InvalidInput, Hyperbolic, UnitPair, classify, classify_many, codimension, real_rank,
+                      tangent_space_dim, versal_profile)
 from starcong.cli import _selftest_grid
 from starcong.errors import SingularMatrix
 from starcong.forms import _entries
@@ -166,46 +168,26 @@ def test_real_rank_rejects_non_matrices():
     assert real_rank([[]]) == real_rank(np.zeros((3, 0))) == real_rank(np.zeros((0, 3))) == 0
 
 
-# --- parity with the numpy elimination ---------------------------------------
+# --- the exact reference ---------------------------------------------------
 #
-# real_rank and tangent_space_dim run in pure Python.  The references below are
-# the numpy code they replaced; the ranks must agree exactly, so these
-# tests keep today's float ranks near strata boundaries as they are.  An exact
-# rank over Q (ROADMAP open item 5) would change those on purpose.
+# real_rank and tangent_space_dim are exact on the stored doubles.  The
+# reference is plain Gaussian elimination on Fractions, and the codimension
+# table is the reference for the tangent rank.
 
-def numpy_real_rank(M) -> int:
-    W = np.array(M, dtype=np.float64, copy=True)
-    rows, cols = W.shape
-    threshold = 1e-10 * (np.max(np.abs(W)) if W.size else 0.0)
+def exact_rank(M) -> int:
+    """Rank over Q of a matrix of ints or doubles, by Gaussian elimination on Fractions."""
+    rows = [[Fraction(w) for w in row] for row in M]
     rank = 0
-    for col in range(cols):
-        if rank >= rows:
-            break
-        pivot = rank + int(np.argmax(np.abs(W[rank:, col])))
-        if abs(W[pivot, col]) <= threshold:
-            continue
-        if pivot != rank:
-            W[[rank, pivot]] = W[[pivot, rank]]
-        W[rank + 1:] -= np.outer(W[rank + 1:, col] / W[rank, col], W[rank])
-        rank += 1
+    for col in range(len(rows[0]) if rows else 0):
+        top = next((r for r in rows if r[col]), None)
+        if top is not None:
+            rows = [[w - r[col] / top[col] * t for w, t in zip(r, top)] for r in rows if r is not top]
+            rank += 1
     return rank
 
 
-def numpy_tangent_space_dim(A) -> int:
-    A = np.array(A, dtype=np.complex128)
-    cols = []
-    for j in range(2):
-        for k in range(2):
-            for u in (1.0, 1.0j):
-                C = np.zeros((2, 2), dtype=np.complex128)
-                C[j, k] = u
-                M = C.conj().T @ A + A @ C
-                cols.append([x for z in M.ravel() for x in (z.real, z.imag)])
-    return numpy_real_rank(np.array(cols).T)
-
-
 def rank_cases():
-    """Seeded random, rank-deficient, tied, extreme-scale and near-floor real matrices."""
+    """Seeded random, low-rank, small-integer, extreme-scale and nearly dependent real matrices."""
     local = np.random.default_rng(27)
     for n in range(1000):
         r, c = local.integers(1, 9, size=2)
@@ -213,14 +195,14 @@ def rank_cases():
         kind = n % 5
         if kind == 0:  # generic
             M = local.standard_normal((r, c))
-        elif kind == 1:  # low rank
+        elif kind == 1:  # a rounded low-rank product, of full rank on its doubles
             k = local.integers(1, min(r, c) + 1)
             M = local.standard_normal((r, k)) @ local.standard_normal((k, c))
-        elif kind == 2:  # small integers: ties between pivot candidates
+        elif kind == 2:  # small integers
             M = local.integers(-2, 3, size=(r, c)).astype(float)
-        else:  # a column dependent on the others to within 1e-13 .. 1e-8, about the floor
+        else:  # a column dependent on the others to within 1e-13 .. 1e-8
             M = local.standard_normal((r, c))
-            if kind == 4:  # after a first pivot tied between rows, which one is taken shows
+            if kind == 4:  # a first column of +-1
                 M[:, 0] = local.choice([-1.0, 1.0], size=r)
             if c > 1:
                 noise = 10.0 ** local.uniform(-13, -8) * local.standard_normal(r)
@@ -228,33 +210,36 @@ def rank_cases():
         yield scale * M
 
 
-def test_real_rank_matches_numpy_elimination():
+def test_real_rank_matches_exact_elimination():
     deficient = 0
     for M in rank_cases():
-        want = numpy_real_rank(M)
+        want = exact_rank(M)
         deficient += want < min(M.shape)
-        assert real_rank(M) == want, M
-        assert real_rank(M.tolist()) == want, M
-        assert real_rank(tuple(map(tuple, M.tolist()))) == want, M
-    assert 150 < deficient < 600
+        assert real_rank(M) == real_rank(M.tolist()) == real_rank(tuple(map(tuple, M.tolist()))) == want, M
+        # a row that is exactly minus another adds nothing
+        assert real_rank(np.vstack([M, -M[:1]])) == want, M
+    # on the stored doubles only a few small-integer matrices drop rank
+    assert 0 < deficient < 10
 
 
-def test_tangent_space_dim_matches_numpy_map():
+def sweep_forms() -> list:
+    """The selftest grid, pairs 0 and 10^-1 .. 10^-16 off the equal and antipodal boundaries, and hyp near 0 and 1."""
     forms = list(_selftest_grid())
     # pair(m, +-m e^{i eps}) sits eps off the boundary of equal and antipodal pairs
     for m in (1.0, cmath.exp(0.3j), 1j, cmath.exp(2.5j)):
         for eps in [0.0] + [10.0 ** -e for e in range(1, 17)]:
             forms += [UnitPair(m, sign * m * cmath.exp(1j * eps)) for sign in (1, -1)]
-    dims = set()
-    for k, form in enumerate(forms):
+    return forms + [Hyperbolic(s) for s in (5e-324, 1e-300, 1e-10, 0.999999999, 0.0)]
+
+
+def test_codimension_is_the_exact_tangent_codimension():
+    # the table, the definition 8 - dim T_A, and the versal profile agree on
+    # every form, the near-boundary ones included
+    for form in sweep_forms():
         e = _entries(form)
-        for rows in ([e[:2], e[2:]], random_congruence(form, seed=k)[1]):
-            want = numpy_tangent_space_dim(rows)
-            dims.add(want)
-            assert tangent_space_dim(rows) == tangent_space_dim(np.array(rows)) == want, (form, rows)
-    # every class's dimension, and 5 where a member of a pair 1e-10 off the
-    # boundary has a pivot between the floor and the entries' scale
-    assert dims == {0, 3, 4, 5, 6}
+        p = versal_profile(form)
+        for rows in ([e[:2], e[2:]], np.array([e[:2], e[2:]])):
+            assert codimension(form) == 8 - tangent_space_dim(rows) == 2 * p.star_count + p.eps_count, form
 
 
 # as_mat2 is the input check of classify and tangent_space_dim

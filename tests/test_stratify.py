@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,16 @@ from starcong import (
     tangent_space_dim,
     versal_profile,
 )
-from starcong.stratify import EPS_IMAGINARY, EPS_REAL, FIXED_ZERO, STAR
+from starcong.forms import _entries
+from starcong.stratify import EPS_IMAGINARY, EPS_REAL, FIXED_ZERO, STAR, _tangent_map
+
+import exact
+from test_linalg import exact_rank, sweep_forms
 
 rng = np.random.default_rng(411)
+
+#: Codimension of each family the exact oracle names.
+EXACT_CODIM = {"zero": 8, "udz": 5, "pair(l,+-l)": 4, "hyp(0)": 2, "hyp": 2, "pair": 2, "delta": 2}
 
 
 def unit(theta):
@@ -53,13 +62,48 @@ def test_codimension_level_table(k):
 
 
 def test_tangent_dim_congruence_invariant():
-    forms = [UnitPair(unit(0.7), unit(2.0)), Hyperbolic(0.4), DeltaTau(unit(1.1)),
-             UnitDirectZero(unit(0.3)), UnitPair(1j, -1j)]
-    for k, form in enumerate(forms):
-        base = tangent_space_dim(realize(form))
+    # S* rep S with S over {0, +-1, +-i, +-1/2} is exact in doubles, so it is
+    # a member of the class and has the class's tangent dimension
+    units = (1, -1, 1j, -1j)
+    forms = [*map(UnitDirectZero, units), *(UnitPair(u, u) for u in units), *(UnitPair(u, -u) for u in units),
+             Hyperbolic(0.5), UnitPair(1, 1j), DeltaTau(1), DeltaTau(1j), Zero()]
+    values = np.array([0, 1, -1, 1j, -1j, 0.5, -0.5])
+    local = np.random.default_rng(97)
+    for form in forms:
+        rep = realize(form)
+        members = 0
+        while members < 8:
+            S = local.choice(values, size=(2, 2))
+            if S[0, 0] * S[1, 1] == S[0, 1] * S[1, 0]:
+                continue
+            members += 1
+            assert tangent_space_dim(S.conj().T @ rep @ S) == 8 - codimension(form), (form, S)
+    # a rounded member lies, on its doubles, in a class of codimension 2, or
+    # of codimension 4 where rounding keeps S* (l H) S l times a Hermitian
+    # matrix, l in {+-1, +-i}; the exact oracle names the same class
+    cases = [(UnitPair(unit(0.7), unit(2.0)), 6), (Hyperbolic(0.4), 6), (DeltaTau(unit(1.1)), 6),
+             (UnitDirectZero(unit(0.3)), 6), (UnitPair(unit(0.2), unit(0.2)), 6), (UnitPair(1j, -1j), 4),
+             (UnitDirectZero(1), 4)]
+    for k, (form, dim) in enumerate(cases):
         for s in range(8):
             _, member = random_congruence(form, seed=97 * k + s)
-            assert tangent_space_dim(member) == base
+            assert tangent_space_dim(member) == dim == 8 - EXACT_CODIM[exact.family(member)], (form, member)
+
+
+def test_versal_directions_complete_the_tangent_space():
+    # transversality: the tangent map's columns plus the profile's directions
+    # (E_jk and i E_jk per star cell, E_jj per eps-real and i E_jj per
+    # eps-imaginary cell) span R^8
+    directions = {STAR: (0, 1), EPS_REAL: (0,), EPS_IMAGINARY: (1,), FIXED_ZERO: ()}
+    forms = sweep_forms()
+    for t in (1e-12, 1e-300, np.pi / 2 + 1e-13):
+        forms += [UnitDirectZero(cmath.exp(1j * t)), DeltaTau(cmath.exp(1j * t))]
+    for form in forms:
+        grid = versal_profile(form).grid
+        cols = [[int(i == 4 * j + 2 * k + part) for i in range(8)]
+                for j in range(2) for k in range(2) for part in directions[grid[j][k]]]
+        e = _entries(form)
+        assert exact_rank(_tangent_map([e[:2], e[2:]]) + cols) == 8, form
 
 
 def test_first_order_expansion_bound():
@@ -105,6 +149,13 @@ def test_versal_profiles():
 
     p = versal_profile(UnitPair(-1, -1))
     assert p.grid == ((EPS_IMAGINARY, FIXED_ZERO), (STAR, EPS_IMAGINARY))
+
+
+def test_eps_kind_read_off_the_stored_double():
+    # the eps cell is imaginary iff the parameter is exactly +-1
+    for lam, kind in ((1, EPS_IMAGINARY), (-1, EPS_IMAGINARY), (cmath.exp(1e-12j), EPS_REAL),
+                      (cmath.exp(1e-300j), EPS_REAL), (-cmath.exp(-1e-300j), EPS_REAL)):
+        assert versal_profile(UnitDirectZero(lam)).grid[0][0] == kind, lam
 
 
 def test_versal_consistency_on_grid():
