@@ -133,15 +133,13 @@ def _check_delta(delta: float) -> None:
 def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witness:
     """Perturbation E with ||E||_F <= delta (1 + 1e-12) moving ``source`` into class ``target``.
 
-    The arrow's builder gives a congruence S(f) at construction scale f, and
-    E = S* realize(target) S - realize(source), so source + E is congruent to
-    the target's representative.  From the builder's first scale, f halves
-    until E fits the budget (for a udz source a residue |E[0,0]| <= 1e-12 is
-    cleared first) and a rounding bound certifies S and E; nothing is
-    classified.  A scale the bound refuses halves on; once a halving leaves
-    ||E|| no smaller, the last refusal is raised, or a budget refusal if none.
-    Deterministic.  Raises NoArrow (carrying an obstruction certificate) when
-    the move is impossible.
+    The arrow's builder gives a congruence S at a closed-form construction
+    scale, and E = S* realize(target) S - realize(source), so source + E is
+    congruent to the target's representative.  E is built once (for a udz
+    source a residue |E[0,0]| <= 1e-12 is cleared), checked once against the
+    budget, and a rounding bound certifies S and E; nothing is classified.
+    Deterministic.  Raises StarcongError naming the budget or bound that
+    refuses, and NoArrow (carrying an obstruction certificate) when the move is impossible.
     """
     _check_delta(delta)
     if source == target:
@@ -154,35 +152,27 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
     # reachable() leaves zero sources, udz -> pair, hyp, delta and pair(l, -l) -> delta(+-l)
     N, M = _entries(target), _entries(source)
     if isinstance(source, Zero):
-        congruence, f = _congruence_from_zero(N, delta), 1.0
+        S = _congruence_from_zero(N, delta)
     elif isinstance(source, UnitPair):
-        congruence, f = _congruence_pair_delta(source, target, delta), 1.0
+        S = _congruence_pair_delta(source, target, delta)
     elif isinstance(target, UnitPair):
-        congruence, f = _congruence_udz_pair(source, target), min(0.5, delta)
+        S = _congruence_udz_pair(source, target, delta)
     elif isinstance(target, Hyperbolic):
-        congruence, f = _congruence_udz_hyp(source, target), min(0.5, delta)
+        S = _congruence_udz_hyp(source, target, delta)
     else:
-        congruence, f = _congruence_udz_delta(source, target, delta), 1.0
+        S = _congruence_udz_delta(source, target, delta)
 
-    last, refusal = math.inf, "perturbation did not shrink below the budget"
-    for _ in range(200):
-        S = congruence(f)
-        c0, c1 = (S[0], S[2]), (S[1], S[3])
-        E = [_form(*N, x, y) - m for x, y, m in zip((c0, c0, c1, c1), (c0, c1, c0, c1), M)]
-        # a udz source's E[0,0] vanishes by construction: clear the rounding residue only
-        kept = (0j, *E[1:]) if isinstance(source, UnitDirectZero) and abs(E[0]) <= 1e-12 else tuple(E)
-        norm_e = _norm4(*kept)
-        if norm_e <= delta * (1.0 + 1e-12):
-            refusal = _certify(N, M, S, E, delta)
-            if refusal is None:
-                return Witness(kept, tuple(complex(s) for s in S), norm_e)
-        if norm_e >= last:  # no smaller f fits: E's f-dependent part is below rounding
-            break
-        last = norm_e
-        f /= 2.0
-        if f * delta < sys.float_info.min:  # the scale would be lost to rounding
-            break
-    raise StarcongError(refusal)
+    c0, c1 = (S[0], S[2]), (S[1], S[3])
+    E = [_form(*N, x, y) - m for x, y, m in zip((c0, c0, c1, c1), (c0, c1, c0, c1), M)]
+    # a udz source's E[0,0] vanishes by construction: clear the rounding residue only
+    kept = (0j, *E[1:]) if isinstance(source, UnitDirectZero) and abs(E[0]) <= 1e-12 else tuple(E)
+    norm_e = _norm4(*kept)
+    if norm_e > delta * (1.0 + 1e-12):
+        raise StarcongError(f"perturbation ||E||_F {norm_e:.3e} exceeds delta {delta:.3e}")
+    refusal = _certify(N, M, S, E, delta)
+    if refusal is not None:
+        raise StarcongError(refusal)
+    return Witness(kept, tuple(complex(s) for s in S), norm_e)
 
 
 def _certify(N, M, S, E, delta):
@@ -208,66 +198,61 @@ def _certify(N, M, S, E, delta):
 
 
 def _congruence_from_zero(N, delta):
-    scale = delta / _norm4(*N)
-    return lambda f: (math.sqrt(f * scale), 0.0, 0.0, math.sqrt(f * scale))
+    r = math.sqrt(delta / _norm4(*N))
+    return r, 0.0, 0.0, r
 
 
-def _congruence_udz_pair(source, target):
+def _congruence_udz_pair(source, target, delta):
     lam, mu, nu = source.lam, target.mu, target.nu
     # read the cone as reachable, which granted the arrow, reads it
     a, b, det = _cone_coefficients(lam.real, lam.imag, mu.real, mu.imag, nu.real, nu.imag)
     if not _in_sector(a, b, det):  # lam is on a generator's ray
         a, b = (1.0, 0.0) if _on_ray(lam.real, lam.imag, mu.real, mu.imag) else (0.0, 1.0)
     x, z = math.sqrt(a), math.sqrt(b)
+    # keep S nonsingular: the small column (0, f), or (f, 0) when a = 0, avoids
+    # the vanishing sqrt.  It adds E[0,1] = conj(z) nu f, E[1,0] = nu z f and
+    # E[1,1] = nu f^2 (mu and x for nu and z when a = 0), so with |nu| = 1 and
+    # f <= 1 its part of ||E|| is f sqrt(2 |z|^2 + f^2) <= f (2 |z| + 1) = delta / 4
+    if a > 0.0:
+        return x, 0.0, z, delta / (4.0 * (2.0 * z + 1.0))
+    return x, delta / (4.0 * (2.0 * x + 1.0)), z, 0.0
 
-    def congruence(f):
-        # keep S nonsingular: the small column avoids the vanishing sqrt
-        y, t = (0.0, f) if a > 0.0 else (f, 0.0)
-        return x, y, z, t
 
-    return congruence
-
-
-def _congruence_udz_hyp(source, target):
-    lam, sigma = source.lam, target.sigma
+def _congruence_udz_hyp(source, target, delta):
+    lam, sigma, s = source.lam, target.sigma, abs(target.sigma)
     alpha, beta = sigma.real, sigma.imag
-    det = alpha * alpha + beta * beta - 1.0  # nonzero since |sigma| < 1
+    det = (s - 1.0) * (s + 1.0)  # |sigma|^2 - 1, nonzero since s < 1, as Hyperbolic checks
     u = ((alpha - 1.0) * lam.real + beta * lam.imag) / det
     v = (-beta * lam.real + (1.0 + alpha) * lam.imag) / det
     w = complex(u, v)  # conj(z) x with z = 1
-    return lambda f: (w, 0.0, 1.0, f)
+    # the column (0, f) adds E[0,1] = conj(w) f and E[1,0] = sigma w f, so with
+    # |sigma| < 1 its part of ||E|| is f |w| sqrt(1 + |sigma|^2) < f (2 |w| + 1) = delta / 4
+    return w, 0.0, 1.0, delta / (4.0 * (2.0 * abs(w) + 1.0))
 
 
 def _congruence_udz_delta(source, target, delta):
     lam, tau = source.lam, target.tau
     c = tau.conjugate() * lam
     im_c = _im_lam_conj_tau(lam.real, lam.imag, tau.real, tau.imag)  # reachable() found it >= 0
-
-    def congruence(f):
-        eta = 0.4 * delta * f
-        rho = 0.15 * delta * f
-        z = math.sqrt(max(im_c, eta))
-        x = complex(c.real / (2.0 * z), 0.0)
-        if abs(x) < 0.5:
-            # padding the imaginary part keeps S well conditioned; the first
-            # construction equation only constrains Re(conj(z) x)
-            x += 0.5j
-        t = rho / abs(x)
-        return x, 0.0, z, t
-
-    return congruence
+    z = math.sqrt(max(im_c, 0.4 * delta))
+    if z == 0.0:  # 0.4 delta underflows only at the smallest subnormal delta
+        raise StarcongError(f"construction scale 0.4 delta underflows to 0 at delta {delta:.3e}")
+    x = complex(c.real / (2.0 * z), 0.0)
+    if abs(x) < 0.5:
+        # padding the imaginary part keeps S well conditioned; the first
+        # construction equation only constrains Re(conj(z) x)
+        x += 0.5j
+    return x, 0.0, z, 0.15 * delta / abs(x)
 
 
 def _congruence_pair_delta(source, target, delta):
     # S* (tau Delta_2) S = sign tau diag(1, -1) + i tau r^2 [[1, -1], [-1, 1]],
     # and sign tau = l exactly, as reachable() found tau = +-l
     sign = 1.0 if target.tau == source.mu else -1.0
-
-    def congruence(f):
-        r = math.sqrt(0.45 * delta * f)
-        return 1.0 / (2.0 * r), 1.0 / (2.0 * r), sign * r, -sign * r
-
-    return congruence
+    r = math.sqrt(0.45 * delta)
+    if r == 0.0:  # 0.45 delta underflows only at the smallest subnormal delta
+        raise StarcongError(f"construction scale 0.45 delta underflows to 0 at delta {delta:.3e}")
+    return 1.0 / (2.0 * r), 1.0 / (2.0 * r), sign * r, -sign * r
 
 
 # --- obstruction certificates ---------------------------------------------------

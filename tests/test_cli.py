@@ -184,6 +184,14 @@ def test_witness_tiny_delta_is_a_domain_error():
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command", ["witness", "arrow"])
+def test_witness_udz_to_hyp_near_the_unit_circle_exits_cleanly(command):
+    # |sigma| < 1, but alpha^2 + beta^2 - 1 rounds to 0 for this sigma
+    res = run_cli(command, "udz(1)", "hyp(0.74353246951357754+0.66869983309332504i)")
+    assert res.returncode in (0, 1), res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("args", [
     # source + E is nearly singular (relative determinant 2.25e-16), but the
     # congruence itself is certified
@@ -201,8 +209,8 @@ def test_witness_needs_no_classification(args):
 
 @pytest.mark.parametrize("delta", ["1e-9", "1e-12", "1e-13", "1e-14"])
 def test_witness_halves_past_a_refused_scale(delta):
-    # the first scale whose ||E|| fits sits at delta itself, leaving the rounding
-    # bound on E[0,0] no room; the next halving fits with room to spare
+    # a scale giving ||E|| = delta would leave the rounding bound on E[0,0] no
+    # room; the closed-form scale gives delta / 12 here, with room to spare
     from test_perturb import assert_exact_witness
 
     from starcong import Hyperbolic, UnitDirectZero, witness

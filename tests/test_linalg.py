@@ -140,12 +140,17 @@ def test_real_rank():
 
 def test_real_rank_permutation_invariant():
     for _ in range(20):
-        M = rng.standard_normal((5, 7))
-        M[:, 3] = M[:, 0] + M[:, 1]  # force a rank drop
-        r = real_rank(M)
+        # small-integer factors, each with a diagonally dominant 3x3 block, so
+        # M = A B is exact in doubles and has rank 3, below both of its sizes
+        A = rng.integers(-3, 4, (5, 3)).astype(float)
+        B = rng.integers(-3, 4, (3, 7)).astype(float)
+        A[:3] += 10.0 * np.eye(3)
+        B[:, :3] += 10.0 * np.eye(3)
+        M = A @ B
+        assert real_rank(M) == 3
         perm_rows = rng.permutation(5)
         perm_cols = rng.permutation(7)
-        assert real_rank(M[perm_rows][:, perm_cols]) == r
+        assert real_rank(M[perm_rows][:, perm_cols]) == 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -148,25 +148,26 @@ def test_witness_soundness(src, dst, delta):
 
 #: Every delta = 10^-k with k up to this, per source family, is served: 1e-8
 #: was the floor when witnesses were checked by re-classifying source + E; a
-#: udz source now reaches 1e-14, as the loop halves past a scale the rounding
-#: bound refuses (the bound on E[0,0] is about 2e-15).
+#: udz source now reaches 1e-14, as each builder's scale keeps ||E|| below
+#: delta with room for the rounding bound on E[0,0] (about 2e-15).
 SERVED_K = {Zero: 300, UnitDirectZero: 14, UnitPair: 8}
 
 
 @pytest.mark.parametrize("src,dst", ARROW_CASES)
 def test_witness_tiny_delta_refuses_cleanly(src, dst):
-    # down to delta = 1e-300 a witness is built or refused with a StarcongError,
-    # never an arithmetic error from a norm squared below the smallest float
+    # down to delta = 1e-300, and at the subnormals 1e-310 and 5e-324, a witness
+    # is built or refused with a StarcongError, never an arithmetic error from a
+    # norm squared below the smallest float or a construction scale rounded to 0
     from starcong import StarcongError
 
-    for k in range(1, 301):
+    for k, delta in [(k, 10.0**-k) for k in range(1, 301)] + [(310, 1e-310), (324, 5e-324)]:
         try:
-            w = witness(src, dst, 10.0**-k)
+            w = witness(src, dst, delta)
         except StarcongError:
             assert k > SERVED_K[type(src)], (src, dst, k)
             continue
-        assert w.norm_E <= 10.0**-k * (1 + 1e-12)
-        assert_exact_witness(src, dst, 10.0**-k, w)
+        assert w.norm_E <= delta * (1 + 1e-12)
+        assert_exact_witness(src, dst, delta, w)
 
 
 @pytest.mark.parametrize("src,dst", ARROW_CASES[::4])
@@ -193,11 +194,33 @@ def test_witness_refuses_near_plus_minus_m(src, dst):
         assert info.value.certificate == cert
 
 
+def test_witness_udz_to_hyp_near_the_unit_circle():
+    # |sigma| < 1, yet alpha^2 + beta^2 - 1 can round to 0 there: the builder's
+    # det is (|sigma| - 1)(|sigma| + 1), so each witness is served or refused
+    # with a StarcongError, never a ZeroDivisionError
+    from starcong import StarcongError
+
+    rng, rounded_to_one = SplitMix64(7), 0
+    for _ in range(4000):
+        sigma = unit(2.0 * np.pi * rng.uniform())
+        if abs(sigma) >= 1.0:
+            continue
+        rounded_to_one += sigma.real * sigma.real + sigma.imag * sigma.imag - 1.0 == 0.0
+        for delta in (1e-2, 1e-8):
+            try:
+                w = witness(UnitDirectZero(1), Hyperbolic(sigma), delta)
+            except StarcongError:
+                continue
+            assert_exact_witness(UnitDirectZero(1), Hyperbolic(sigma), delta, w)
+    assert rounded_to_one > 0
+
+
 def test_witness_uses_the_one_budget_rule():
     # E is accepted at ||E|| <= delta (1 + 1e-12), so a one-ulp overshoot of
-    # delta does not halve the construction scale
-    w = witness(UnitDirectZero(0.95689030748216164 - 0.2904495471621435j), Hyperbolic(0), 1e-4)
-    assert w.norm_E == pytest.approx(1e-4, rel=1e-12)
+    # delta is still served
+    w = witness(Zero(), UnitDirectZero(unit(0.3)), 1e-2)
+    assert w.norm_E == np.nextafter(1e-2, 1.0)
+    assert w.norm_E <= 1e-2 * (1 + 1e-12)
 
 
 def _grid_form(rng: SplitMix64):
