@@ -17,8 +17,10 @@ a JSON matrix or print a report.  Each handler imports what else it runs:
 ``codim`` nothing more; ``classify`` ``canonical`` (with ``rng``); ``arrow``
 and ``witness`` ``perturb`` (with ``closure`` and ``rng``); ``graph``
 ``closure``; ``sample`` ``perturb`` and ``canonical``; ``selftest`` all of
-these.  ``classify``, ``codim``, ``arrow``, ``witness`` and ``selftest`` run on
-Python scalars and never import numpy; only ``sample`` and ``graph`` load it.
+these.  ``classify``, ``codim``, ``arrow``, ``witness``, ``selftest`` and
+``graph`` on at most 12 forms (``closure._SCALAR_GRAPH_MAX``) run on Python
+scalars and never import numpy; only ``sample``, and ``graph`` on more than 12
+forms, load it.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def _cmd_graph(args) -> int:
     if args.format == "dot":
         sys.stdout.write(to_dot(graph))
         return 0
-    outputs = {"vertices": [format_form(v) for v in graph.vertices], "edges": graph.edges.tolist()}
+    outputs = {"vertices": [format_form(v) for v in graph.vertices], "edges": graph._pair_list()}
     return _emit(args, {"forms": [format_form(f) for f in forms]}, outputs, [])
 
 

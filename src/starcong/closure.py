@@ -22,10 +22,13 @@ delta(1+1e-13i) is one too.
 
 ``hasse_subgraph`` restricts the order to a finite vertex set and emits its
 transitive reduction; no covering relation on the infinite poset is claimed.
-It evaluates the cone, half-plane and +-l predicates that ``reachable`` uses
-on parameter arrays, one family block at a time, so its relation is the same
-bits as n^2 ``reachable`` calls; 10^4 vertices, the documented cap, take
-seconds (figures in its docstring).
+Up to ``_SCALAR_GRAPH_MAX`` (12) vertices, a command line's worth, it calls
+``reachable`` on every ordered pair and imports no numpy; past that crossover,
+where the scalar path stops being faster even with numpy loaded, it evaluates
+the cone, half-plane and +-l predicates that ``reachable`` uses on parameter
+arrays, one family block at a time, so its relation is the same bits as n^2
+``reachable`` calls; 10^4 vertices, the documented cap, take seconds (figures
+in its docstring).
 """
 
 from __future__ import annotations
@@ -135,10 +138,26 @@ def reachable(source: CanonicalForm, target: CanonicalForm) -> bool:
     return False
 
 
+def _edge_array(edges, n: int) -> np.ndarray:
+    """``edges`` as a read-only (E, 2) int32 array of indices into n vertices."""
+    import numpy as np
+
+    edges = np.array(edges, dtype=np.int32).reshape(len(edges), 2)
+    if ((edges < 0) | (edges >= n)).any():
+        raise ValueError(f"edge index outside [0, {n})")
+    edges.flags.writeable = False
+    return edges
+
+
 class HasseSubgraph(_Record):
     """Vertices and covering edges: ``edges`` is a read-only (E, 2) int32 array
     of (source, target) indices in row-major order, converted from any sequence
-    of pairs.  Graphs compare by identity, as an array takes no part in ``==``.
+    of pairs; an index outside ``range(len(vertices))`` raises ValueError.
+    Graphs compare by identity, as an array takes no part in ``==``.
+
+    ``hasse_subgraph`` hands a small graph its edges as a list of int pairs
+    (``_from_pairs``); its ``edges`` array is built on first access, so a
+    graph that is only printed never imports numpy.
     """
 
     __match_args__ = ("vertices", "edges")
@@ -146,12 +165,34 @@ class HasseSubgraph(_Record):
     __hash__ = object.__hash__
 
     def __init__(self, vertices: tuple[CanonicalForm, ...], edges):
-        import numpy as np
-
-        edges = np.array(edges, dtype=np.int32).reshape(len(edges), 2)
-        edges.flags.writeable = False
         d = self.__dict__
-        d["vertices"], d["edges"] = vertices, edges
+        d["vertices"], d["_edges"] = vertices, _edge_array(edges, len(vertices))
+
+    @classmethod
+    def _from_pairs(cls, vertices: tuple[CanonicalForm, ...], pairs: list[tuple[int, int]]) -> HasseSubgraph:
+        graph = cls.__new__(cls)
+        d = graph.__dict__
+        d["vertices"], d["_pairs"] = vertices, pairs
+        return graph
+
+    @property
+    def edges(self) -> np.ndarray:
+        d = self.__dict__
+        if "_edges" not in d:
+            d["_edges"] = _edge_array(d["_pairs"], len(self.vertices))
+        return d["_edges"]
+
+    def _pair_list(self) -> list:
+        """The edges as (source, target) pairs of Python ints, in the graph's order."""
+        pairs = self.__dict__.get("_pairs")
+        return self.edges.tolist() if pairs is None else pairs
+
+    def __reduce__(self):
+        # rebuilt through a constructor, so a copy's edges are read-only too
+        pairs = self.__dict__.get("_pairs")
+        if pairs is None:
+            return HasseSubgraph, (self.vertices, self.edges)
+        return HasseSubgraph._from_pairs, (self.vertices, pairs)
 
 
 def _parts(zs) -> tuple[np.ndarray, np.ndarray]:
@@ -203,34 +244,34 @@ def _relation(verts) -> np.ndarray:
     return R
 
 
-def hasse_subgraph(vertices) -> HasseSubgraph:
-    """Transitive reduction of the closure order on a finite vertex set.
+# Vertex sets up to this size take the scalar path: n(n - 1) ``reachable``
+# calls and a reduction over Python sets.  12 is the last size where it is
+# faster than the array path even with numpy already loaded (Intel Xeon,
+# Python 3.11, numpy 2.4; medians over 20 random sets of all families):
+# hasse_subgraph takes 94 us scalar against 110 us array at 12 vertices,
+# 112 against 110 at 13 and 172 against 125 at 16; with to_dot after it,
+# 155 against 190 us at 12 and 247 against 217 at 16.
+_SCALAR_GRAPH_MAX = 12
 
-    The relation is built one (source family, target family) block at a time
-    with the predicates ``reachable`` uses, over parameter arrays; an arrow is
-    dropped when a 2-step path implies it, found by a float32 product over
-    the vertices with both in- and out-arrows.  Edges are in row-major order.
 
-    Served size, random vertex sets of all families (Intel Xeon, 2 vCPUs,
-    Python 3.11, numpy 2.4, one BLAS thread), with ``to_dot`` after it:
+def _scalar_graph(verts: tuple[CanonicalForm, ...]) -> HasseSubgraph:
+    """The Hasse edges from ``reachable`` on every ordered pair, without numpy.
 
-        10^3 vertices:  0.02 s + 0.04 s,    51 k edges,  5.7 MB of DOT,   58 MB peak RSS
-        10^4 vertices:  2.5 s  + 2.6 s,    4.7 M edges,  514 MB of DOT,  1.1 GB peak RSS
-
-    Time and memory grow with the number of edges, about n^2 / 20; at 10^4
-    vertices the peak RSS is 0.39 GB before ``to_dot``.
+    An arrow i -> j is dropped when j is a successor of a successor of i.
     """
+    n = len(verts)
+    succ = [[j for j in range(n) if j != i and reachable(verts[i], verts[j])] for i in range(n)]
+    pairs = []
+    for i, out in enumerate(succ):
+        implied = {k for j in out for k in succ[j]}
+        pairs += [(i, j) for j in out if j not in implied]
+    return HasseSubgraph._from_pairs(verts, pairs)
+
+
+def _array_graph(verts: tuple[CanonicalForm, ...]) -> HasseSubgraph:
+    """The Hasse edges from ``_relation``, reduced by a float32 product."""
     import numpy as np
 
-    verts = tuple(vertices)
-    if len(verts) > 10**4:
-        raise InvalidInput("at most 10^4 vertices supported")
-    if len(set(verts)) != len(verts):
-        seen = set()
-        for v in verts:
-            if v in seen:
-                raise DuplicateVertex(f"duplicate vertex {format_form(v)}")
-            seen.add(v)
     R = _relation(verts)
     # an edge is redundant iff a 2-step path exists inside the relation; only
     # rows with out-arrows hold edges, only vertices with both kinds are steps
@@ -243,10 +284,46 @@ def hasse_subgraph(vertices) -> HasseSubgraph:
     return HasseSubgraph(verts, np.stack((src[rows], cols), axis=1))
 
 
-def to_dot(graph: HasseSubgraph) -> str:
-    """Deterministic DOT rendering, rank layers grouped by codimension."""
-    import numpy as np
+def hasse_subgraph(vertices) -> HasseSubgraph:
+    """Transitive reduction of the closure order on a finite vertex set.
 
+    An arrow is dropped when a 2-step path implies it; edges are in row-major
+    order.  Up to ``_SCALAR_GRAPH_MAX`` (12) vertices, the size a command line
+    holds, the relation is n(n - 1) ``reachable`` calls and nothing imports
+    numpy; the graph's ``edges`` array is built only when read.  Larger sets
+    build the relation one (source family, target family) block at a time with
+    the predicates ``reachable`` uses, over parameter arrays, and find 2-step
+    paths by a float32 product over the vertices with both in- and out-arrows.
+    Both paths give the same edges, bit for bit; the crossover is where the
+    scalar path stops being faster even with numpy already loaded.
+
+    Served size, random vertex sets of all families (Intel Xeon, 2 vCPUs,
+    Python 3.11, numpy 2.4, one BLAS thread), with ``to_dot`` after it:
+
+        10^3 vertices:  0.02 s + 0.04 s,    51 k edges,  5.7 MB of DOT,   58 MB peak RSS
+        10^4 vertices:  2.5 s  + 2.6 s,    4.7 M edges,  514 MB of DOT,  1.1 GB peak RSS
+
+    Time and memory grow with the number of edges, about n^2 / 20; at 10^4
+    vertices the peak RSS is 0.39 GB before ``to_dot``.
+    """
+    verts = tuple(vertices)
+    if len(verts) > 10**4:
+        raise InvalidInput("at most 10^4 vertices supported")
+    if len(set(verts)) != len(verts):
+        seen = set()
+        for v in verts:
+            if v in seen:
+                raise DuplicateVertex(f"duplicate vertex {format_form(v)}")
+            seen.add(v)
+    return (_scalar_graph if len(verts) <= _SCALAR_GRAPH_MAX else _array_graph)(verts)
+
+
+def to_dot(graph: HasseSubgraph) -> str:
+    """Deterministic DOT rendering, rank layers grouped by codimension.
+
+    A graph that holds its edges as int pairs sorts them with ``sorted`` and
+    imports no numpy; one that holds an array sorts integer keys in numpy.
+    """
     ids = [format_form(v) for v in graph.vertices]
     codims = [codimension(v) for v in graph.vertices]
     order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -262,13 +339,20 @@ def to_dot(graph: HasseSubgraph) -> str:
     # share a rank, so their lines tie as equal strings do.
     uniq = list(dict.fromkeys(ids[k] for k in order))
     rank = dict(zip(uniq, range(len(uniq))))
-    r = np.array([rank[nid] for nid in ids], dtype=np.int64)
-    keys = np.sort(r[graph.edges[:, 0]] * len(uniq) + r[graph.edges[:, 1]])
     head = [f'  "{u}" -> "' for u in uniq]
     tail = [f'{u}";\n' for u in uniq]
-    # joined 2^16 lines at a time: at 10^4 vertices there are millions
-    for start in range(0, len(keys), 1 << 16):
-        a, b = np.divmod(keys[start:start + (1 << 16)], len(uniq))
-        chunks.append("".join([head[i] + tail[j] for i, j in zip(a.tolist(), b.tolist())]))
+    pairs = graph.__dict__.get("_pairs")
+    if pairs is not None:
+        r = [rank[nid] for nid in ids]
+        chunks.append("".join([head[a] + tail[b] for a, b in sorted([(r[i], r[j]) for i, j in pairs])]))
+    else:
+        import numpy as np
+
+        r = np.array([rank[nid] for nid in ids], dtype=np.int64)
+        keys = np.sort(r[graph.edges[:, 0]] * len(uniq) + r[graph.edges[:, 1]])
+        # joined 2^16 lines at a time: at 10^4 vertices there are millions
+        for start in range(0, len(keys), 1 << 16):
+            a, b = np.divmod(keys[start:start + (1 << 16)], len(uniq))
+            chunks.append("".join([head[i] + tail[j] for i, j in zip(a.tolist(), b.tolist())]))
     chunks.append("}\n")
     return "".join(chunks)

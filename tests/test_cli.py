@@ -442,6 +442,9 @@ def run_no_numpy_probe(*args):
                           capture_output=True, text=True, env=src_env(), timeout=300)
 
 
+SEVEN_FORMS = ("zero", "udz(1)", "pair(1,1i)", "pair(1,-1)", "hyp(0.3)", "delta(1)", "delta(1i)")
+
+
 @pytest.mark.parametrize("args", [
     (),
     ("codim", "udz(1)"),
@@ -457,15 +460,28 @@ def run_no_numpy_probe(*args):
     ("classify", "0,0;0,0"),                                    # the zero branch
     ("selftest",),
     ("selftest", "--seed", "3"),
+    ("graph", *SEVEN_FORMS),
+    ("graph", *SEVEN_FORMS, "--format", "json"),
 ])
 def test_scalar_commands_leave_numpy_unloaded(args):
     # no scalar subcommand loads numpy, dataclasses or inspect, the exact rank
-    # runs on Python ints without fractions or decimal, and classify and codim
-    # load neither closure nor perturb
+    # runs on Python ints without fractions or decimal, classify and codim
+    # load neither closure nor perturb, and graph on a few forms loads closure
     res = run_no_numpy_probe(*args)
     assert res.returncode == 0, res.stderr
-    loaded = "starcong.closure starcong.perturb" if args and args[0] in ("arrow", "witness", "selftest") else ""
-    assert res.stdout == ("0\n" if args else "") + loaded + "\n"
+    loaded = {"arrow": "starcong.closure starcong.perturb", "witness": "starcong.closure starcong.perturb",
+              "selftest": "starcong.closure starcong.perturb", "graph": "starcong.closure"}
+    assert res.stdout == ("0\n" if args else "") + loaded.get(args[0] if args else "", "") + "\n"
+
+
+def test_graph_past_the_scalar_size_loads_numpy():
+    from starcong.closure import _SCALAR_GRAPH_MAX
+
+    forms = [f"hyp({k / 100})" for k in range(_SCALAR_GRAPH_MAX + 1)]
+    res = run_no_numpy_probe("graph", *forms)
+    assert res.returncode == 0, res.stderr
+    code, loaded = res.stdout.split("\n", 1)
+    assert code == "0" and {"numpy", "starcong.closure"} <= set(loaded.split())  # numpy brings inspect
 
 
 JSON_PROBE = """

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -299,6 +300,34 @@ def test_hasse_matches_brute_force():
         assert to_dot(g) == to_dot(HasseSubgraph(tuple(verts), edges)) == reference_to_dot(g)
 
 
+def test_scalar_and_array_paths_agree():
+    # every prefix of a ladder set and a random set, across the size that
+    # selects the path: both paths give brute_force's edges and the same DOT
+    rng = SplitMix64(31)
+    sizes = range(closure._SCALAR_GRAPH_MAX + 3)
+    for base in (ladder_set(rng), random_set(rng, sizes[-1])):
+        for n in sizes:
+            verts = tuple(base[:n])
+            _, edges = brute_force(verts)
+            scalar, array = closure._scalar_graph(verts), closure._array_graph(verts)
+            dot = reference_to_dot(HasseSubgraph(verts, edges))
+            for g in (scalar, array):
+                assert g.vertices == verts
+                assert edge_tuples(g) == edges
+                assert to_dot(g) == dot
+            g = hasse_subgraph(verts)
+            assert edge_tuples(g) == edges
+            assert ("_pairs" in g.__dict__) == (n <= closure._SCALAR_GRAPH_MAX)  # the size selects the path
+            assert repr(scalar) == repr(array)
+            assert scalar.edges.dtype == np.int32 and scalar.edges.shape == (len(edges), 2)
+            assert not scalar.edges.flags.writeable
+            for g in (closure._scalar_graph(verts), scalar, array):  # edges not yet read, and read
+                twin = pickle.loads(pickle.dumps(g))
+                assert type(twin) is HasseSubgraph and twin.vertices == verts
+                assert edge_tuples(twin) == edges and not twin.edges.flags.writeable
+                assert to_dot(twin) == dot
+
+
 def test_hasse_small_and_sparse_sets():
     assert edge_tuples(hasse_subgraph([])) == ()
     assert to_dot(hasse_subgraph([])) == "digraph closure {\n  rankdir=BT;\n  node [shape=box];\n}\n"
@@ -347,7 +376,8 @@ def test_edges_are_a_read_only_int32_array():
         empty = HasseSubgraph((Zero(),), edges)
         assert empty.edges.shape == (0, 2)
         assert empty.edges.dtype == np.int32
-    for edges in ([(0, 1, 1)], [0, 1], np.zeros((2, 3))):
+    # wrong shapes, and indices outside [0, len(vertices))
+    for edges in ([(0, 1, 1)], [0, 1], np.zeros((2, 3)), [(-1, 0)], [(0, 2)]):
         with pytest.raises(ValueError):
             HasseSubgraph((Zero(), UnitDirectZero(1)), edges)
 
