@@ -12,7 +12,7 @@ arrays, so the classifier on Python numbers runs without it.
 
 from importlib import import_module
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 _PUBLIC = {
     "canonical": ("AMBIG_FRACTION", "ClassificationReport", "classify", "classify_many", "random_congruence"),

@@ -264,7 +264,7 @@ def _pair_entry(a, b, c, d, r, root, eig, n_m, n_lam):
     # v = +-|v| w at the exact null vector x', where A x' = eig A* x'.  The row
     # errs by n_m, so x = x' + e, ||e|| <= dx = n_m / (row - n_m) (or 2), and
     # v - x'* A x' = (A* x')* e + e* A x' + e* A e lies within 2 |A x| dx + 3 dx^2
-    # (||A||_2 <= 1); the form rounds by 12u (10u as in perturb._certify, 2u
+    # (||A||_2 <= 1); the form rounds by 12u (10u as in perturb._residual, 2u
     # the entries'), and w errs by n_lam.
     dx = min(n_m / (row - n_m), 2.0) if row > n_m else 2.0
     stat = (w.conjugate() * v).real

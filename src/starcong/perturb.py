@@ -37,9 +37,11 @@ from .forms import (
     format_form,
     realize,
 )
-from .linalg import _form, _norm4
+from .linalg import EPS, _norm4
 from .rng import substream_seeds, uniform_step
 from .stratify import codimension
+
+_G, _TINY = 5.0 * EPS, sys.float_info.min * (16.0 * EPS)  # g = 10u and tiny, u = EPS / 2, of _residual's bound
 
 CERTIFICATE_KINDS = (
     "CodimMonotonicity",
@@ -135,11 +137,11 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
 
     The arrow's builder gives a congruence S at a closed-form construction
     scale, and E = S* realize(target) S - realize(source), so source + E is
-    congruent to the target's representative.  E is built once (for a udz
-    source a residue |E[0,0]| <= 1e-12 is cleared), checked once against the
-    budget, and a rounding bound certifies S and E; nothing is classified.
-    Deterministic.  Raises StarcongError naming the budget or bound that
-    refuses, and NoArrow (carrying an obstruction certificate) when the move is impossible.
+    congruent to the target's representative.  E is built once (a udz
+    source's residue |E[0,0]| <= 1e-12 is cleared, save where udz -> delta
+    pads its scale), checked once against the budget, and a rounding bound
+    certifies S and E; nothing is classified.  Deterministic.  Raises StarcongError naming the budget or
+    bound that refuses, and NoArrow (carrying an obstruction certificate) when the move is impossible.
     """
     _check_delta(delta)
     if source == target:
@@ -162,39 +164,42 @@ def witness(source: CanonicalForm, target: CanonicalForm, delta: float) -> Witne
     else:
         S = _congruence_udz_delta(source, target, delta)
 
-    c0, c1 = (S[0], S[2]), (S[1], S[3])
-    E = [_form(*N, x, y) - m for x, y, m in zip((c0, c0, c1, c1), (c0, c1, c0, c1), M)]
-    # a udz source's E[0,0] vanishes by construction: clear the rounding residue only
-    kept = (0j, *E[1:]) if isinstance(source, UnitDirectZero) and abs(E[0]) <= 1e-12 else tuple(E)
+    E, bound = _residual(*S, *N, *M)
+    # a udz source's builder makes E[0,0] exactly 0, so a residue is cleared, but udz -> delta
+    # padding z^2 = 0.4 delta > c = Im(lam conj tau) leaves E[0,0] = i tau (0.4 delta - c)
+    clear = isinstance(source, UnitDirectZero) and abs(E[0]) <= 1e-12 and not (isinstance(target, DeltaTau) and (
+        _im_lam_conj_tau(source.lam.real, source.lam.imag, target.tau.real, target.tau.imag) < 0.4 * delta))
+    kept = (0j, *E[1:]) if clear else E
     norm_e = _norm4(*kept)
     if norm_e > delta * (1.0 + 1e-12):
         raise StarcongError(f"perturbation ||E||_F {norm_e:.3e} exceeds delta {delta:.3e}")
-    refusal = _certify(N, M, S, E, delta)
-    if refusal is not None:
-        raise StarcongError(refusal)
-    return Witness(kept, tuple(complex(s) for s in S), norm_e)
+    if bound * (1.0 + 4.0 * EPS) > delta * (1.0 + 1e-12):
+        raise StarcongError(f"witness verification failed: rounding bound {bound:.3e} exceeds delta {delta:.3e}")
+    if abs(S[0] * S[3] - S[1] * S[2]) <= _G * (abs(S[0] * S[3]) + abs(S[1] * S[2])) + _TINY:
+        raise StarcongError("witness verification failed: det S is within its rounding bound of 0")
+    return Witness(kept, (complex(S[0]), complex(S[1]), complex(S[2]), complex(S[3])), norm_e)
 
 
-def _certify(N, M, S, E, delta):
-    """None if E' = S* N S - M, exact for the float S, has ||E'||_F <= delta (1 + 1e-12) and
-    det S != 0; otherwise the reason the rounding bound cannot show it."""
-    # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.) 3.1, 3.6:
-    # with u = 2^-53 complex sums round by <= u, products by <= sqrt(2) gamma_2
-    # = 2 sqrt(2) u / (1 - 2u).  A term conj(x_k) N_kl y_l of _form meets two
-    # products and two sums and M_ij one sum, so |E_ij - E'_ij| <= g (|x|^T |N| |y|
-    # + |M_ij|), g = (1 + sqrt(2) gamma_2)^2 (1 + u)^3 - 1 = 8.66u + O(u^2) <= 10u,
-    # det S too.  Underflow adds u 2^-1022 a real product, 5.7 u 2^-1022 (1 + |y_0|
-    # + |y_1|) an entry (tiny: 32 for 5.7); abs, the sums and hypot add 7u (1 + 8u).
-    u = sys.float_info.epsilon / 2.0
-    g, tiny = 10.0 * u, sys.float_info.min * (32.0 * u)
-    a, (x0, x1) = [abs(v) for v in N], ((abs(S[0]), abs(S[2])), (abs(S[1]), abs(S[3])))
-    bound = _norm4(*(abs(e) + g * (_form(*a, x, y) + abs(m)) + tiny * (1.0 + y[0] + y[1])
-                     for e, m, x, y in zip(E, M, (x0, x0, x1, x1), (x0, x1, x0, x1))))
-    if bound * (1.0 + 8.0 * u) > delta * (1.0 + 1e-12):
-        return f"witness verification failed: rounding bound {bound:.3e} exceeds delta {delta:.3e}"
-    if abs(S[0] * S[3] - S[1] * S[2]) <= g * (abs(S[0] * S[3]) + abs(S[1] * S[2])) + tiny:
-        return "witness verification failed: det S is within its rounding bound of 0"
-    return None
+def _residual(s00, s01, s10, s11, n00, n01, n10, n11, m00, m01, m10, m11):
+    """E = S* N S - M in floats from the rows of S* N, and b, ||E'||_F <= b (1 + 8u) for the exact E'."""
+    # Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.) 3.1, 3.6: with u = 2^-53 complex
+    # sums round by <= u, products by <= sqrt(2) gamma_2 = 2 sqrt(2) u / (1 - 2u).  A term conj(x_k) N_kl y_l
+    # of an entry meets two products and two sums and M_ij one sum, so |E_ij - E'_ij| <= g (|x|^T |N| |y|
+    # + |M_ij|), g = (1 + sqrt(2) gamma_2)^2 (1 + u)^3 - 1 = 8.66u + O(u^2) <= 10u, det S too.  Underflow
+    # adds u 2^-1022 a real product, 5.7 u 2^-1022 (1 + |y_0| + |y_1|) an entry (tiny: 32 for 5.7); abs,
+    # the sums and hypot add 7u (1 + 8u).  Entries sum as linalg._form sums, |x|^T |N| formed once per row.
+    x0, x1, y0, y1 = s00.conjugate(), s10.conjugate(), s01.conjugate(), s11.conjugate()
+    p0, p1, q0, q1 = x0 * n00 + x1 * n10, x0 * n01 + x1 * n11, y0 * n00 + y1 * n10, y0 * n01 + y1 * n11
+    e00, e01 = p0 * s00 + p1 * s10 - m00, p0 * s01 + p1 * s11 - m01
+    e10, e11 = q0 * s00 + q1 * s10 - m10, q0 * s01 + q1 * s11 - m11
+    a00, a01, a10, a11 = abs(n00), abs(n01), abs(n10), abs(n11)
+    x0, x1, y0, y1 = abs(s00), abs(s10), abs(s01), abs(s11)
+    p0, p1, q0, q1 = x0 * a00 + x1 * a10, x0 * a01 + x1 * a11, y0 * a00 + y1 * a10, y0 * a01 + y1 * a11
+    w0, w1 = _TINY * (1.0 + x0 + x1), _TINY * (1.0 + y0 + y1)
+    return (e00, e01, e10, e11), math.hypot(abs(e00) + _G * (p0 * x0 + p1 * x1 + abs(m00)) + w0,
+                                            abs(e01) + _G * (p0 * y0 + p1 * y1 + abs(m01)) + w1,
+                                            abs(e10) + _G * (q0 * x0 + q1 * x1 + abs(m10)) + w0,
+                                            abs(e11) + _G * (q0 * y0 + q1 * y1 + abs(m11)) + w1)
 
 
 def _congruence_from_zero(N, delta):

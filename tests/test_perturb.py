@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,10 @@ from starcong import (
     sample_neighborhood,
     witness,
 )
+from starcong import StarcongError, perturb
+from starcong.forms import _entries
 from starcong.jsonutil import render_json
+from starcong.linalg import _form, _norm4
 from starcong.rng import SplitMix64
 
 GOLDEN_WITNESSES = Path(__file__).resolve().parent / "data" / "golden_witnesses.jsonl"
@@ -46,18 +50,39 @@ def _dot(p, q, r, s):
     return a[0] + b[0], a[1] + b[1]
 
 
+#: Unit roundoff, and the factor and underflow term of witness's rounding bound.
+U = sys.float_info.epsilon / 2.0
+G, TINY = 10.0 * U, sys.float_info.min * (32.0 * U)
+
+
+def entry_bounds(S, N, M):
+    """Bound on |E_ij - E'_ij| for each entry of E = S* N S - M in floats, E' the exact value:
+    g (|x|^T |N| |y| + |M_ij|) + tiny (1 + |y_0| + |y_1|) for the columns x, y of S."""
+    cols = (abs(S[0]), abs(S[2])), (abs(S[1]), abs(S[3]))
+    a = [abs(v) for v in N]
+    return [G * (_form(*a, cols[i], cols[j]) + abs(M[2 * i + j])) + TINY * (1.0 + cols[j][0] + cols[j][1])
+            for i in range(2) for j in range(2)]
+
+
 def assert_exact_witness(src, dst, delta, w):
     """In rational arithmetic on the float entries of w.S and the two
     representatives: E' = S* N S - M has ||E'||_F <= delta (1 + 1e-12) and
-    det S != 0, so realize(src) + E' lies in the class of dst."""
+    det S != 0, so realize(src) + E' lies in the class of dst.  Each returned
+    entry of w.E lies within its rounding bound of the exact E' entry, so a
+    corner returned as 0 is one whose exact E'[0,0] is within that bound of 0."""
     S, N, M = _exact(w.S), _exact(realize(dst)), _exact(realize(src))
+    bounds = entry_bounds(w.S_entries, _entries(dst), _entries(src))
     NS = [[_dot(N[i][0], S[0][j], N[i][1], S[1][j]) for j in range(2)] for i in range(2)]
     Sh = [[(S[j][i][0], -S[j][i][1]) for j in range(2)] for i in range(2)]
     sq = Fraction(0)
     for i in range(2):
         for j in range(2):
             re, im = _dot(Sh[i][0], NS[0][j], Sh[i][1], NS[1][j])
-            sq += (re - M[i][j][0]) ** 2 + (im - M[i][j][1]) ** 2
+            re, im = re - M[i][j][0], im - M[i][j][1]
+            sq += re**2 + im**2
+            e = w.E_entries[2 * i + j]
+            off = (Fraction(e.real) - re) ** 2 + (Fraction(e.imag) - im) ** 2
+            assert off <= Fraction(bounds[2 * i + j]) ** 2, (src, dst, delta, i, j, e, float(re), float(im))
     assert sq <= Fraction(delta * (1 + 1e-12)) ** 2, (src, dst, delta)
     assert _mul(S[0][0], S[1][1]) != _mul(S[0][1], S[1][0]), (src, dst, delta)
 
@@ -250,8 +275,104 @@ def test_witness_exact_on_a_seeded_arrow_sweep():
         families.add((type(src), type(dst)))
         for delta in (1e-2, 1e-5, 1e-8):
             assert_exact_witness(src, dst, delta, witness(src, dst, delta))
+    # udz -> delta on the half-plane's edge pads z^2 = 0.4 delta, so E[0,0] = 0.4 i tau delta,
+    # at most 1e-12 at these deltas: it is part of E, not a residue to clear
+    for src, dst in ((UnitDirectZero(1), DeltaTau(1)), (UnitDirectZero(1), DeltaTau(-1)),
+                     (UnitDirectZero(1j), DeltaTau(-1j))):
+        for delta in (1e-12, 2e-12, 1e-13):
+            assert_exact_witness(src, dst, delta, witness(src, dst, delta))
     assert families == {(Zero, t) for t in (UnitDirectZero, UnitPair, Hyperbolic, DeltaTau)} | {
         (UnitDirectZero, t) for t in (UnitPair, Hyperbolic, DeltaTau)} | {(UnitPair, DeltaTau)}
+
+
+def reference_residual(N, M, S):
+    """E = S* N S - M and its rounding bound as witness formed them in 0.12.0: one linalg._form call
+    per entry, and the bound by the expression of the former perturb._certify."""
+    c0, c1 = (S[0], S[2]), (S[1], S[3])
+    E = [_form(*N, x, y) - m for x, y, m in zip((c0, c0, c1, c1), (c0, c1, c0, c1), M)]
+    a, (x0, x1) = [abs(v) for v in N], ((abs(S[0]), abs(S[2])), (abs(S[1]), abs(S[3])))
+    bound = _norm4(*(abs(e) + G * (_form(*a, x, y) + abs(m)) + TINY * (1.0 + y[0] + y[1])
+                     for e, m, x, y in zip(E, M, (x0, x0, x1, x1), (x0, x1, x0, x1))))
+    return E, bound
+
+
+def reference_outcome(src, dst, delta, S, N, M):
+    """witness's answer as 0.12.0 gave it from S, and whether its E[0,0] clearing is the padded
+    udz -> delta corner that 0.13.0 keeps."""
+    E, bound = reference_residual(N, M, S)
+    residue = isinstance(src, UnitDirectZero) and abs(E[0]) <= 1e-12  # cleared in 0.12.0
+    fixed = residue and isinstance(dst, DeltaTau) and (src.lam * dst.tau.conjugate()).imag < 0.4 * delta
+    kept = (0j, *E[1:]) if residue and not fixed else tuple(E)
+    norm_e = _norm4(*kept)
+    if norm_e > delta * (1.0 + 1e-12):
+        return f"perturbation ||E||_F {norm_e:.3e} exceeds delta {delta:.3e}", fixed
+    if bound * (1.0 + 8.0 * U) > delta * (1.0 + 1e-12):
+        return f"witness verification failed: rounding bound {bound:.3e} exceeds delta {delta:.3e}", fixed
+    if abs(S[0] * S[3] - S[1] * S[2]) <= G * (abs(S[0] * S[3]) + abs(S[1] * S[2])) + TINY:
+        return "witness verification failed: det S is within its rounding bound of 0", fixed
+    return _bits(kept, [complex(v) for v in S], norm_e), fixed
+
+
+def _ladder_forms(rng: SplitMix64):
+    """Forms of every family away from the boundaries, the anchors ma, me, mc/nc and th, and for
+    k = 3..15 pairs 10^-k off antipodal or equal and udz 10^-k either side of a cone or half-plane edge."""
+    u = lambda: unit(2.0 * np.pi * rng.uniform())  # noqa: E731
+    ma, me, mc, th = u(), u(), u(), u()
+    nc = mc * unit(0.3 + 2.5 * rng.uniform())
+    forms = [Zero(), Hyperbolic(0), Hyperbolic(0.5 * u()), UnitDirectZero(u()), UnitDirectZero(u()),
+             UnitPair(u(), u()), UnitPair(ma, -ma), UnitPair(me, me), DeltaTau(u()), DeltaTau(ma),
+             DeltaTau(-ma), UnitDirectZero(me), UnitPair(mc, nc), DeltaTau(th)]
+    for k in range(3, 16):
+        eps = 10.0**-k
+        forms += [UnitPair(ma, -ma * unit(eps)), UnitPair(me, me * unit(eps))]
+        forms += [UnitDirectZero(m * unit(sign * eps)) for m in (mc, th) for sign in (1, -1)]
+    return forms
+
+
+def _bits(E, S=(), norm_e=0.0):
+    return [(z.real.hex(), z.imag.hex()) for z in (*E, *S)], norm_e.hex()
+
+
+def test_witness_residual_is_the_former_formulas_bit_for_bit(monkeypatch):
+    # witness's kernel gives E and the bound of four _form calls and _certify's expression to
+    # the bit, and witness answers as before, but for the padded udz -> delta corner it keeps
+    kernel, calls = perturb._residual, []
+
+    def spy(*args):
+        calls.append((args, kernel(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(perturb, "_residual", spy)
+    deltas = [10.0**-k for k in range(1, 17)] + [1e-300, 5e-324]
+    kinds, fixed_count, checked = set(), 0, 0
+    for seed in (1, 2):
+        forms = _ladder_forms(SplitMix64(seed))
+        for src in forms:
+            for dst in forms:
+                if src == dst or not reachable(src, dst):
+                    continue
+                kinds.add((type(src), type(dst)))
+                for delta in deltas:
+                    calls.clear()
+                    try:
+                        w = witness(src, dst, delta)
+                        got = _bits(w.E_entries, w.S_entries, w.norm_E)
+                    except StarcongError as err:
+                        got = str(err)
+                    if not calls:  # the construction scale underflowed: no S was built
+                        assert got.startswith("construction scale 0."), (src, dst, delta, got)
+                        continue
+                    (args, (E, bound)), = calls
+                    S, N, M = args[:4], args[4:8], args[8:]
+                    ref_E, ref_bound = reference_residual(N, M, S)
+                    assert _bits(E, (), bound) == _bits(ref_E, (), ref_bound), (src, dst, delta)
+                    want, fixed = reference_outcome(src, dst, delta, S, N, M)
+                    assert got == want, (src, dst, delta)
+                    fixed_count += fixed
+                    checked += 1
+    assert kinds == {(Zero, t) for t in (UnitDirectZero, UnitPair, Hyperbolic, DeltaTau)} | {
+        (UnitDirectZero, t) for t in (UnitPair, Hyperbolic, DeltaTau)} | {(UnitPair, DeltaTau)}
+    assert fixed_count > 0 and checked > 10_000, (fixed_count, checked)
 
 
 def _golden_line(src, dst, delta):
