@@ -26,7 +26,7 @@ zero, raises AmbiguousClassification instead of being assigned a class.
 
 Inside this module a 2x2 matrix is the tuple of its entries (m00, m01, m10,
 m11): Python complex scalars in classify, arrays over the stack in
-classify_many.  The kernels the two share take either; the norm and the
+classify_many.  Both run the one decision tree, ``_tree``; the norm and the
 form x* A y come from ``linalg``.  classify and classify_many reject NaN/Inf.
 
 classify reads two rows of Python floats or complex numbers, as ``starcong
@@ -50,6 +50,10 @@ from .rng import seeded_rng
 AMBIG_FRACTION = 0.5
 
 FAMILY_CODES = ("zero", "udz", "pair", "hyp", "delta", "boundary")
+
+_BOUNDARIES = (("rank<=1", "nonsingular"), ("udz", "hyp(0)"), ("coincident spectrum", "distinct spectrum"),
+               ("pair(l,+-l)", "delta"), ("definite", "indefinite"))  # the (branch, contender) of each slack
+_RANK, _RESIDUAL, _COINCIDENCE, _DEPARTURE, _INERTIA = range(5)  # its index: the tree's four tests, then inertia
 
 # Rounding noise (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
 # ed., 3.1 and 3.6), u = 2^-53: a complex sum rounds by <= u, a complex
@@ -92,45 +96,32 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     entries = _prescale(entries)
     norm = _norm4(*entries)
     a, b, c, d = (m / norm for m in entries)
-    det, absdet, h, r, nr, rho2, n_rho2 = _invariants(a, b, c, d)
+    code, slacks, nonsingular, inv, t = _tree(a, b, c, d, tol)
+    form = (_classify_nonsingular(a, b, c, d, code, slacks, inv, t) if nonsingular
+            else _classify_rank1(a, b, c, d, code))
 
-    slacks: list[tuple[float, str, str]] = [(abs(absdet - tol - _E), "rank<=1", "nonsingular")]
-    if absdet <= tol + _E:
-        form = _classify_rank1(a, b, c, d, tol, slacks)
-    else:
-        form = _classify_nonsingular(a, b, c, d, det, absdet, h, r, nr, rho2, n_rho2, tol, slacks)
-
-    margin = float(min(s for s, _, _ in slacks))
+    margin, worst = min(slacks)  # on a tie the earlier comparison, which has the lower index
     if margin < AMBIG_FRACTION * tol:
-        worst = min(slacks, key=lambda t: t[0])
-        raise AmbiguousClassification(
-            f"margin {margin:.3e} below {AMBIG_FRACTION * tol:.3e}: "
-            f"contending branches {worst[1]!r} vs {worst[2]!r}",
-            (worst[1], worst[2]),
-            margin,
-        )
+        branch, contender = _BOUNDARIES[worst]
+        raise AmbiguousClassification(f"margin {margin:.3e} below {AMBIG_FRACTION * tol:.3e}: contending branches "
+                                      f"{branch!r} vs {contender!r}", _BOUNDARIES[worst], margin)
     return ClassificationReport(form, margin, scale)
 
 
-def _classify_rank1(a, b, c, d, tol, slacks):
-    resid = _rank1_residual(a, b, c, d)
-    slacks.append((abs(resid - tol - 2.0 * _E), "udz", "hyp(0)"))
-    if resid <= tol + 2.0 * _E:
-        tr = a + d
-        if abs(tr) < 0.5:
-            # a proportional rank-1 matrix has |tr| == ||A||_F exactly
-            raise AmbiguousClassification(
-                "rank-1 proportional matrix with inconsistent trace",
-                ("udz", "hyp(0)"), abs(tr))
-        return UnitDirectZero(tr / abs(tr))
-    return Hyperbolic(0.0)
+def _classify_rank1(a, b, c, d, code):
+    if code == 3:
+        return Hyperbolic(0.0)
+    tr = a + d
+    if abs(tr) < 0.5:
+        # a proportional rank-1 matrix has |tr| == ||A||_F exactly
+        raise AmbiguousClassification(
+            "rank-1 proportional matrix with inconsistent trace", _BOUNDARIES[_RESIDUAL], abs(tr))
+    return UnitDirectZero(tr / abs(tr))
 
 
 # --- kernels ------------------------------------------------------------------
-#
-# Down to _departure they take complex scalars or ndarrays alike, for classify
-# and classify_many, whose own control flow (if/else or masks) compares with
-# the thresholds they return.  The branches after them serve classify alone.
+# Down to _tree, the decision tree of classify and classify_many, they take
+# complex scalars or ndarrays alike.  The leaves after it serve classify alone.
 
 
 def _prescale(entries):
@@ -211,13 +202,49 @@ def _departure(absdet, h, nr, tol):
     return threshold, abs(nr - threshold) / (nr + abs(h))
 
 
-def _classify_nonsingular(a, b, c, d, det, absdet, h, r, nr, rho2, n_rho2, tol, slacks):
-    t, rel, threshold, slack = _coincidence(h, rho2, n_rho2, tol)
-    slacks.append((slack, "coincident spectrum", "distinct spectrum"))
-    if rel > threshold:
+def _where(cond, x, y):
+    """x where cond holds, else y: the conditional expression on a Python bool, np.where on a mask."""
+    if cond.__class__ is bool:
+        return x if cond else y
+    import numpy as np
+    return np.where(cond, x, y)
+
+
+def _any(cond):
+    return cond if cond.__class__ is bool else cond.any()
+
+
+def _tree(a, b, c, d, tol):
+    """The decision tree on normalized entries, each branch computed if a lane takes it, then
+    selected: the family code (never boundary), the (slack, boundary index) of each comparison in
+    order (inf on array lanes that skip it), the nonsingular lanes, the invariants, t (or None)."""
+    inv = det, absdet, h, r, nr, rho2, n_rho2 = _invariants(a, b, c, d)
+    slacks = [(abs(absdet - tol - _E), _RANK)]
+    singular = absdet <= tol + _E
+    nonsingular = _where(singular, False, True)
+    code, t = 0, None
+    if _any(singular):
+        resid = _rank1_residual(a, b, c, d)
+        slacks.append((_where(singular, abs(resid - tol - 2.0 * _E), math.inf), _RESIDUAL))
+        code = _where(resid <= tol + 2.0 * _E, 1, 3)  # the nonsingular lanes' select overwrites them
+    if _any(nonsingular):
+        t, rel, threshold, slack = _coincidence(h, rho2, n_rho2, tol)
+        slacks.append((_where(nonsingular, slack, math.inf), _COINCIDENCE))
         # rel > threshold puts |rho2| above its noise, so its sign is exact
-        if rho2 > 0.0:
-            return Hyperbolic(det / (h + math.copysign(t, h)))
+        code = _where(nonsingular, _where(rho2 > 0.0, 3, 2), code)
+        coincident = _where(rel > threshold, False, nonsingular)
+        if _any(coincident):
+            threshold, slack = _departure(absdet, h, nr, tol)
+            slacks.append((_where(coincident, slack, math.inf), _DEPARTURE))
+            code = _where(coincident, _where(nr <= threshold, 2, 4), code)
+    return code, slacks, nonsingular, inv, t
+
+
+def _classify_nonsingular(a, b, c, d, code, slacks, inv, t):
+    det, absdet, h, r, _, _, n_rho2 = inv
+    if code == 3:
+        return Hyperbolic(det / (h + math.copysign(t, h)))
+    if slacks[-1][1] == _COINCIDENCE:  # a distinct spectrum on the unit circle
         root = 1j * t
         n_t = n_rho2 / t  # |t^ - t| = |rho2^ - rho2| / (t^ + t)
         # an eigenvalue (h +- root) / conj(det A) has modulus 1 and errs by
@@ -227,9 +254,6 @@ def _classify_nonsingular(a, b, c, d, det, absdet, h, r, nr, rho2, n_rho2, tol, 
         mu = _pair_entry(a, b, c, d, r, root, (h + root) / det.conjugate(), n_m, n_lam)
         nu = _pair_entry(a, b, c, d, r, -root, det / (h + root), n_m, n_lam)
         return UnitPair(mu, nu)
-
-    threshold, slack = _departure(absdet, h, nr, tol)
-    slacks.append((slack, "pair(l,+-l)", "delta"))
     if abs(h) <= _E:  # l^2 = h / conj(det A) has no phase above its rounding
         raise AmbiguousClassification("cosquare eigenvalue within its rounding of zero", ("pair", "delta"), abs(h))
     xi = h / det.conjugate()
@@ -237,7 +261,7 @@ def _classify_nonsingular(a, b, c, d, det, absdet, h, r, nr, rho2, n_rho2, tol, 
     # xi = h / conj(det A) is unimodular up to rounding and errs by E / |h| +
     # E / |det A| + u relative; the root halves that, normalizing adds 2u
     n_lam = _E / abs(h) + _E / absdet + 3.0 * _U
-    if nr <= threshold:
+    if code == 2:
         return _branch_scalar(a, b, c, d, lam, n_lam, slacks)
     # K is a Jordan block: A = S* tau [[0, 1], [1, i]] S with tau = +-l, so
     # (conj(tau) A - tau A*) / 2i = S* diag(0, 1) S is positive semidefinite
@@ -286,7 +310,7 @@ def _branch_scalar(a, b, c, d, lam, n_lam, slacks):
     # by <= phi ||(H - H*) / 2|| + phi^2 ||H||.
     noise = 12.0 * _U + n_lam * (anti + n_lam)
     slack = min(abs(eig_lo), abs(eig_hi)) - noise
-    slacks.append((slack, "definite", "indefinite"))
+    slacks.append((slack, _INERTIA))
     if slack <= 0.0:
         raise AmbiguousClassification(
             "inertia of the scaled matrix could not be resolved",
@@ -303,10 +327,10 @@ def _branch_scalar(a, b, c, d, lam, n_lam, slacks):
 def classify_many(As: np.ndarray) -> dict:
     """Family-level classification of a stack of matrices at tol = 1e-9.
 
-    Shares the kernels and thresholds of :func:`classify` but extracts no
-    parameters, so it vectorizes.  Returns family codes (indices into
-    FAMILY_CODES, with sub-tolerance margins mapped to "boundary"), margins,
-    and the cosquare eigenvalues, the larger modulus first (NaN if singular).
+    Runs the decision tree of :func:`classify` on every matrix at once but
+    extracts no parameters.  Returns family codes (indices into FAMILY_CODES,
+    with sub-tolerance margins mapped to "boundary"), margins, and the
+    cosquare eigenvalues, the larger modulus first (NaN if singular).
     """
     import numpy as np
 
@@ -316,51 +340,27 @@ def classify_many(As: np.ndarray) -> dict:
     if not np.all(np.isfinite(As.view(np.float64))):
         raise InvalidInput("matrix stack contains NaN or Inf")
     tol = 1e-9  # classify's default
-    fam = np.zeros(len(As), dtype=np.int64)
-    margin = np.full(len(As), np.inf)
-    p_out, q_out = np.full((2, len(As)), np.nan, dtype=np.complex128)
-
+    p, q = np.full((2, len(As)), np.nan, dtype=np.complex128)
     entries = _prescale(As)
     scale = _norm4(*entries)
     nonzero = scale > 0.0
-    if not np.any(nonzero):
-        return {"family": fam, "margin": margin, "p": p_out, "q": q_out}
-
     # zero rows divide by 1; every output masks them
-    divisor = np.where(nonzero, scale, 1.0)
-    a, b, c, d = (m / divisor for m in entries)
-    det, absdet, h, r, nr, rho2, n_rho2 = _invariants(a, b, c, d)
-    margin = np.minimum(margin, np.where(nonzero, np.abs(absdet - tol - _E), np.inf))
-
-    singular = nonzero & (absdet <= tol + _E)
-    if np.any(singular):
-        resid = _rank1_residual(a, b, c, d)
-        margin = np.where(singular, np.minimum(margin, np.abs(resid - tol - 2.0 * _E)), margin)
-        fam = np.where(singular, np.where(resid <= tol + 2.0 * _E, 1, 3), fam)
-
-    nonsing = nonzero & (absdet > tol + _E)
-    if np.any(nonsing):
-        # the masked-out lanes may divide by zero; np.where discards them
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t, rel, threshold, slack = _coincidence(h, rho2, n_rho2, tol)
-            margin = np.where(nonsing, np.minimum(margin, slack), margin)
-            distinct = nonsing & (rel > threshold)
-            coincident = nonsing & ~distinct
-            fam = np.where(distinct, np.where(rho2 > 0.0, 3, 2), fam)
-            if np.any(coincident):
-                j_threshold, j_slack = _departure(absdet, h, nr, tol)
-                margin = np.where(coincident, np.minimum(margin, j_slack), margin)
-                fam = np.where(coincident, np.where(nr <= j_threshold, 2, 4), fam)
+    a, b, c, d = (m / np.where(nonzero, scale, 1.0) for m in entries)
+    # the lanes a branch's select discards may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code, slacks, nonsingular, inv, t = _tree(a, b, c, d, tol)
+        if nonsingular.any():
             # the smaller root as det A / (h + root), which does not cancel;
             # off the circle the larger is 1 / conj(q), as hyp(sigma) has it
+            det, _, h, _, _, rho2, _ = inv
             hyp = rho2 > 0.0
             h_root = h + np.where(hyp, np.copysign(t, h), 1j * t)
-            q = det / h_root
-            p_out = np.where(nonsing, np.where(hyp, 1.0 / q.conjugate(), h_root / det.conjugate()), p_out)
-            q_out = np.where(nonsing, q, q_out)
+            q = np.where(nonsingular, det / h_root, q)
+            p = np.where(nonsingular, np.where(hyp, 1.0 / q.conjugate(), h_root / det.conjugate()), p)
 
-    fam = np.where(nonzero & (margin < AMBIG_FRACTION * tol), 5, fam)
-    return {"family": fam, "margin": margin, "p": p_out, "q": q_out}
+    margin = np.where(nonzero, np.minimum.reduce([s for s, _ in slacks]), np.inf)
+    fam = np.where(margin < AMBIG_FRACTION * tol, 5, np.where(nonzero, code, 0))
+    return {"family": fam, "margin": margin, "p": p, "q": q}
 
 
 # --- sampling and comparison -------------------------------------------------
