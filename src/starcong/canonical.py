@@ -132,8 +132,11 @@ def _prescale(entries):
     sqrt(2) and the largest at least 1/2, so no square overflows and none that
     matters underflows."""
     if isinstance(entries, list):
-        e = math.frexp(max(max(abs(z.real), abs(z.imag)) for z in entries))[1]
-        return [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in entries]
+        (a, b, c, d), ldexp = entries, math.ldexp
+        k = -math.frexp(max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag),
+                            abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)))[1]  # k = -e
+        return [complex(ldexp(a.real, k), ldexp(a.imag, k)), complex(ldexp(b.real, k), ldexp(b.imag, k)),
+                complex(ldexp(c.real, k), ldexp(c.imag, k)), complex(ldexp(d.real, k), ldexp(d.imag, k))]
     import numpy as np
 
     parts = entries.view(np.float64).reshape(len(entries), 8)
@@ -344,8 +347,8 @@ def classify_many(As: np.ndarray) -> dict:
     entries = _prescale(As)
     scale = _norm4(*entries)
     nonzero = scale > 0.0
-    # zero rows divide by 1; every output masks them
-    a, b, c, d = (m / np.where(nonzero, scale, 1.0) for m in entries)
+    divisor = np.where(nonzero, scale, 1.0)  # zero rows divide by 1; every output masks them
+    a, b, c, d = (m / divisor for m in entries)
     # the lanes a branch's select discards may divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):
         code, slacks, nonsingular, inv, t = _tree(a, b, c, d, tol)

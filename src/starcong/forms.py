@@ -20,7 +20,8 @@ Text grammar (used by the CLI and DOT labels)::
 where ``<c>`` is a complex literal (surrounding whitespace stripped): ``[+-]x``,
 ``[+-]x+[y]i``, ``[+-]x-[y]i`` or ``[+-][y]i``, with x, y decimals (``12``,
 ``1.``, ``.5``) with an optional exponent (``e7``, ``E-7``) and y = 1 when
-omitted; no inner spaces, ``j``, ``nan`` or ``inf``.  Formatting emits 17
+omitted, a digit any Unicode decimal digit; no inner spaces, ``j``, ``nan`` or
+``inf``, checked before ``complex()`` reads it.  Formatting emits 17
 significant digits so every printed value re-parses to the same float.
 """
 
@@ -218,23 +219,19 @@ def format_complex(z: complex) -> str:
     return "%.17g%+.17gi" % (re_, im)
 
 
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_RE_COMPLEX = re.compile(rf"(?P<re>[+-]?{_NUM})(?:(?P<imsign>[+-])(?P<imcoef>{_NUM})?i)?"
-                         rf"|(?P<sign>[+-]?)(?P<coef>{_NUM})?i")
+_NOT_DIGIT = str.maketrans("", "", ".eE+-i")
 
 
 def parse_complex(text: str) -> complex:
-    m = _RE_COMPLEX.fullmatch(text.strip())
-    if m is None:
-        raise FormSyntaxError(f"bad complex literal: {text!r}")
-    re_, imsign, imcoef, sign, coef = m.groups()
-    if re_ is None:
-        coef = float(coef) if coef else 1.0
-        return complex(0.0, -coef if sign == "-" else coef)
-    if imsign is None:
-        return complex(float(re_), 0.0)
-    coef = float(imcoef) if imcoef else 1.0
-    return complex(float(re_), -coef if imsign == "-" else coef)
+    s = text.strip()
+    # complex() also reads j, J, (), _, spaces, nan, inf: only digits may remain inside
+    rest = s.strip("0123456789.eE+-i")
+    if not rest or rest.translate(_NOT_DIGIT).isdecimal():
+        try:
+            return complex(s.replace("i", "j"))
+        except ValueError:
+            pass
+    raise FormSyntaxError(f"bad complex literal: {text!r}")
 
 
 _RE_FORM = re.compile(r"^(?P<head>[a-z]+)\s*(?:\((?P<args>[^)]*)\))?$")

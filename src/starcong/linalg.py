@@ -24,6 +24,7 @@ import sys
 from .errors import InvalidInput, SingularMatrix
 
 EPS = sys.float_info.epsilon
+_ROW, _SCALAR = (list, tuple), (float, complex)  # the exact types _mat2_entries reads itself
 
 #: Relative determinant floor (vs ||A||_F^2) below which inverse2 refuses.
 TOL_SINGULAR = 1e-12
@@ -47,13 +48,12 @@ def _mat2_entries(A) -> list[complex]:
     Two rows of two Python floats or complex numbers are read as they are,
     which equals numpy's conversion bit for bit; any other input goes through
     as_mat2 and so fails with its messages."""
-    if type(A) in (list, tuple) and len(A) == 2 and all(type(row) in (list, tuple) and len(row) == 2 for row in A):
-        entries = [*A[0], *A[1]]
-        if all(type(z) in (float, complex) for z in entries):
-            entries = [complex(z) for z in entries]
-            if not all(map(cmath.isfinite, entries)):
+    if type(A) in _ROW and len(A) == 2 and type(A[0]) in _ROW and type(A[1]) in _ROW and len(A[0]) == len(A[1]) == 2:
+        (a, b), (c, d) = A
+        if type(a) in _SCALAR and type(b) in _SCALAR and type(c) in _SCALAR and type(d) in _SCALAR:
+            if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
                 raise InvalidInput("matrix contains NaN or Inf entries")
-            return entries
+            return [complex(a), complex(b), complex(c), complex(d)]
     return as_mat2(A).ravel().tolist()
 
 

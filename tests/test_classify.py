@@ -326,6 +326,25 @@ def test_classify_many_columns_match_stack_reductions():
         assert got[key].tobytes() == want[key].tobytes(), key
 
 
+def test_prescale_list_and_stack_agree():
+    # classify prescales a list of four Python complex, classify_many an
+    # (n, 2, 2) stack: the one matrix as a (1, 2, 2) stack gets the same bits
+    from starcong.canonical import _prescale
+
+    rng = np.random.default_rng(33)
+    parts = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1.0, 1e308, -1e308,
+             1.7976931348623157e308]
+    mats = [rng.standard_normal(8) * 10.0 ** rng.integers(-320, 308, 8) for _ in range(2000)]
+    mats += [rng.choice(parts, 8) for _ in range(2000)]
+    mats += [np.zeros(8), -np.zeros(8), np.full(8, 5e-324), np.full(8, 1e308)]
+    for row in mats:
+        stack = np.ascontiguousarray(row).view(np.complex128).reshape(1, 2, 2)
+        listed = _prescale(stack.ravel().tolist())
+        columns = _prescale(stack)
+        assert [(z.real.hex(), z.imag.hex()) for z in listed] == \
+            [(float(z.real).hex(), float(z.imag).hex()) for (z,) in columns], row
+
+
 def test_ambiguous_near_rank_boundary():
     # relative determinant just inside the ambiguity window around tol
     A = np.diag([1.0, 1.2e-9]).astype(complex)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -117,6 +118,7 @@ def test_nan_rejected():
         ("2.5e-1", 0.25 + 0j),
         ("1e1i", 10j),
         ("-0.25+i", -0.25 + 1j),
+        ("\u0661i", 1j),  # any Unicode decimal digit, here ARABIC-INDIC DIGIT ONE
     ],
 )
 def test_parse_complex(text, value):
@@ -125,7 +127,9 @@ def test_parse_complex(text, value):
 
 @pytest.mark.parametrize("bad", ["", "1+", "i1", "1 2", "one", "1+2", "(1,2)",
                                  "1e", "e5", ".", "+-1", "--1", "1ii", "i+1", "1+2i3", "1 + 2i",
-                                 "1+2j", "nan", "inf"])
+                                 "1+2j", "nan", "inf",
+                                 # complex() reads these; the literal grammar does not
+                                 "1j", "(4)", "4_0", "infi", "1J", "nani"])
 def test_parse_complex_rejects(bad):
     with pytest.raises(FormSyntaxError, match=re.escape(f"bad complex literal: {bad!r}")):
         parse_complex(bad)
@@ -158,7 +162,7 @@ def test_parse_complex_sign_bits(text, value, re_sign, im_sign):
 
 
 # The three-pattern grammar parse_complex had before it was folded into one
-# pattern, kept as the reference the one-pattern parser must agree with.
+# pattern, kept as the reference the complex()-based parser must agree with.
 _REF_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _REF_IMAG_ONLY = re.compile(rf"^(?P<sign>[+-]?)(?P<coef>{_REF_NUM})?i$")
 _REF_REAL_ONLY = re.compile(rf"^[+-]?{_REF_NUM}$")
@@ -210,6 +214,8 @@ def test_parse_complex_matches_reference_grammar():
                       else r.choice([-1.0, 1.0]) * r.random() * 10.0 ** r.randint(-330, 308)
                       for _ in range(2)))
         texts += [format_complex(z), f" {format_complex(z)}\t"]
+    # every string of up to five characters over a small alphabet: 111 111 strings
+    texts += ["".join(chars) for k in range(6) for chars in itertools.product("01.e+-i\u0661 j", repeat=k)]
     for text in texts:
         assert parse_outcome(parse_complex, text) == parse_outcome(reference_parse_complex, text), text
 
