@@ -16,7 +16,7 @@ __version__ = "0.13.0"
 
 _PUBLIC = {
     "canonical": ("AMBIG_FRACTION", "ClassificationReport", "classify", "classify_many", "random_congruence"),
-    "closure": ("HasseSubgraph", "hasse_subgraph", "reachable", "to_dot"),
+    "closure": ("HasseSubgraph", "hasse_subgraph", "iter_dot", "reachable", "to_dot"),
     "errors": ("AmbiguousClassification", "ArrowExists", "CertificateNotFound", "DuplicateVertex",
                "FormSyntaxError", "InvalidInput", "NoArrow", "StarcongError"),
     "forms": ("CanonicalForm", "DeltaTau", "Hyperbolic", "UnitDirectZero", "UnitPair", "Zero", "format_complex",

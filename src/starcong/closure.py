@@ -22,16 +22,23 @@ delta(1+1e-13i) is one too.
 
 ``hasse_subgraph`` restricts the order to a finite vertex set and emits its
 transitive reduction; no covering relation on the infinite poset is claimed.
-Up to ``_SCALAR_GRAPH_MAX`` (12) vertices, a command line's worth, it calls
-``reachable`` on every ordered pair and imports no numpy; past that crossover,
-where the scalar path stops being faster even with numpy loaded, it evaluates
-the cone, half-plane and +-l predicates that ``reachable`` uses on parameter
-arrays, one family block at a time, so its relation is the same bits as n^2
-``reachable`` calls; 10^4 vertices, the documented cap, take seconds (figures
-in its docstring).
+Only udz vertices and antipodal pairs have arrows both in and out, so just two
+cases of arrow are implied by 2-step paths, and both paths drop those cases
+from the relation's own bits, with no matrix product.  Up to
+``_SCALAR_GRAPH_MAX`` (12) vertices, a command line's worth, the relation is
+``reachable`` on every ordered pair and nothing imports numpy; past that
+crossover, where the scalar path stops being faster even with numpy loaded,
+the cone, half-plane and +-l predicates that ``reachable`` uses run on
+parameter arrays, one family block at a time, so the relation is the same
+bits as n^2 ``reachable`` calls.  ``iter_dot`` writes the DOT one source row
+at a time; 10^4 vertices, the documented cap, take seconds (figures in
+``hasse_subgraph``'s docstring).
 """
 
 from __future__ import annotations
+
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import DuplicateVertex, InvalidInput
 from .forms import (
@@ -155,6 +162,10 @@ class HasseSubgraph(_Record):
     of pairs; an index outside ``range(len(vertices))`` raises ValueError.
     Graphs compare by identity, as an array takes no part in ``==``.
 
+    From ``hasse_subgraph`` the edges are the arrows among the vertices that
+    no 2-step path implies: all of them but zero -> j for j with an in-arrow
+    from a non-zero vertex, and udz -> delta through an antipodal pair.
+
     ``hasse_subgraph`` hands a small graph its edges as a list of int pairs
     (``_from_pairs``); its ``edges`` array is built on first access, so a
     graph that is only printed never imports numpy.
@@ -202,18 +213,12 @@ def _parts(zs) -> tuple[np.ndarray, np.ndarray]:
     return z.real, z.imag
 
 
-def _relation(verts) -> np.ndarray:
-    """R[i, j] = reachable(verts[i], verts[j]) for i != j, one family block at a time.
+def _families(verts) -> list[list[int]]:
+    """Indices of the (zero, udz, pair, antipodal pair, hyp, delta) vertices.
 
-    Each block reads the vertices' parameters as ``reachable`` reads them and
-    applies the same predicates to their arrays, so it rounds as
-    ``reachable`` does.
+    The antipodal pairs are listed under pair too.
     """
-    import numpy as np
-
-    n = len(verts)
-    R = np.zeros((n, n), dtype=bool)
-    zero, udz, pair, anti, hyp, delta = [], [], [], [], [], []
+    zero, udz, pair, anti, hyp, delta = families = [], [], [], [], [], []
     for i, v in enumerate(verts):
         if isinstance(v, Zero):
             zero.append(i)
@@ -227,84 +232,116 @@ def _relation(verts) -> np.ndarray:
             hyp.append(i)
         elif isinstance(v, DeltaTau):
             delta.append(i)
+    return families
+
+
+def _relation(verts) -> tuple[np.ndarray, list[list[int]]]:
+    """(R, ``_families(verts)``): R[i, j] = reachable(verts[i], verts[j]) for i != j.
+
+    R is built one family block at a time.  Each block reads the vertices'
+    parameters as ``reachable`` reads them and applies the same predicates to
+    their arrays, so it rounds as ``reachable`` does.
+    """
+    import numpy as np
+
+    families = zero, udz, pair, anti, hyp, delta = _families(verts)
+    n = len(verts)
+    R = np.zeros((n, n), dtype=bool)
     R[zero, :] = True
     R[zero, zero] = False
     tr, ti = _parts([verts[j].tau for j in delta])
     if udz:
+        u = np.array(udz)[:, None]
         lr, li = _parts([verts[i].lam for i in udz])
         lr, li = lr[:, None], li[:, None]
-        R[np.ix_(udz, hyp)] = True
+        R[u, hyp] = True
         mr, mi = _parts([verts[j].mu for j in pair])
         nr, ni = _parts([verts[j].nu for j in pair])
-        R[np.ix_(udz, pair)] = _in_cone(lr, li, mr, mi, nr, ni)
-        R[np.ix_(udz, delta)] = _im_lam_conj_tau(lr, li, tr, ti) >= 0.0
+        R[u, pair] = _in_cone(lr, li, mr, mi, nr, ni)
+        R[u, delta] = _im_lam_conj_tau(lr, li, tr, ti) >= 0.0
     if anti:
         mr, mi = _parts([verts[i].mu for i in anti])
-        R[np.ix_(anti, delta)] = _on_line(tr, ti, mr[:, None], mi[:, None])
-    return R
+        R[np.array(anti)[:, None], delta] = _on_line(tr, ti, mr[:, None], mi[:, None])
+    return R, families
 
 
 # Vertex sets up to this size take the scalar path: n(n - 1) ``reachable``
 # calls and a reduction over Python sets.  12 is the last size where it is
 # faster than the array path even with numpy already loaded (Intel Xeon,
-# Python 3.11, numpy 2.4; medians over 20 random sets of all families):
-# hasse_subgraph takes 94 us scalar against 110 us array at 12 vertices,
-# 112 against 110 at 13 and 172 against 125 at 16; with to_dot after it,
-# 155 against 190 us at 12 and 247 against 217 at 16.
+# Python 3.11, numpy 2.4; medians over 40 random sets of all families, three
+# batches): hasse_subgraph takes 81-88 us scalar against 91-106 us array at 12
+# vertices, 97-103 against 92-112 at 13 and 112-118 against 106-113 at 14;
+# with to_dot after it, 131-138 against 163-183 us at 12 and 211 against 194
+# at 16.
 _SCALAR_GRAPH_MAX = 12
 
 
 def _scalar_graph(verts: tuple[CanonicalForm, ...]) -> HasseSubgraph:
-    """The Hasse edges from ``reachable`` on every ordered pair, without numpy.
-
-    An arrow i -> j is dropped when j is a successor of a successor of i.
-    """
+    """The Hasse edges from ``reachable`` on every ordered pair, without numpy,
+    reduced by ``hasse_subgraph``'s two cases."""
     n = len(verts)
+    zero, udz, _, anti, _, delta = _families(verts)
     succ = [[j for j in range(n) if j != i and reachable(verts[i], verts[j])] for i in range(n)]
-    pairs = []
-    for i, out in enumerate(succ):
-        implied = {k for j in out for k in succ[j]}
-        pairs += [(i, j) for j in out if j not in implied]
-    return HasseSubgraph._from_pairs(verts, pairs)
+    implied = [()] * n
+    entered = {j for k in udz + anti for j in succ[k]}
+    for i in zero:
+        implied[i] = entered
+    anti, delta = set(anti), set(delta)
+    for i in udz:
+        implied[i] = {j for k in succ[i] if k in anti for j in succ[k] if j in delta}
+    return HasseSubgraph._from_pairs(verts, [(i, j) for i, out in enumerate(succ) for j in out if j not in implied[i]])
 
 
 def _array_graph(verts: tuple[CanonicalForm, ...]) -> HasseSubgraph:
-    """The Hasse edges from ``_relation``, reduced by a float32 product."""
+    """The Hasse edges from ``_relation``, reduced by ``hasse_subgraph``'s two
+    cases on its family index lists."""
     import numpy as np
 
-    R = _relation(verts)
-    # an edge is redundant iff a 2-step path exists inside the relation; only
-    # rows with out-arrows hold edges, only vertices with both kinds are steps
-    out = R.any(axis=1)
-    src = np.flatnonzero(out)
-    mid = np.flatnonzero(out & R.any(axis=0))
-    Rs = R[src]
-    implied = (Rs[:, mid].astype(np.float32) @ R[mid].astype(np.float32)) > 0
-    rows, cols = np.nonzero(Rs & ~implied)
+    R, (zero, udz, _, anti, _, delta) = _relation(verts)
+    R[zero] &= ~R[udz + anti].any(axis=0)
+    if udz and anti:
+        u, a = np.array(udz)[:, None], np.array(anti)
+        k, j = np.nonzero(R[a[:, None], delta])  # the arrows antipodal pair a[k] -> delta[j]
+        implied = np.zeros((len(delta), len(udz)), dtype=bool)
+        np.logical_or.at(implied, j, R[u, a[k]].T)  # implied[j] |= (udz -> a[k]), for every such k
+        R[u, delta] &= ~implied.T
+    src = np.flatnonzero(R.any(axis=1))
+    rows, cols = np.divmod(np.flatnonzero(R[src]), len(verts))
     return HasseSubgraph(verts, np.stack((src[rows], cols), axis=1))
 
 
 def hasse_subgraph(vertices) -> HasseSubgraph:
     """Transitive reduction of the closure order on a finite vertex set.
 
-    An arrow is dropped when a 2-step path implies it; edges are in row-major
-    order.  Up to ``_SCALAR_GRAPH_MAX`` (12) vertices, the size a command line
-    holds, the relation is n(n - 1) ``reachable`` calls and nothing imports
-    numpy; the graph's ``edges`` array is built only when read.  Larger sets
-    build the relation one (source family, target family) block at a time with
-    the predicates ``reachable`` uses, over parameter arrays, and find 2-step
-    paths by a float32 product over the vertices with both in- and out-arrows.
-    Both paths give the same edges, bit for bit; the crossover is where the
-    scalar path stops being faster even with numpy already loaded.
+    An arrow i -> j is dropped when a 2-step path i -> k -> j implies it;
+    edges are in row-major order.  Zero has no in-arrow and hyp, delta and the
+    non-antipodal pairs have no out-arrow, so k is udz (and i zero) or an
+    antipodal pair (and i zero or udz, j delta).  An arrow is therefore
+    implied exactly when
+
+        i is zero, and j has an in-arrow from a non-zero vertex, or
+        i is udz, j is delta, and i -> k -> j for an antipodal pair k.
+
+    Both paths test these two cases on the relation's bits as computed, so the
+    result is the reduction of that relation whatever its rounding, with no
+    transitivity assumed and no matrix product.  Up to ``_SCALAR_GRAPH_MAX``
+    (12) vertices, the size a command line holds, the relation is n(n - 1)
+    ``reachable`` calls and nothing imports numpy; the graph's ``edges``
+    array is built only when read.  Larger sets build the relation one
+    (source family, target family) block at a time with the predicates
+    ``reachable`` uses, over parameter arrays.  Both paths give the same
+    edges, bit for bit; the crossover is where the scalar path stops being
+    faster even with numpy already loaded.
 
     Served size, random vertex sets of all families (Intel Xeon, 2 vCPUs,
     Python 3.11, numpy 2.4, one BLAS thread), with ``to_dot`` after it:
 
-        10^3 vertices:  0.02 s + 0.04 s,    51 k edges,  5.7 MB of DOT,   58 MB peak RSS
-        10^4 vertices:  2.5 s  + 2.6 s,    4.7 M edges,  514 MB of DOT,  1.1 GB peak RSS
+        10^3 vertices:  0.008 s + 0.012 s,   49 k edges,  5.5 MB of DOT,    50 MB peak RSS
+        10^4 vertices:  0.70 s  + 0.93 s,   4.8 M edges,  518 MB of DOT,  1.08 GB peak RSS
 
     Time and memory grow with the number of edges, about n^2 / 20; at 10^4
-    vertices the peak RSS is 0.39 GB before ``to_dot``.
+    vertices the peak RSS is 0.34 GB before ``to_dot``, and ``graph``, which
+    writes the chunks of ``iter_dot`` as they are made, peaks at 0.34 GB too.
     """
     verts = tuple(vertices)
     if len(verts) > 10**4:
@@ -318,11 +355,14 @@ def hasse_subgraph(vertices) -> HasseSubgraph:
     return (_scalar_graph if len(verts) <= _SCALAR_GRAPH_MAX else _array_graph)(verts)
 
 
-def to_dot(graph: HasseSubgraph) -> str:
-    """Deterministic DOT rendering, rank layers grouped by codimension.
+def iter_dot(graph: HasseSubgraph) -> Iterator[str]:
+    """``to_dot(graph)`` in chunks: the header, rank layers and labels in one,
+    then the edge lines of one source vertex at a time (in two chunks where
+    they straddle two blocks of 2^16 sorted edges), then the closing brace.
 
-    A graph that holds its edges as int pairs sorts them with ``sorted`` and
-    imports no numpy; one that holds an array sorts integer keys in numpy.
+    Edge lines are ordered by the (source, target) ranks of their ids, sorted
+    once: with ``sorted`` for a graph that holds its edges as int pairs, which
+    imports no numpy, and in numpy for one that holds an array.
     """
     ids = [format_form(v) for v in graph.vertices]
     codims = [codimension(v) for v in graph.vertices]
@@ -332,11 +372,12 @@ def to_dot(graph: HasseSubgraph) -> str:
         group = " ".join(f'"{ids[k]}";' for k in order if codims[k] == level)
         lines.append(f"  {{ rank=same; {group} }}")
     lines += [f'  "{ids[k]}" [label="{ids[k]}\\ncodim {codims[k]}"];' for k in order]
-    chunks = ["\n".join(lines) + "\n"]
+    yield "\n".join(lines) + "\n"
     # Edge lines '  "a" -> "b";' are sorted as strings.  No id is a proper
     # prefix of another (each is "zero" or ends in its only ")"), so that is
     # the order of the (a, b) ranks among the distinct sorted ids.  Equal ids
-    # share a rank, so their lines tie as equal strings do.
+    # share a rank, so their lines tie as equal strings do.  A row of lines
+    # with source a is head[a] + head[a].join(their tails).
     uniq = list(dict.fromkeys(ids[k] for k in order))
     rank = dict(zip(uniq, range(len(uniq))))
     head = [f'  "{u}" -> "' for u in uniq]
@@ -344,15 +385,27 @@ def to_dot(graph: HasseSubgraph) -> str:
     pairs = graph.__dict__.get("_pairs")
     if pairs is not None:
         r = [rank[nid] for nid in ids]
-        chunks.append("".join([head[a] + tail[b] for a, b in sorted([(r[i], r[j]) for i, j in pairs])]))
+        for a, row in groupby(sorted([(r[i], r[j]) for i, j in pairs]), itemgetter(0)):
+            yield head[a] + head[a].join([tail[b] for _, b in row])
     else:
         import numpy as np
 
         r = np.array([rank[nid] for nid in ids], dtype=np.int64)
         keys = np.sort(r[graph.edges[:, 0]] * len(uniq) + r[graph.edges[:, 1]])
-        # joined 2^16 lines at a time: at 10^4 vertices there are millions
+        tail = np.array(tail, dtype=object)
+        # 2^16 keys at a time: at 10^4 vertices there are millions
         for start in range(0, len(keys), 1 << 16):
             a, b = np.divmod(keys[start:start + (1 << 16)], len(uniq))
-            chunks.append("".join([head[i] + tail[j] for i, j in zip(a.tolist(), b.tolist())]))
-    chunks.append("}\n")
-    return "".join(chunks)
+            cuts = (np.flatnonzero(a[1:] != a[:-1]) + 1).tolist()
+            tails = tail[b].tolist()
+            bounds = [0, *cuts, len(tails)]
+            for h, lo, hi in zip(map(head.__getitem__, a[bounds[:-1]].tolist()), bounds, bounds[1:]):
+                yield h + h.join(tails[lo:hi])
+    yield "}\n"
+
+
+def to_dot(graph: HasseSubgraph) -> str:
+    """Deterministic DOT rendering, rank layers grouped by codimension: the
+    chunks of ``iter_dot`` joined.  It draws the graph's edges; from
+    ``hasse_subgraph``, every arrow but the two cases a 2-step path implies."""
+    return "".join(iter_dot(graph))

@@ -238,11 +238,18 @@ _RE_FORM = re.compile(r"^(?P<head>[a-z]+)\s*(?:\((?P<args>[^)]*)\))?$")
 
 
 def format_form(form: CanonicalForm) -> str:
-    name = form.family
-    params = param_tuple(form)
-    if not params:
-        return name
-    return f"{name}({','.join(format_complex(p) for p in params)})"
+    if isinstance(form, UnitPair):
+        return f"pair({format_complex(form.mu)},{format_complex(form.nu)})"
+    if isinstance(form, DeltaTau):
+        return f"delta({format_complex(form.tau)})"
+    if isinstance(form, UnitDirectZero):
+        return f"udz({format_complex(form.lam)})"
+    if isinstance(form, Hyperbolic):
+        return f"hyp({format_complex(form.sigma)})"
+    if isinstance(form, Zero):
+        return "zero"
+    form.family  # a non-form raises here: AttributeError, or KeyError for a bare CanonicalForm
+    raise InvalidInput(f"not a canonical form: {form!r}")
 
 
 def parse_form(text: str) -> CanonicalForm:

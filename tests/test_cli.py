@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_7class.dot"
+GOLDEN_13 = GOLDEN.with_name("golden_13vertex.dot")
 
 SEVEN_CLASS = [
     "zero",
@@ -285,6 +287,35 @@ def test_graph_golden_file():
     res = run_cli("graph", *SEVEN_CLASS)
     assert res.returncode == 0
     assert res.stdout == GOLDEN.read_text()
+
+
+#: 13 forms, one more than the scalar path takes, with udz -> delta arrows
+#: that an antipodal pair implies; tests/data/golden_13vertex.dot is their DOT.
+THIRTEEN = ["zero", "udz(1)", "udz(1i)", "udz(-1)", "pair(1,-1)", "pair(1,1)", "pair(1,1i)", "pair(0.6+0.8i,-0.6-0.8i)",
+            "hyp(0)", "hyp(0.3)", "delta(1)", "delta(-1)", "delta(1i)"]
+
+
+def test_graph_array_path_golden_file():
+    res = run_cli("graph", *THIRTEEN)
+    assert res.returncode == 0
+    assert res.stdout == GOLDEN_13.read_text()
+
+
+def test_graph_stdout_closed_mid_stream_is_a_quiet_exit_141():
+    # 120 udz and 120 hyp forms make 14400 edge lines, about 0.9 MB of DOT:
+    # more than the pipe and both ends' buffers hold, so the process is
+    # still writing when its reader goes away after the first line
+    forms = [f"udz({math.cos(k / 20):.17g}{math.sin(k / 20):+.17g}i)" for k in range(120)]
+    forms += [f"hyp({k / 200})" for k in range(120)]
+    with subprocess.Popen([sys.executable, "-m", "starcong", "graph", *forms], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=src_env()) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=300)
+    assert first == b"digraph closure {\n"
+    assert err == b""
+    assert proc.returncode == 141
 
 
 def test_graph_duplicate_exit_2():

@@ -16,6 +16,7 @@ from starcong import (
     codimension,
     format_form,
     hasse_subgraph,
+    iter_dot,
     no_arrow_certificate,
     parse_form,
     reachable,
@@ -252,12 +253,10 @@ def ladder_set(rng: SplitMix64):
 
 
 def random_set(rng: SplitMix64, n: int):
-    verts = []
+    verts = {}
     while len(verts) < n:
-        v = random_form(rng)
-        if v not in verts:
-            verts.append(v)
-    return verts
+        verts.setdefault(random_form(rng))
+    return list(verts)
 
 
 def brute_force(verts):
@@ -268,6 +267,19 @@ def brute_force(verts):
         (i, j) for i in range(n) for j in range(n)
         if R[i, j] and not any(R[i, k] and R[k, j] for k in range(n)))
     return R, edges
+
+
+def reference_array_graph(verts):
+    """The 0.13.0 array path: 2-step paths found by a float32 product over
+    the vertices with both in- and out-arrows."""
+    R = closure._relation(verts)[0]
+    out = R.any(axis=1)
+    src = np.flatnonzero(out)
+    mid = np.flatnonzero(out & R.any(axis=0))
+    Rs = R[src]
+    implied = (Rs[:, mid].astype(np.float32) @ R[mid].astype(np.float32)) > 0
+    rows, cols = np.nonzero(Rs & ~implied)
+    return HasseSubgraph(verts, np.stack((src[rows], cols), axis=1))
 
 
 def reference_to_dot(graph):
@@ -294,10 +306,37 @@ def test_hasse_matches_brute_force():
     for verts in sets:
         verts = list(dict.fromkeys(verts))
         R, edges = brute_force(verts)
-        assert np.array_equal(closure._relation(tuple(verts)), R)
+        assert np.array_equal(closure._relation(tuple(verts))[0], R)
         g = hasse_subgraph(verts)
         assert edge_tuples(g) == edges
         assert to_dot(g) == to_dot(HasseSubgraph(tuple(verts), edges)) == reference_to_dot(g)
+
+
+def test_reduction_rule_matches_the_float32_product():
+    # the two-case rule drops the arrows the 0.13.0 matrix product dropped
+    rng = SplitMix64(34)
+    sets = [random_set(rng, 240) for _ in range(3)]
+    sets += [list(dict.fromkeys(ladder_set(rng) + random_set(rng, 80))) for _ in range(3)]
+    for verts in map(tuple, sets):
+        g, ref = hasse_subgraph(verts), reference_array_graph(verts)
+        assert np.array_equal(g.edges, ref.edges)
+        assert to_dot(g) == to_dot(ref) == reference_to_dot(ref)
+    verts = tuple(random_set(rng, 4000))
+    g, ref = hasse_subgraph(verts), reference_array_graph(verts)
+    assert len(g.edges) > 1 << 16  # more than one block of iter_dot's sorted keys
+    assert np.array_equal(g.edges, ref.edges)
+    assert to_dot(g) == to_dot(ref)
+
+
+def test_iter_dot_chunks():
+    # the header once, then one chunk per source row, then the closing brace
+    for g in (hasse_subgraph(seven_class_set()), closure._array_graph(tuple(seven_class_set()))):
+        chunks = list(iter_dot(g))
+        assert "".join(chunks) == to_dot(g)
+        assert chunks[0].endswith('"zero" [label="zero\\ncodim 8"];\n') and chunks[-1] == "}\n"
+        rows = chunks[1:-1]
+        assert [row.split('"')[1] for row in rows] == ["pair(1,-1)", "udz(1)", "zero"]
+        assert all(len({line.split(" -> ")[0] for line in row.splitlines()}) == 1 for row in rows)
 
 
 def test_scalar_and_array_paths_agree():
@@ -452,7 +491,7 @@ def test_edge_ladders_reachable_xor_certificate():
         verts = list(dict.fromkeys(v for case in cases for v in case))
         n = len(verts)
         R = np.array([[i != j and reachable(verts[i], verts[j]) for j in range(n)] for i in range(n)])
-        assert np.array_equal(closure._relation(tuple(verts)), R)
+        assert np.array_equal(closure._relation(tuple(verts))[0], R)
         implied = (R.astype(np.int64) @ R.astype(np.int64)) > 0
         assert edge_tuples(hasse_subgraph(verts)) == tuple(zip(*np.nonzero(R & ~implied)))
 

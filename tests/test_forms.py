@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from starcong import (
+    CanonicalForm,
     DeltaTau,
     FormSyntaxError,
     Hyperbolic,
@@ -21,7 +22,7 @@ from starcong import (
     parse_form,
     realize,
 )
-from starcong.forms import _entries
+from starcong.forms import _entries, param_tuple
 
 
 def test_realize_examples():
@@ -270,6 +271,36 @@ def test_form_round_trip(text):
     form = parse_form(text)
     assert format_form(form) == text
     assert parse_form(format_form(form)) == form
+
+
+def reference_format_form(form) -> str:
+    """``format_form`` as written before it dispatched on the type: the family name and ``param_tuple``."""
+    params = param_tuple(form)
+    if not params:
+        return form.family
+    return f"{form.family}({','.join(format_complex(p) for p in params)})"
+
+
+def test_format_form_matches_reference():
+    rng = np.random.default_rng(34)
+    units = [complex(math.cos(t), math.sin(t)) for t in rng.uniform(0, 2 * math.pi, 60)]
+    units += [1, -1, 1j, -1j, complex(1, -0.0), complex(-0.0, 1), complex(-1, 0.0), complex(-0.0, -1)]
+    hyps = [0j, complex(-0.0, -0.0), complex(0.5, -0.0), complex(-0.0, 0.25), 5e-324, complex(0, -5e-324),
+            complex(2.5e-310, -1e-320)] + [0.99 * rng.uniform() * u for u in units]
+    forms = [Zero()] + [Hyperbolic(s) for s in hyps]
+    for k, u in enumerate(units):
+        forms += [UnitDirectZero(u), UnitPair(u, units[k - 7]), UnitPair(u, u), UnitPair(u, -u), DeltaTau(u)]
+    assert {f.family for f in forms} == {"zero", "udz", "pair", "hyp", "delta"}
+    for form in forms:
+        assert format_form(form) == reference_format_form(form), form
+
+
+def test_format_form_rejects_non_forms():
+    # a non-form raises where its family is looked up, as it always has
+    with pytest.raises(AttributeError):
+        format_form(1j)
+    with pytest.raises(KeyError):
+        format_form(CanonicalForm())
 
 
 def test_form_value_round_trip():
