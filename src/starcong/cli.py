@@ -169,12 +169,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    from .closure import hasse_subgraph, iter_dot
+    from .closure import hasse_subgraph, to_dot
 
     forms = [parse_form(t) for t in args.forms]
     graph = hasse_subgraph(forms)
     if args.format == "dot":
-        sys.stdout.writelines(iter_dot(graph))  # written as made: 10^4 forms give half a GB of DOT
+        to_dot(graph, sys.stdout)  # written as made: 10^4 forms give half a GB of DOT
         return 0
     outputs = {"vertices": [format_form(v) for v in graph.vertices], "edges": graph._pair_list()}
     return _emit(args, {"forms": [format_form(f) for f in forms]}, outputs, [])

@@ -22,17 +22,16 @@ delta(1+1e-13i) is one too.
 
 ``hasse_subgraph`` restricts the order to a finite vertex set and emits its
 transitive reduction; no covering relation on the infinite poset is claimed.
-Only udz vertices and antipodal pairs have arrows both in and out, so just two
-cases of arrow are implied by 2-step paths, and both paths drop those cases
-from the relation's own bits, with no matrix product.  Up to
-``_SCALAR_GRAPH_MAX`` (12) vertices, a command line's worth, the relation is
-``reachable`` on every ordered pair and nothing imports numpy; past that
-crossover, where the scalar path stops being faster even with numpy loaded,
-the cone, half-plane and +-l predicates that ``reachable`` uses run on
-parameter arrays, one family block at a time, so the relation is the same
-bits as n^2 ``reachable`` calls.  ``iter_dot`` writes the DOT one source row
-at a time; 10^4 vertices, the documented cap, take seconds (figures in
-``hasse_subgraph``'s docstring).
+Only udz vertices and antipodal pairs have arrows both in and out, so it drops
+just the two cases of arrow that a 2-step path implies, from the relation's own
+bits (the rule and why it is exact are in its docstring).  Up to
+``_SCALAR_GRAPH_MAX`` (12) vertices, a command line's worth, it calls
+``reachable`` on every ordered pair and imports no numpy; past that crossover,
+where the scalar path stops being faster even with numpy loaded, it evaluates
+the cone, half-plane and +-l predicates that ``reachable`` uses on parameter
+arrays, one family block at a time, so its relation is the same bits as n^2
+``reachable`` calls; 10^4 vertices, the documented cap, take seconds (figures
+in its docstring).
 """
 
 from __future__ import annotations
@@ -162,9 +161,7 @@ class HasseSubgraph(_Record):
     of pairs; an index outside ``range(len(vertices))`` raises ValueError.
     Graphs compare by identity, as an array takes no part in ``==``.
 
-    From ``hasse_subgraph`` the edges are the arrows among the vertices that
-    no 2-step path implies: all of them but zero -> j for j with an in-arrow
-    from a non-zero vertex, and udz -> delta through an antipodal pair.
+    From ``hasse_subgraph``, they are the arrows no 2-step path implies.
 
     ``hasse_subgraph`` hands a small graph its edges as a list of int pairs
     (``_from_pairs``); its ``edges`` array is built on first access, so a
@@ -341,7 +338,7 @@ def hasse_subgraph(vertices) -> HasseSubgraph:
 
     Time and memory grow with the number of edges, about n^2 / 20; at 10^4
     vertices the peak RSS is 0.34 GB before ``to_dot``, and ``graph``, which
-    writes the chunks of ``iter_dot`` as they are made, peaks at 0.34 GB too.
+    has ``to_dot`` write the DOT to stdout as it is made, peaks at 0.34 GB too.
     """
     verts = tuple(vertices)
     if len(verts) > 10**4:
@@ -404,8 +401,11 @@ def iter_dot(graph: HasseSubgraph) -> Iterator[str]:
     yield "}\n"
 
 
-def to_dot(graph: HasseSubgraph) -> str:
-    """Deterministic DOT rendering, rank layers grouped by codimension: the
-    chunks of ``iter_dot`` joined.  It draws the graph's edges; from
-    ``hasse_subgraph``, every arrow but the two cases a 2-step path implies."""
-    return "".join(iter_dot(graph))
+def to_dot(graph: HasseSubgraph, file=None) -> str | None:
+    """Deterministic DOT rendering of the graph's edges (from ``hasse_subgraph``,
+    the arrows no 2-step path implies), rank layers grouped by codimension: the
+    chunks of ``iter_dot`` joined into one string, or, given a text ``file``,
+    written to it as they are made (and None returned)."""
+    if file is None:
+        return "".join(iter_dot(graph))
+    file.writelines(iter_dot(graph))

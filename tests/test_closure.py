@@ -1,3 +1,4 @@
+import io
 import math
 import pickle
 
@@ -337,6 +338,8 @@ def test_iter_dot_chunks():
         rows = chunks[1:-1]
         assert [row.split('"')[1] for row in rows] == ["pair(1,-1)", "udz(1)", "zero"]
         assert all(len({line.split(" -> ")[0] for line in row.splitlines()}) == 1 for row in rows)
+        out = io.StringIO()
+        assert to_dot(g, out) is None and out.getvalue() == "".join(chunks)
 
 
 def test_scalar_and_array_paths_agree():

@@ -54,17 +54,11 @@ def library_references() -> set[str]:
     return used
 
 
-#: Public names the library need not call itself: ``to_dot`` is the chunks of
-#: ``iter_dot`` joined into one string, which ``graph`` writes as they are made.
-JOINED_FORMS = {"to_dot"}
-
-
 def test_public_names_used_by_the_library():
     # a public helper that only tests use is dead weight: delete it and
     # write the test against the functions the library does use
     used = library_references()
-    assert [name for name in starcong.__all__ if name not in used | JOINED_FORMS] == []
-    assert [name for name in JOINED_FORMS if name in used] == []  # no stale exemption
+    assert [name for name in starcong.__all__ if name not in used] == []
 
 
 def test_bench_traced_functions_resolve():
