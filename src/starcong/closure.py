@@ -211,25 +211,19 @@ def _parts(zs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _families(verts) -> list[list[int]]:
-    """Indices of the (zero, udz, pair, antipodal pair, hyp, delta) vertices.
+    """Indices of the (zero, udz, pair, antipodal pair, hyp, delta) vertices,
+    bucketed by ``family``; a vertex with no such family raises InvalidInput.
 
     The antipodal pairs are listed under pair too.
     """
-    zero, udz, pair, anti, hyp, delta = families = [], [], [], [], [], []
+    by_family = {"zero": [], "udz": [], "pair": [], "hyp": [], "delta": []}
     for i, v in enumerate(verts):
-        if isinstance(v, Zero):
-            zero.append(i)
-        elif isinstance(v, UnitDirectZero):
-            udz.append(i)
-        elif isinstance(v, UnitPair):
-            pair.append(i)
-            if v.antipodal:
-                anti.append(i)
-        elif isinstance(v, Hyperbolic):
-            hyp.append(i)
-        elif isinstance(v, DeltaTau):
-            delta.append(i)
-    return families
+        bucket = by_family.get(getattr(v, "family", None))
+        if bucket is None:
+            raise InvalidInput(f"not a canonical form: {v!r}")
+        bucket.append(i)
+    zero, udz, pair, hyp, delta = by_family.values()
+    return [zero, udz, pair, [i for i in pair if verts[i].antipodal], hyp, delta]
 
 
 def _relation(verts) -> tuple[np.ndarray, list[list[int]]]:

@@ -80,18 +80,22 @@ class _Record:
 
 
 class CanonicalForm(_Record):
-    """Base of the five-variant tagged union."""
+    """Base of the five-variant tagged union.
 
-    @property
-    def family(self) -> str:
-        return _FAMILY[type(self)]
+    Each variant names its family in the class attribute ``family``, the head
+    of its text syntax (a subclass inherits it; the base has None), and stores
+    its parameters as the tuple ``_key``, in ``__match_args__`` order.
+    """
+
+    family = None
 
 
 class Zero(CanonicalForm):
-    pass
+    family = "zero"
 
 
 class UnitDirectZero(CanonicalForm):
+    family = "udz"
     __match_args__ = ("lam",)
 
     def __init__(self, lam: complex):
@@ -101,6 +105,7 @@ class UnitDirectZero(CanonicalForm):
 
 
 class UnitPair(CanonicalForm):
+    family = "pair"
     __match_args__ = ("mu", "nu")
 
     def __init__(self, mu: complex, nu: complex):
@@ -122,6 +127,7 @@ class UnitPair(CanonicalForm):
 
 
 class Hyperbolic(CanonicalForm):
+    family = "hyp"
     __match_args__ = ("sigma",)
 
     def __init__(self, sigma: complex):
@@ -134,21 +140,13 @@ class Hyperbolic(CanonicalForm):
 
 
 class DeltaTau(CanonicalForm):
+    family = "delta"
     __match_args__ = ("tau",)
 
     def __init__(self, tau: complex):
         tau = _unimodular(tau, "tau")
         d = self.__dict__
         d["tau"], d["_key"] = tau, (tau,)
-
-
-_FAMILY = {
-    Zero: "zero",
-    UnitDirectZero: "udz",
-    UnitPair: "pair",
-    Hyperbolic: "hyp",
-    DeltaTau: "delta",
-}
 
 
 def _entries(form: CanonicalForm) -> tuple[complex, complex, complex, complex]:
@@ -183,22 +181,8 @@ def forms_close(f: CanonicalForm, g: CanonicalForm, tol: float) -> bool:
     """Same variant with parameters within ``tol`` (pair compared as a set)."""
     if type(f) is not type(g):
         return False
-    p, q = param_tuple(f), param_tuple(g)
+    p, q = f._key, g._key
     return min(max((abs(x - y) for x, y in zip(p, r)), default=0.0) for r in (q, q[::-1])) <= tol
-
-
-def param_tuple(form: CanonicalForm) -> tuple[complex, ...]:
-    if isinstance(form, Zero):
-        return ()
-    if isinstance(form, UnitDirectZero):
-        return (form.lam,)
-    if isinstance(form, UnitPair):
-        return (form.mu, form.nu)
-    if isinstance(form, Hyperbolic):
-        return (form.sigma,)
-    if isinstance(form, DeltaTau):
-        return (form.tau,)
-    raise InvalidInput(f"not a canonical form: {form!r}")
 
 
 # --- text syntax ------------------------------------------------------------
@@ -235,6 +219,7 @@ def parse_complex(text: str) -> complex:
 
 
 _RE_FORM = re.compile(r"^(?P<head>[a-z]+)\s*(?:\((?P<args>[^)]*)\))?$")
+_BY_FAMILY = {cls.family: cls for cls in (Zero, UnitDirectZero, UnitPair, Hyperbolic, DeltaTau)}
 
 
 def format_form(form: CanonicalForm) -> str:
@@ -248,30 +233,22 @@ def format_form(form: CanonicalForm) -> str:
         return f"hyp({format_complex(form.sigma)})"
     if isinstance(form, Zero):
         return "zero"
-    form.family  # a non-form raises here: AttributeError, or KeyError for a bare CanonicalForm
+    form.family  # a non-form raises AttributeError here; a bare CanonicalForm raises InvalidInput below
     raise InvalidInput(f"not a canonical form: {form!r}")
 
 
 def parse_form(text: str) -> CanonicalForm:
     m = _RE_FORM.match(text.strip())
-    if not m:
+    cls = m and _BY_FAMILY.get(m.group("head"))
+    if not cls:
         raise FormSyntaxError(f"bad canonical form: {text!r}")
-    head = m.group("head")
     args = m.group("args")
     parts = args.split(",") if args and args.strip() else []
+    if len(parts) != len(cls.__match_args__):
+        if parts and not cls.__match_args__:
+            raise FormSyntaxError(f"{cls.family} takes no parameters")
+        raise FormSyntaxError(f"bad canonical form: {text!r}")
     try:
-        if head == "zero":
-            if parts:
-                raise FormSyntaxError("zero takes no parameters")
-            return Zero()
-        if head == "udz" and len(parts) == 1:
-            return UnitDirectZero(parse_complex(parts[0]))
-        if head == "pair" and len(parts) == 2:
-            return UnitPair(parse_complex(parts[0]), parse_complex(parts[1]))
-        if head == "hyp" and len(parts) == 1:
-            return Hyperbolic(parse_complex(parts[0]))
-        if head == "delta" and len(parts) == 1:
-            return DeltaTau(parse_complex(parts[0]))
+        return cls(*map(parse_complex, parts))
     except InvalidInput as exc:
         raise FormSyntaxError(f"invalid parameters in {text!r}: {exc}") from exc
-    raise FormSyntaxError(f"bad canonical form: {text!r}")

@@ -360,9 +360,11 @@ def _contending(margin, branch, contender):
 
 
 # one input per refusal that a seeded search reaches: the tree's four
-# boundaries, then the sign tests of the udz, pair and delta leaves.  The
-# inertia slack and the |h| <= E test of the coincident branch were reached by
-# none of 10^6 draws.
+# boundaries, then the sign tests of the udz, pair and delta leaves, and the
+# |h| <= E test of the coincident branch.  The rank test sends |det A| <=
+# tol + E (E about 8.9e-16) to the rank-1 branch, so at tol 1e-15
+# diag(1, 2e-15i), whose h is 0, passes as nonsingular and reaches that test;
+# at tol 1e-14 it is udz.  The inertia slack was reached by none of 10^6 draws.
 @pytest.mark.parametrize("A, tol, message, candidates, margin", [
     ([[1.0, 0.0], [0.0, 1e-9]], 1e-9, *_contending("8.882e-16", "rank<=1", "nonsingular"), 8.881784197001252e-16),
     ([[1.0, 1e-9], [0.0, 0.0]], 1e-9, *_contending("4.142e-10", "udz", "hyp(0)"), 4.1421178601625564e-10),
@@ -375,7 +377,8 @@ def _contending(margin, branch, contender):
      3.999991978981612e-06),
     ([[1.0, 1.00000001], [1.0, 1.0]], 1e-9, "anti-Hermitian part of conj(l) A within its rounding of zero",
      ("delta(l)", "delta(-l)"), 0.0),
-], ids=["rank", "residual", "coincidence", "departure", "udz-trace", "pair-form", "delta-sign"])
+    ([[1.0, 0.0], [0.0, 2e-15j]], 1e-15, "cosquare eigenvalue within its rounding of zero", ("pair", "delta"), 0.0),
+], ids=["rank", "residual", "coincidence", "departure", "udz-trace", "pair-form", "delta-sign", "coincident-h"])
 def test_refusal_bookkeeping(A, tol, message, candidates, margin):
     with pytest.raises(AmbiguousClassification) as info:
         classify(A, tol=tol)

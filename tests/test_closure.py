@@ -7,6 +7,7 @@ import pytest
 
 from starcong import (
     ArrowExists,
+    CanonicalForm,
     DeltaTau,
     DuplicateVertex,
     Hyperbolic,
@@ -210,6 +211,16 @@ def test_hasse_reduction_idempotent():
 def test_hasse_duplicate_vertex():
     with pytest.raises(DuplicateVertex):
         hasse_subgraph([Zero(), Zero()])
+
+
+@pytest.mark.parametrize("bad", ["x", CanonicalForm()])
+def test_hasse_rejects_non_forms(bad):
+    # both paths, the scalar one at 1 vertex and the array one at 13, bucket
+    # the vertices by family before any arrow is decided
+    forms = [Zero()] + [UnitDirectZero(unit(k)) for k in range(11)]
+    for verts in ([bad], forms + [bad]):
+        with pytest.raises(InvalidInput, match=r"^not a canonical form: "):
+            hasse_subgraph(verts)
 
 
 def test_isolated_nodes():

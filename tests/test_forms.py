@@ -22,7 +22,7 @@ from starcong import (
     parse_form,
     realize,
 )
-from starcong.forms import _entries, param_tuple
+from starcong.forms import _entries
 
 
 def test_realize_examples():
@@ -274,8 +274,8 @@ def test_form_round_trip(text):
 
 
 def reference_format_form(form) -> str:
-    """``format_form`` as written before it dispatched on the type: the family name and ``param_tuple``."""
-    params = param_tuple(form)
+    """``format_form`` as written before it dispatched on the type: the family name and the parameter tuple."""
+    params = form._key
     if not params:
         return form.family
     return f"{form.family}({','.join(format_complex(p) for p in params)})"
@@ -296,11 +296,21 @@ def test_format_form_matches_reference():
 
 
 def test_format_form_rejects_non_forms():
-    # a non-form raises where its family is looked up, as it always has
+    # a non-form has no family to look up; a bare CanonicalForm has family None
     with pytest.raises(AttributeError):
         format_form(1j)
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidInput, match=r"^not a canonical form: CanonicalForm\(\)$"):
         format_form(CanonicalForm())
+
+
+def test_subclass_inherits_its_family():
+    class P(UnitPair):
+        pass
+
+    form = P(1, -1)
+    assert form.family == "pair"
+    assert format_form(form) == "pair(1,-1)"
+    assert parse_form(format_form(form)) == UnitPair(1, -1)
 
 
 def test_form_value_round_trip():
@@ -329,12 +339,39 @@ def test_parse_form_normalizes():
     assert format_form(parse_form("pair(-1,1)")) == "pair(1,-1)"
 
 
-@pytest.mark.parametrize("bad", ["zer", "udz()", "udz(1,2)", "pair(1)", "delta(2)", "hyp(1)", "udz", "pair(1,-1",
-                                 "pair(1,,-1)", "udz(1,)", "hyp(0.5,,)", "udz(,1)", "udz( )", "pair(1, )",
-                                 "zero(,)"])
+PARSE_FORM_ERRORS = {
+    "zer": "bad canonical form: 'zer'",
+    "udz()": "bad canonical form: 'udz()'",
+    "udz(1,2)": "bad canonical form: 'udz(1,2)'",
+    "pair(1)": "bad canonical form: 'pair(1)'",
+    "delta(2)": "invalid parameters in 'delta(2)': tau must have unit modulus, |tau| = 2.0",
+    "hyp(1)": "invalid parameters in 'hyp(1)': |sigma| must be < 1, got 1.0",
+    "udz": "bad canonical form: 'udz'",
+    "pair(1,-1": "bad canonical form: 'pair(1,-1'",
+    "pair(1,,-1)": "bad canonical form: 'pair(1,,-1)'",
+    "udz(1,)": "bad canonical form: 'udz(1,)'",
+    "hyp(0.5,,)": "bad canonical form: 'hyp(0.5,,)'",
+    "udz(,1)": "bad canonical form: 'udz(,1)'",
+    "udz( )": "bad canonical form: 'udz( )'",
+    "pair(1, )": "bad complex literal: ' '",
+    "zero(,)": "zero takes no parameters",
+    "zero(1)": "zero takes no parameters",
+    "zero (1)": "zero takes no parameters",
+    "pair(1,,2)": "bad canonical form: 'pair(1,,2)'",
+    "foo(1)": "bad canonical form: 'foo(1)'",
+    "hyp(2)": "invalid parameters in 'hyp(2)': |sigma| must be < 1, got 2.0",
+    "udz(0)": "invalid parameters in 'udz(0)': lambda must be nonzero",
+    "udz(1j)": "bad complex literal: '1j'",
+    "pair(x,2)": "bad complex literal: 'x'",
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_FORM_ERRORS))
 def test_parse_form_rejects(bad):
-    with pytest.raises(FormSyntaxError):
+    with pytest.raises(FormSyntaxError) as info:
         parse_form(bad)
+    assert type(info.value) is FormSyntaxError
+    assert str(info.value) == PARSE_FORM_ERRORS[bad]
 
 
 @pytest.mark.parametrize("text", ["zero", "zero()", "zero( )", " zero ( ) "])
