@@ -333,37 +333,76 @@ def classify_many(As: np.ndarray) -> dict:
     Runs the decision tree of :func:`classify` on every matrix at once but
     extracts no parameters.  Returns family codes (indices into FAMILY_CODES,
     with sub-tolerance margins mapped to "boundary"), margins, and the
-    cosquare eigenvalues, the larger modulus first (NaN if singular).
+    cosquare eigenvalues, the larger modulus first (NaN if singular).  The
+    eigenvalues are formed after the tree, from its invariants
+    (``_cosquare_roots``); the neighborhood sampler, whose report reads them
+    only around a source with a spectrum, runs the tree alone
+    (``_classify_stack``) around the others.
     """
     import numpy as np
 
     As = np.ascontiguousarray(As, dtype=np.complex128)
     if As.ndim != 3 or As.shape[1:] != (2, 2):
         raise InvalidInput("expected an (n, 2, 2) array")
+    family, margin, tree = _classify_stack(As)
+    p, q = _cosquare_roots(*tree)
+    return {"family": family, "margin": margin, "p": p, "q": q}
+
+
+def _classify_stack(As):
+    """(family codes, margins, (nonsingular lanes, invariants, t)) of a contiguous
+    complex128 (n, 2, 2) stack, as classify_many returns them and passes them on."""
+    import numpy as np
+
     if not np.all(np.isfinite(As.view(np.float64))):
         raise InvalidInput("matrix stack contains NaN or Inf")
     tol = 1e-9  # classify's default
-    p, q = np.full((2, len(As)), np.nan, dtype=np.complex128)
     entries = _prescale(As)
     scale = _norm4(*entries)
     nonzero = scale > 0.0
-    divisor = np.where(nonzero, scale, 1.0)  # zero rows divide by 1; every output masks them
-    a, b, c, d = (m / divisor for m in entries)
+    # zero rows divide by 1 and every output masks them; a select that every
+    # lane agrees on is skipped
+    every = nonzero.all()
+    a, b, c, d = (m / (scale if every else np.where(nonzero, scale, 1.0)) for m in entries)
     # the lanes a branch's select discards may divide by zero
     with np.errstate(divide="ignore", invalid="ignore"):
         code, slacks, nonsingular, inv, t = _tree(a, b, c, d, tol)
-        if nonsingular.any():
-            # the smaller root as det A / (h + root), which does not cancel;
-            # off the circle the larger is 1 / conj(q), as hyp(sigma) has it
-            det, _, h, _, _, rho2, _ = inv
-            hyp = rho2 > 0.0
-            h_root = h + np.where(hyp, np.copysign(t, h), 1j * t)
-            q = np.where(nonsingular, det / h_root, q)
-            p = np.where(nonsingular, np.where(hyp, 1.0 / q.conjugate(), h_root / det.conjugate()), p)
+    margin = slacks[0][0]
+    for slack, _ in slacks[1:]:
+        margin = np.minimum(margin, slack)
+    if not every:
+        margin, code = np.where(nonzero, margin, np.inf), np.where(nonzero, code, 0)
+    return np.where(margin < AMBIG_FRACTION * tol, 5, code), margin, (nonsingular, inv, t)
 
-    margin = np.where(nonzero, np.minimum.reduce([s for s, _ in slacks]), np.inf)
-    fam = np.where(margin < AMBIG_FRACTION * tol, 5, np.where(nonzero, code, 0))
-    return {"family": fam, "margin": margin, "p": p, "q": q}
+
+def _cosquare_roots(nonsingular, inv, t):
+    """The cosquare eigenvalues (p, q) of ``_classify_stack``'s lanes, the larger
+    modulus first; NaN on the singular lanes."""
+    import numpy as np
+
+    if not nonsingular.any():
+        return np.full((2, len(nonsingular)), np.nan, dtype=np.complex128)
+    # the smaller root as det A / (h + root), which does not cancel; off the
+    # circle the larger is 1 / conj(q), as hyp(sigma) has it.  Where every
+    # lane is off the circle, or none is, only that branch is formed: a real
+    # h_root divides det as the complex h_root + 0i does
+    det, _, h, _, _, rho2, _ = inv
+    hyp = rho2 > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if hyp.all():
+            q = det / (h + np.copysign(t, h))
+            p = 1.0 / q.conjugate()
+        elif not hyp.any():
+            h_root = h + 1j * t
+            q = det / h_root
+            p = h_root / det.conjugate()
+        else:
+            h_root = h + np.where(hyp, np.copysign(t, h), 1j * t)
+            q = det / h_root
+            p = np.where(hyp, 1.0 / q.conjugate(), h_root / det.conjugate())
+    if nonsingular.all():
+        return p, q
+    return np.where(nonsingular, p, np.nan), np.where(nonsingular, q, np.nan)
 
 
 # --- sampling and comparison -------------------------------------------------

@@ -226,8 +226,8 @@ def _families(verts) -> list[list[int]]:
     return [zero, udz, pair, [i for i in pair if verts[i].antipodal], hyp, delta]
 
 
-def _relation(verts) -> tuple[np.ndarray, list[list[int]]]:
-    """(R, ``_families(verts)``): R[i, j] = reachable(verts[i], verts[j]) for i != j.
+def _relation(verts, families) -> np.ndarray:
+    """R[i, j] = reachable(verts[i], verts[j]) for i != j, ``families`` being ``_families(verts)``.
 
     R is built one family block at a time.  Each block reads the vertices'
     parameters as ``reachable`` reads them and applies the same predicates to
@@ -235,7 +235,7 @@ def _relation(verts) -> tuple[np.ndarray, list[list[int]]]:
     """
     import numpy as np
 
-    families = zero, udz, pair, anti, hyp, delta = _families(verts)
+    zero, udz, pair, anti, hyp, delta = families
     n = len(verts)
     R = np.zeros((n, n), dtype=bool)
     R[zero, :] = True
@@ -253,7 +253,7 @@ def _relation(verts) -> tuple[np.ndarray, list[list[int]]]:
     if anti:
         mr, mi = _parts([verts[i].mu for i in anti])
         R[np.array(anti)[:, None], delta] = _on_line(tr, ti, mr[:, None], mi[:, None])
-    return R, families
+    return R
 
 
 # Vertex sets up to this size take the scalar path: n(n - 1) ``reachable``
@@ -267,11 +267,11 @@ def _relation(verts) -> tuple[np.ndarray, list[list[int]]]:
 _SCALAR_GRAPH_MAX = 12
 
 
-def _scalar_graph(verts: tuple[CanonicalForm, ...]) -> HasseSubgraph:
+def _scalar_graph(verts: tuple[CanonicalForm, ...], families) -> HasseSubgraph:
     """The Hasse edges from ``reachable`` on every ordered pair, without numpy,
     reduced by ``hasse_subgraph``'s two cases."""
     n = len(verts)
-    zero, udz, _, anti, _, delta = _families(verts)
+    zero, udz, _, anti, _, delta = families
     succ = [[j for j in range(n) if j != i and reachable(verts[i], verts[j])] for i in range(n)]
     implied = [()] * n
     entered = {j for k in udz + anti for j in succ[k]}
@@ -283,12 +283,13 @@ def _scalar_graph(verts: tuple[CanonicalForm, ...]) -> HasseSubgraph:
     return HasseSubgraph._from_pairs(verts, [(i, j) for i, out in enumerate(succ) for j in out if j not in implied[i]])
 
 
-def _array_graph(verts: tuple[CanonicalForm, ...]) -> HasseSubgraph:
+def _array_graph(verts: tuple[CanonicalForm, ...], families) -> HasseSubgraph:
     """The Hasse edges from ``_relation``, reduced by ``hasse_subgraph``'s two
-    cases on its family index lists."""
+    cases on the family index lists."""
     import numpy as np
 
-    R, (zero, udz, _, anti, _, delta) = _relation(verts)
+    R = _relation(verts, families)
+    zero, udz, _, anti, _, delta = families
     R[zero] &= ~R[udz + anti].any(axis=0)
     if udz and anti:
         u, a = np.array(udz)[:, None], np.array(anti)
@@ -337,13 +338,14 @@ def hasse_subgraph(vertices) -> HasseSubgraph:
     verts = tuple(vertices)
     if len(verts) > 10**4:
         raise InvalidInput("at most 10^4 vertices supported")
+    families = _families(verts)  # a non-form is refused before the duplicate check formats it
     if len(set(verts)) != len(verts):
         seen = set()
         for v in verts:
             if v in seen:
                 raise DuplicateVertex(f"duplicate vertex {format_form(v)}")
             seen.add(v)
-    return (_scalar_graph if len(verts) <= _SCALAR_GRAPH_MAX else _array_graph)(verts)
+    return (_scalar_graph if len(verts) <= _SCALAR_GRAPH_MAX else _array_graph)(verts, families)
 
 
 def iter_dot(graph: HasseSubgraph) -> Iterator[str]:

@@ -379,8 +379,9 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
 SAMPLE_CHUNK = 2**14
 
 
-def _ball_sample(seed: int, samples: int, delta: float, start: int = 0) -> np.ndarray:
-    """Uniform draws from the Frobenius delta-ball, one sub-stream per sample.
+def _ball_sample(seed: int, samples: int, delta: float, centre, start: int = 0) -> np.ndarray:
+    """Uniform draws from the Frobenius delta-ball around ``centre``, the entries
+    (m00, m01, m10, m11) of a matrix, one sub-stream per sample.
 
     Sample i comes from sub-stream ``start + i`` of ``seed``, so the first k
     draws do not depend on ``samples``.  The four entries are the first four
@@ -396,7 +397,9 @@ def _ball_sample(seed: int, samples: int, delta: float, start: int = 0) -> np.nd
     spacings, both exact.  Each entry's first disk draw covers the chunk;
     only the rejected samples (about 21.5%) are gathered, redrawn from their
     own sub-streams and scattered back, round after round, so a sample's
-    draws are those a loop over its sub-stream alone would make.
+    draws are those a loop over its sub-stream alone would make.  Each entry
+    is stored as centre + draw, the sum ``centre + E`` would form, so the
+    (samples, 2, 2) stack returned is the perturbed matrices themselves.
     """
     import numpy as np
 
@@ -409,27 +412,38 @@ def _ball_sample(seed: int, samples: int, delta: float, start: int = 0) -> np.nd
         u[i], u[j] = np.minimum(u[i], u[j]), np.maximum(u[i], u[j])
     weights = (u[0], u[1] - u[0], u[2] - u[1], u[3] - u[2])
 
-    E = np.empty((samples, 4), dtype=np.complex128)
-    for k, w in enumerate(weights):
+    A = np.empty((samples, 4), dtype=np.complex128)
+    for k, (w, m) in enumerate(zip(weights, centre)):
         states, x, y, r2, rejected = _disk_draw(states)
         pending = np.flatnonzero(rejected)
         while pending.size:
             states[pending], x[pending], y[pending], r2[pending], rejected = _disk_draw(states[pending])
             pending = pending[rejected]
-        scale = np.sqrt(w) / np.sqrt(r2)
-        E.real[:, k] = delta * (x * scale)
-        E.imag[:, k] = delta * (y * scale)
-    return E.reshape(samples, 2, 2)
+        # delta (x sqrt(w) / sqrt(r2)) + m, in place: a chunk's columns are too
+        # small for numpy to reuse the temporaries itself
+        scale = np.sqrt(w)
+        scale /= np.sqrt(r2, out=r2)
+        x *= scale
+        x *= delta
+        x += m.real
+        y *= scale
+        y *= delta
+        y += m.imag
+        A.real[:, k], A.imag[:, k] = x, y
+    return A.reshape(samples, 2, 2)
 
 
 def _disk_draw(states: np.ndarray) -> tuple:
     """One point (x, y) of the square [-1, 1)^2 per state: (new states, x, y,
     r2 = x^2 + y^2, rejected), a point being rejected unless 0 < r2 <= 1."""
-    states, ux = uniform_step(states)
-    states, uy = uniform_step(states)
-    x = 2.0 * ux - 1.0
-    y = 2.0 * uy - 1.0
-    r2 = x * x + y * y
+    states, x = uniform_step(states)
+    states, y = uniform_step(states)
+    x *= 2.0  # 2u - 1, in place
+    x -= 1.0
+    y *= 2.0
+    y -= 1.0
+    r2 = x * x
+    r2 += y * y
     return states, x, y, r2, ~((r2 > 0.0) & (r2 <= 1.0))
 
 
@@ -438,8 +452,10 @@ def _spectrum_drift(p: np.ndarray, q: np.ndarray, p0: complex, q0: complex) -> n
     import numpy as np
 
     d_pp = np.abs(p - p0)
-    d_pq = np.abs(p - q0)
     d_qp = np.abs(q - p0)
+    if p0 == q0:  # a one-point spectrum (pair(l, +-l), delta): the formula below reduces to this
+        return np.maximum(d_pp, d_qp)
+    d_pq = np.abs(p - q0)
     d_qq = np.abs(q - q0)
     fwd = np.maximum(np.minimum(d_pp, d_pq), np.minimum(d_qp, d_qq))
     bwd = np.maximum(np.minimum(d_pp, d_qp), np.minimum(d_pq, d_qq))
@@ -465,47 +481,64 @@ def sample_neighborhood(
 ) -> NeighborhoodReport:
     """Empirical class distribution in the delta-ball around realize(source).
 
-    Samples are classified at family level; samples whose decision margin
-    falls below the ambiguity cutoff land in a separate "boundary" bucket.
-    For nonsingular samples the Hausdorff drift of the cosquare spectrum from
-    that of the source representative is aggregated per family.  Samples are
-    drawn and classified in chunks of SAMPLE_CHUNK, so memory stays bounded.
-    Deterministic per (seed, samples, version); the first k samples do not
-    depend on n, the number of samples drawn.  ``seed`` must lie in [0, 2^64).
+    Samples are classified at family level, as ``classify_many`` classifies
+    them; samples whose decision margin falls below the ambiguity cutoff land
+    in a separate "boundary" bucket.  For nonsingular samples the Hausdorff
+    drift of the cosquare spectrum from that of the source representative is
+    aggregated per family.  Only a source with a spectrum (pair, hyp(sigma)
+    with sigma != 0, delta) has its samples' cosquare roots formed, by
+    ``classify_many``; around zero, udz and hyp(0) the samples go through its
+    tree alone.  Samples are drawn and classified in chunks of SAMPLE_CHUNK,
+    so memory stays bounded.  Deterministic per (seed, samples, version); the
+    first k samples do not depend on n, the number of samples drawn.  ``seed``
+    must lie in [0, 2^64).
     """
     import numpy as np
 
-    from .canonical import FAMILY_CODES, classify_many
+    from .canonical import FAMILY_CODES, _classify_stack, classify_many
 
     _check_delta(delta)
     if not 0 <= samples <= 10**7:
         raise InvalidInput("samples must lie in [0, 10^7]")
     if not 0 <= seed < 2**64:  # the generator reads the seed modulo 2^64
         raise InvalidInput("seed must lie in [0, 2^64)")
-    R = realize(source)
+    centre = realize(source).ravel()
     fam = np.empty(samples, dtype=np.int8)
+    # counted chunk by chunk: np.bincount copies an int8 array to intp, 80 MB at 10^7 samples
+    counts = np.zeros(len(FAMILY_CODES), dtype=np.int64)
     spectrum = _cosquare_spectrum(source)
     drift = np.empty(samples) if spectrum is not None else None
     for lo in range(0, samples, SAMPLE_CHUNK):
         hi = min(lo + SAMPLE_CHUNK, samples)
-        res = classify_many(R[None, :, :] + _ball_sample(seed, hi - lo, delta, lo))
-        fam[lo:hi] = res["family"]
-        if drift is not None:
+        # res keeps the chunk's family codes and margins, the last arrays its
+        # classification makes, until the next chunk's replace them.  Freed at
+        # once, they would leave the top of the heap free, malloc would return
+        # it to the system, and the next chunk would fault it back in: about
+        # 1300 page faults a chunk around udz(1), against a few
+        A = _ball_sample(seed, hi - lo, delta, centre, lo)
+        if drift is None:  # no spectrum to compare with: the families alone
+            res = _classify_stack(A)[:2]
+            codes = res[0]
+        else:
+            res = classify_many(A)
+            codes = res["family"]
             drift[lo:hi] = _spectrum_drift(res["p"], res["q"], *spectrum)
+        fam[lo:hi] = codes
+        counts += np.bincount(codes, minlength=len(FAMILY_CODES))
 
-    counts = np.bincount(fam, minlength=len(FAMILY_CODES))
     histogram = {name: int(count) for name, count in zip(FAMILY_CODES, counts)}
 
     drift_by_family: dict[str, dict] = {}
     max_drift = None
     if drift is not None:
         valid = ~np.isnan(drift)
-        if np.any(valid):
+        if valid.any():
+            every = valid.all()
             max_drift = float(np.nanmax(drift))
-            for code, name in enumerate(FAMILY_CODES):
-                mask = valid & (fam == code)
-                if np.any(mask):
-                    drift_by_family[name] = _drift_stats(drift[mask])
+            for code in np.flatnonzero(counts):
+                mask = fam == code if every else valid & (fam == code)
+                if every or mask.any():
+                    drift_by_family[FAMILY_CODES[code]] = _drift_stats(drift[mask])
 
     return NeighborhoodReport(
         source=source,

@@ -360,11 +360,16 @@ def _contending(margin, branch, contender):
 
 
 # one input per refusal that a seeded search reaches: the tree's four
-# boundaries, then the sign tests of the udz, pair and delta leaves, and the
-# |h| <= E test of the coincident branch.  The rank test sends |det A| <=
-# tol + E (E about 8.9e-16) to the rank-1 branch, so at tol 1e-15
-# diag(1, 2e-15i), whose h is 0, passes as nonsingular and reaches that test;
-# at tol 1e-14 it is udz.  The inertia slack was reached by none of 10^6 draws.
+# boundaries, then the sign tests of the udz, pair and delta leaves, the
+# |h| <= E test of the coincident branch and the inertia test of the scalar
+# cosquare.  The rank test sends |det A| <= tol + E (E about 8.9e-16) to the
+# rank-1 branch, so at tol 1e-15 diag(1, 2e-15i), whose h is 0, passes as
+# nonsingular and reaches the |h| test; at tol 1e-14 it is udz.  diag(1, -1e-14)
+# is exactly pair(1,-1), and every slack of the tree clears the cutoff 5e-19
+# at tol 1e-18, but the phase of l, read from h / conj(det A), errs by about
+# E / |det A|, and that noise swamps the Hermitian part's smaller eigenvalue.
+# 10^6 draws at tol 1e-9 ... 0.49 reach no inertia refusal; diag(1, +-d)
+# reaches it at tol 1e-20 ... 1e-10.
 @pytest.mark.parametrize("A, tol, message, candidates, margin", [
     ([[1.0, 0.0], [0.0, 1e-9]], 1e-9, *_contending("8.882e-16", "rank<=1", "nonsingular"), 8.881784197001252e-16),
     ([[1.0, 1e-9], [0.0, 0.0]], 1e-9, *_contending("4.142e-10", "udz", "hyp(0)"), 4.1421178601625564e-10),
@@ -378,7 +383,10 @@ def _contending(margin, branch, contender):
     ([[1.0, 1.00000001], [1.0, 1.0]], 1e-9, "anti-Hermitian part of conj(l) A within its rounding of zero",
      ("delta(l)", "delta(-l)"), 0.0),
     ([[1.0, 0.0], [0.0, 2e-15j]], 1e-15, "cosquare eigenvalue within its rounding of zero", ("pair", "delta"), 0.0),
-], ids=["rank", "residual", "coincidence", "departure", "udz-trace", "pair-form", "delta-sign", "coincident-h"])
+    ([[1.0, 0.0], [0.0, -1e-14]], 1e-18, "inertia of the scaled matrix could not be resolved",
+     ("pair(l,l)", "pair(l,-l)"), 9.992007221626409e-15),
+], ids=["rank", "residual", "coincidence", "departure", "udz-trace", "pair-form", "delta-sign", "coincident-h",
+        "inertia"])
 def test_refusal_bookkeeping(A, tol, message, candidates, margin):
     with pytest.raises(AmbiguousClassification) as info:
         classify(A, tol=tol)

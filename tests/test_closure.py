@@ -215,10 +215,11 @@ def test_hasse_duplicate_vertex():
 
 @pytest.mark.parametrize("bad", ["x", CanonicalForm()])
 def test_hasse_rejects_non_forms(bad):
-    # both paths, the scalar one at 1 vertex and the array one at 13, bucket
-    # the vertices by family before any arrow is decided
+    # the vertices are bucketed by family before either path runs (the scalar
+    # one up to 12 vertices, the array one past it) and before the duplicate
+    # check formats a repeated vertex
     forms = [Zero()] + [UnitDirectZero(unit(k)) for k in range(11)]
-    for verts in ([bad], forms + [bad]):
+    for verts in ([bad], forms + [bad], [bad, bad], forms + [bad, bad]):
         with pytest.raises(InvalidInput, match=r"^not a canonical form: "):
             hasse_subgraph(verts)
 
@@ -281,10 +282,22 @@ def brute_force(verts):
     return R, edges
 
 
+def relation(verts):
+    """``closure._relation`` of a vertex sequence."""
+    verts = tuple(verts)
+    return closure._relation(verts, closure._families(verts))
+
+
+def graph(path, verts):
+    """The Hasse graph of a vertex sequence by one path, ``closure._scalar_graph`` or ``_array_graph``."""
+    verts = tuple(verts)
+    return path(verts, closure._families(verts))
+
+
 def reference_array_graph(verts):
     """The 0.13.0 array path: 2-step paths found by a float32 product over
     the vertices with both in- and out-arrows."""
-    R = closure._relation(verts)[0]
+    R = relation(verts)
     out = R.any(axis=1)
     src = np.flatnonzero(out)
     mid = np.flatnonzero(out & R.any(axis=0))
@@ -318,7 +331,7 @@ def test_hasse_matches_brute_force():
     for verts in sets:
         verts = list(dict.fromkeys(verts))
         R, edges = brute_force(verts)
-        assert np.array_equal(closure._relation(tuple(verts))[0], R)
+        assert np.array_equal(relation(verts), R)
         g = hasse_subgraph(verts)
         assert edge_tuples(g) == edges
         assert to_dot(g) == to_dot(HasseSubgraph(tuple(verts), edges)) == reference_to_dot(g)
@@ -342,7 +355,7 @@ def test_reduction_rule_matches_the_float32_product():
 
 def test_iter_dot_chunks():
     # the header once, then one chunk per source row, then the closing brace
-    for g in (hasse_subgraph(seven_class_set()), closure._array_graph(tuple(seven_class_set()))):
+    for g in (hasse_subgraph(seven_class_set()), graph(closure._array_graph, seven_class_set())):
         chunks = list(iter_dot(g))
         assert "".join(chunks) == to_dot(g)
         assert chunks[0].endswith('"zero" [label="zero\\ncodim 8"];\n') and chunks[-1] == "}\n"
@@ -362,7 +375,7 @@ def test_scalar_and_array_paths_agree():
         for n in sizes:
             verts = tuple(base[:n])
             _, edges = brute_force(verts)
-            scalar, array = closure._scalar_graph(verts), closure._array_graph(verts)
+            scalar, array = graph(closure._scalar_graph, verts), graph(closure._array_graph, verts)
             dot = reference_to_dot(HasseSubgraph(verts, edges))
             for g in (scalar, array):
                 assert g.vertices == verts
@@ -374,7 +387,7 @@ def test_scalar_and_array_paths_agree():
             assert repr(scalar) == repr(array)
             assert scalar.edges.dtype == np.int32 and scalar.edges.shape == (len(edges), 2)
             assert not scalar.edges.flags.writeable
-            for g in (closure._scalar_graph(verts), scalar, array):  # edges not yet read, and read
+            for g in (graph(closure._scalar_graph, verts), scalar, array):  # edges not yet read, and read
                 twin = pickle.loads(pickle.dumps(g))
                 assert type(twin) is HasseSubgraph and twin.vertices == verts
                 assert edge_tuples(twin) == edges and not twin.edges.flags.writeable
@@ -436,7 +449,7 @@ def test_edges_are_a_read_only_int32_array():
 
 
 def test_hasse_limits_checked_first(monkeypatch):
-    def no_blocks(verts):
+    def no_blocks(verts, families):
         raise AssertionError("relation built before the size check")
 
     monkeypatch.setattr(closure, "_relation", no_blocks)
@@ -505,7 +518,7 @@ def test_edge_ladders_reachable_xor_certificate():
         verts = list(dict.fromkeys(v for case in cases for v in case))
         n = len(verts)
         R = np.array([[i != j and reachable(verts[i], verts[j]) for j in range(n)] for i in range(n)])
-        assert np.array_equal(closure._relation(tuple(verts))[0], R)
+        assert np.array_equal(relation(verts), R)
         implied = (R.astype(np.int64) @ R.astype(np.int64)) > 0
         assert edge_tuples(hasse_subgraph(verts)) == tuple(zip(*np.nonzero(R & ~implied)))
 

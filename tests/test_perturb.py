@@ -19,6 +19,7 @@ from starcong import (
     format_form,
     forms_close,
     no_arrow_certificate,
+    parse_form,
     reachable,
     realize,
     sample_neighborhood,
@@ -31,6 +32,7 @@ from starcong.linalg import _form, _norm4
 from starcong.rng import SplitMix64
 
 GOLDEN_WITNESSES = Path(__file__).resolve().parent / "data" / "golden_witnesses.jsonl"
+GOLDEN_SAMPLES = Path(__file__).resolve().parent / "data" / "golden_samples.jsonl"
 
 
 def unit(theta):
@@ -570,16 +572,18 @@ def test_certificate_soundness_empirical():
     for src, dst in cases:
         cert = no_arrow_certificate(src, dst)
         delta = min(cert.margin / 10.0, 1e-3)
-        R = realize(src)
-        for E in _ball_sample(17, 2000, delta):
+        for A in _ball_sample(17, 2000, delta, _entries(src)):
             try:
-                got = classify(R + E).form
+                got = classify(A).form
             except AmbiguousClassification:
                 continue
             assert not forms_close(got, dst, cert.margin / 10.0), (src, dst, got)
 
 
 # --- neighborhood sampling ----------------------------------------------------
+
+#: The entries of the zero matrix, the centre of a bare ball draw.
+ZERO_CENTRE = (0j, 0j, 0j, 0j)
 
 
 def test_sample_neighborhood_pair_stays_pair():
@@ -632,7 +636,7 @@ def test_ball_sample_uniform_moments():
     from starcong.perturb import _ball_sample
 
     n = 100_000
-    E = _ball_sample(5, n, 1.0)
+    E = _ball_sample(5, n, 1.0, ZERO_CENTRE)
     norms = np.sqrt(np.sum(np.abs(E) ** 2, axis=(1, 2)))
     assert np.all(norms <= 1.0)
     assert abs(norms.mean() - 8.0 / 9.0) <= 5.0 * norms.std() / np.sqrt(n)
@@ -645,14 +649,16 @@ def test_ball_sample_uniform_moments():
 def test_ball_sample_matches_scalar_stream():
     # sample i: 4 sorted uniforms give the squared moduli as spacings, then one
     # disk-rejection phase per entry, all from sub-stream start + i; a whole
-    # chunk and five more samples, from an offset
+    # chunk and five more samples, from an offset.  Each entry is stored as
+    # centre + draw, which turns a draw of -0.0 (a Dirichlet weight of exactly
+    # 0) into 0.0, so the reference adds the same zero centre
     import math
 
     from starcong.perturb import SAMPLE_CHUNK, _ball_sample
     from test_rng import substream_seed
 
     delta, start, n = 1e-3, 3, SAMPLE_CHUNK + 5
-    E = _ball_sample(9, n, delta, start)
+    E = _ball_sample(9, n, delta, ZERO_CENTRE, start)
     expected, rounds = [], []
     for i in range(n):
         rng = SplitMix64(substream_seed(9, start + i))
@@ -669,7 +675,7 @@ def test_ball_sample_matches_scalar_stream():
                     break
             rounds.append(draws)
             scale = math.sqrt(w) / math.sqrt(r2)
-            expected.append(complex(delta * (x * scale), delta * (y * scale)))
+            expected.append(complex(delta * (x * scale) + 0.0, delta * (y * scale) + 0.0))
     assert np.array(expected).tobytes() == E.tobytes()
     # the sampler redraws until its last pending entry is accepted: the
     # deepest entries here need 8 draws, so every redraw round is compared
@@ -679,9 +685,9 @@ def test_ball_sample_matches_scalar_stream():
 def test_ball_sample_prefix_and_offset():
     from starcong.perturb import _ball_sample
 
-    E = _ball_sample(21, 500, 1e-3)
-    assert np.array_equal(_ball_sample(21, 123, 1e-3), E[:123])
-    assert np.array_equal(_ball_sample(21, 77, 1e-3, 123), E[123:200])
+    E = _ball_sample(21, 500, 1e-3, ZERO_CENTRE)
+    assert np.array_equal(_ball_sample(21, 123, 1e-3, ZERO_CENTRE), E[:123])
+    assert np.array_equal(_ball_sample(21, 77, 1e-3, ZERO_CENTRE, 123), E[123:200])
 
 
 def test_sample_neighborhood_chunk_invariant(monkeypatch):
@@ -695,6 +701,18 @@ def test_sample_neighborhood_chunk_invariant(monkeypatch):
             rep = sample_neighborhood(source, 1e-2, n, seed=4)
             reports.add(render_json(rep.to_json_dict()))
         assert len(reports) == 1
+
+
+def test_sample_neighborhood_golden_bytes():
+    # one source per family, each over two chunks (2^14 + 100 samples), so the
+    # singular sources, which form no cosquare roots, and the nonsingular ones
+    # are both pinned; a line is the render_json text with its line breaks
+    # and indents collapsed
+    lines = []
+    for text in ("zero", "udz(1)", "pair(1,1)", "pair(1,-1)", "pair(1,1i)", "hyp(0.3)", "delta(1)"):
+        rep = sample_neighborhood(parse_form(text), 1e-3, 2**14 + 100, seed=2**20 + 7)
+        lines.append(" ".join(line.strip() for line in render_json(rep.to_json_dict()).splitlines()))
+    assert lines == GOLDEN_SAMPLES.read_text().splitlines()
 
 
 def test_near_degenerate_cone_corner():
