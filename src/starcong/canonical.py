@@ -383,23 +383,13 @@ def _cosquare_roots(nonsingular, inv, t):
     if not nonsingular.any():
         return np.full((2, len(nonsingular)), np.nan, dtype=np.complex128)
     # the smaller root as det A / (h + root), which does not cancel; off the
-    # circle the larger is 1 / conj(q), as hyp(sigma) has it.  Where every
-    # lane is off the circle, or none is, only that branch is formed: a real
-    # h_root divides det as the complex h_root + 0i does
+    # circle the larger is 1 / conj(q), as hyp(sigma) has it
     det, _, h, _, _, rho2, _ = inv
     hyp = rho2 > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        if hyp.all():
-            q = det / (h + np.copysign(t, h))
-            p = 1.0 / q.conjugate()
-        elif not hyp.any():
-            h_root = h + 1j * t
-            q = det / h_root
-            p = h_root / det.conjugate()
-        else:
-            h_root = h + np.where(hyp, np.copysign(t, h), 1j * t)
-            q = det / h_root
-            p = np.where(hyp, 1.0 / q.conjugate(), h_root / det.conjugate())
+        h_root = h + np.where(hyp, np.copysign(t, h), 1j * t)
+        q = det / h_root
+        p = np.where(hyp, 1.0 / q.conjugate(), h_root / det.conjugate())
     if nonsingular.all():
         return p, q
     return np.where(nonsingular, p, np.nan), np.where(nonsingular, q, np.nan)
