@@ -17,10 +17,10 @@ a JSON matrix or print a report.  Each handler imports what else it runs:
 ``codim`` nothing more; ``classify`` ``canonical`` (with ``rng``); ``arrow``
 and ``witness`` ``perturb`` (with ``closure`` and ``rng``); ``graph``
 ``closure``; ``sample`` ``perturb`` and ``canonical``; ``selftest`` all of
-these.  ``classify``, ``codim``, ``arrow``, ``witness``, ``selftest`` and
-``graph`` on at most 12 forms (``closure._SCALAR_GRAPH_MAX``) run on Python
-scalars and never import numpy; only ``sample``, and ``graph`` on more than 12
-forms, load it.
+these.  ``classify``, ``codim``, ``arrow``, ``witness``, ``selftest``, and
+``graph`` on at most 12 forms (``closure._SCALAR_GRAPH_MAX``) or on no udz
+form, run on Python scalars and never import numpy; only ``sample``, and
+``graph`` on more than 12 forms with a udz among them, load it.
 """
 
 from __future__ import annotations

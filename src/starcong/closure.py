@@ -22,21 +22,19 @@ delta(1+1e-13i) is one too.
 
 ``hasse_subgraph`` restricts the order to a finite vertex set and emits its
 transitive reduction; no covering relation on the infinite poset is claimed.
-Only udz vertices and antipodal pairs have arrows both in and out, so it drops
-just the two cases of arrow that a 2-step path implies, from the relation's own
-bits (the rule and why it is exact are in its docstring).  Up to
-``_SCALAR_GRAPH_MAX`` (12) vertices, a command line's worth, it calls
-``reachable`` on every ordered pair and imports no numpy; past that crossover,
-where the scalar path stops being faster even with numpy loaded, it evaluates
-the cone, half-plane and +-l predicates that ``reachable`` uses on parameter
-arrays, one family block at a time, so its relation is the same bits as n^2
-``reachable`` calls; 10^4 vertices, the documented cap, take seconds (figures
-in its docstring).
+Only udz vertices and antipodal pairs have arrows both in and out, so each
+source's row is read off the three layers (``_rows``; the rule is in
+``hasse_subgraph``), with no n x n relation.  The udz rows come from
+``reachable`` calls up to ``_SCALAR_GRAPH_MAX`` (12) vertices, with no numpy,
+and past that from the same predicates on parameter arrays, a bounded block at
+a time.  Rows are computed when the graph is read and ``to_dot`` writes each as
+it is made: 10^4 vertices, the documented cap, take a second and tens of MB.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from array import array
+from heapq import merge
 from operator import itemgetter
 
 from .errors import DuplicateVertex, InvalidInput
@@ -148,59 +146,55 @@ def _edge_array(edges, n: int) -> np.ndarray:
     """``edges`` as a read-only (E, 2) int32 array of indices into n vertices."""
     import numpy as np
 
-    edges = np.array(edges, dtype=np.int32).reshape(len(edges), 2)
-    if ((edges < 0) | (edges >= n)).any():
-        raise ValueError(f"edge index outside [0, {n})")
+    edges = np.asarray(edges).reshape(len(edges), 2)
+    # checked before narrowing, where 2^33 would wrap to 0 and 1.9 truncate to 1
+    if edges.size and (edges.dtype.kind not in "iu" or ((edges < 0) | (edges >= n)).any()):
+        raise ValueError(f"edge index not an integer in [0, {n})")
+    edges = edges.astype(np.int32)
     edges.flags.writeable = False
     return edges
 
 
 class HasseSubgraph(_Record):
-    """Vertices and covering edges: ``edges`` is a read-only (E, 2) int32 array
-    of (source, target) indices in row-major order, converted from any sequence
-    of pairs; an index outside ``range(len(vertices))`` raises ValueError.
-    Graphs compare by identity, as an array takes no part in ``==``.
+    """Vertices and covering edges: ``vertices`` is a tuple and ``edges`` a
+    read-only (E, 2) int32 array of (source, target) indices, converted from
+    any sequence of integer pairs in ``range(len(vertices))`` (else
+    ValueError).  Graphs compare by identity, as an array takes no part in ``==``.
 
-    From ``hasse_subgraph``, they are the arrows no 2-step path implies.
-
-    ``hasse_subgraph`` hands a small graph its edges as a list of int pairs
-    (``_from_pairs``); its ``edges`` array is built on first access, so a
-    graph that is only printed never imports numpy.
+    From ``hasse_subgraph``, the edges are the arrows no 2-step path implies,
+    in row-major order, computed (``_rows``) when the graph is read.
     """
 
     __match_args__ = ("vertices", "edges")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, vertices: tuple[CanonicalForm, ...], edges):
+    def __init__(self, vertices, edges):
         d = self.__dict__
-        d["vertices"], d["_edges"] = vertices, _edge_array(edges, len(vertices))
-
-    @classmethod
-    def _from_pairs(cls, vertices: tuple[CanonicalForm, ...], pairs: list[tuple[int, int]]) -> HasseSubgraph:
-        graph = cls.__new__(cls)
-        d = graph.__dict__
-        d["vertices"], d["_pairs"] = vertices, pairs
-        return graph
+        d["vertices"] = tuple(vertices)
+        d["_edges"] = _edge_array(edges, len(d["vertices"]))
 
     @property
     def edges(self) -> np.ndarray:
         d = self.__dict__
         if "_edges" not in d:
-            d["_edges"] = _edge_array(d["_pairs"], len(self.vertices))
+            import numpy as np
+
+            src, dst = array("i"), array("i")
+            for s, out in _rows(self.vertices, self._families, range(len(self.vertices))):
+                src += array("i", [s]) * len(out)
+                dst.fromlist(out)
+            edges = np.stack((src, dst), axis=1)
+            d["_edges"] = _edge_array(edges[np.argsort(src, kind="stable")], len(self.vertices))  # zero's row came last
         return d["_edges"]
 
     def _pair_list(self) -> list:
-        """The edges as (source, target) pairs of Python ints, in the graph's order."""
-        pairs = self.__dict__.get("_pairs")
-        return self.edges.tolist() if pairs is None else pairs
+        """The edges of a graph from ``hasse_subgraph`` as (source, target) pairs of Python ints."""
+        return sorted((s, t) for s, out in _rows(self.vertices, self._families, range(len(self.vertices))) for t in out)
 
     def __reduce__(self):
-        # rebuilt through a constructor, so a copy's edges are read-only too
-        pairs = self.__dict__.get("_pairs")
-        if pairs is None:
-            return HasseSubgraph, (self.vertices, self.edges)
-        return HasseSubgraph._from_pairs, (self.vertices, pairs)
+        # rebuilt through the constructor, so a copy's edges are read-only too
+        return HasseSubgraph, (self.vertices, self.edges)
 
 
 def _parts(zs) -> tuple[np.ndarray, np.ndarray]:
@@ -226,80 +220,100 @@ def _families(verts) -> list[list[int]]:
     return [zero, udz, pair, [i for i in pair if verts[i].antipodal], hyp, delta]
 
 
-def _relation(verts, families) -> np.ndarray:
-    """R[i, j] = reachable(verts[i], verts[j]) for i != j, ``families`` being ``_families(verts)``.
-
-    R is built one family block at a time.  Each block reads the vertices'
-    parameters as ``reachable`` reads them and applies the same predicates to
-    their arrays, so it rounds as ``reachable`` does.
-    """
-    import numpy as np
-
-    zero, udz, pair, anti, hyp, delta = families
-    n = len(verts)
-    R = np.zeros((n, n), dtype=bool)
-    R[zero, :] = True
-    R[zero, zero] = False
-    tr, ti = _parts([verts[j].tau for j in delta])
-    if udz:
-        u = np.array(udz)[:, None]
-        lr, li = _parts([verts[i].lam for i in udz])
-        lr, li = lr[:, None], li[:, None]
-        R[u, hyp] = True
-        mr, mi = _parts([verts[j].mu for j in pair])
-        nr, ni = _parts([verts[j].nu for j in pair])
-        R[u, pair] = _in_cone(lr, li, mr, mi, nr, ni)
-        R[u, delta] = _im_lam_conj_tau(lr, li, tr, ti) >= 0.0
-    if anti:
-        mr, mi = _parts([verts[i].mu for i in anti])
-        R[np.array(anti)[:, None], delta] = _on_line(tr, ti, mr[:, None], mi[:, None])
-    return R
-
-
-# Vertex sets up to this size take the scalar path: n(n - 1) ``reachable``
-# calls and a reduction over Python sets.  12 is the last size where it is
-# faster than the array path even with numpy already loaded (Intel Xeon,
-# Python 3.11, numpy 2.4; medians over 40 random sets of all families, three
-# batches): hasse_subgraph takes 81-88 us scalar against 91-106 us array at 12
-# vertices, 97-103 against 92-112 at 13 and 112-118 against 106-113 at 14;
-# with to_dot after it, 131-138 against 163-183 us at 12 and 211 against 194
-# at 16.
+# Vertex sets up to this size take their udz rows from ``reachable`` calls,
+# with no numpy; larger ones from parameter arrays.  12 is the documented
+# numpy-free size; with numpy loaded the loop is as fast up to about 24
+# vertices (hasse_subgraph + to_dot on bench sets, Xeon, Python 3.11, numpy
+# 2.4, medians of 3 batches: 93-161 against 166-315 us at 12, 212-293 against
+# 240-255 at 24, 626-683 against 356-369 at 48).
 _SCALAR_GRAPH_MAX = 12
+# (udz source, target) lanes per array block: a few MB of temporaries at any size.
+_LANES = 1 << 16
 
 
-def _scalar_graph(verts: tuple[CanonicalForm, ...], families) -> HasseSubgraph:
-    """The Hasse edges from ``reachable`` on every ordered pair, without numpy,
-    reduced by ``hasse_subgraph``'s two cases."""
-    n = len(verts)
-    zero, udz, _, anti, _, delta = families
-    succ = [[j for j in range(n) if j != i and reachable(verts[i], verts[j])] for i in range(n)]
-    implied = [()] * n
-    entered = {j for k in udz + anti for j in succ[k]}
+def _rows(verts, families, pos):
+    """The Hasse edges of ``verts`` as rows (pos[i], [pos[j], ...]): each
+    source i with out-arrows and its targets j, in increasing ``pos``, which
+    numbers the vertices without ties (index for ``edges``, DOT id rank for
+    ``iter_dot``), but zero's row last, as it needs the others' targets.  By
+    ``hasse_subgraph``'s rule, an antipodal pair's row is the deltas on its
+    line, a udz's is hyp, the pairs in its cone and the deltas in its
+    half-plane whose antipodal pair it does not reach, and zero's is every
+    vertex no other vertex enters.
+    """
+    zero, udz, pair, anti, hyp, delta = families
+    key = pos.__getitem__
+    by_tau = {}
+    for j in delta:
+        by_tau.setdefault(verts[j].tau, []).append(j)  # _on_line is == on the stored doubles
+    line = {k: by_tau.get(verts[k].mu, []) + by_tau.get(-verts[k].mu, []) for k in anti}
+    entered = {j for js in line.values() for j in js}  # the udz rows add theirs
+    anti_rows = ((pos[k], sorted(map(key, line[k]))) for k in sorted(anti, key=key) if line[k])
+    udz_rows = (_udz_loop if len(verts) <= _SCALAR_GRAPH_MAX or not udz else _udz_blocks)(
+        verts, families, line, pos, entered)
+    yield from merge(anti_rows, udz_rows, key=itemgetter(0))
     for i in zero:
-        implied[i] = entered
-    anti, delta = set(anti), set(delta)
-    for i in udz:
-        implied[i] = {j for k in succ[i] if k in anti for j in succ[k] if j in delta}
-    return HasseSubgraph._from_pairs(verts, [(i, j) for i, out in enumerate(succ) for j in out if j not in implied[i]])
+        out = sorted(pos[j] for j in range(len(verts)) if j != i and j not in entered)
+        if out:
+            yield pos[i], out
 
 
-def _array_graph(verts: tuple[CanonicalForm, ...], families) -> HasseSubgraph:
-    """The Hasse edges from ``_relation``, reduced by ``hasse_subgraph``'s two
-    cases on the family index lists."""
+def _udz_loop(verts, families, line, pos, entered):
+    """``_rows``' udz rows from ``reachable``, adding their targets to ``entered``."""
+    _, udz, pair, _, hyp, delta = families
+    for i in sorted(udz, key=pos.__getitem__):
+        cone = [j for j in pair if reachable(verts[i], verts[j])]
+        implied = {j for k in cone for j in line.get(k, ())}
+        out = hyp + cone + [j for j in delta if j not in implied and reachable(verts[i], verts[j])]
+        entered.update(out)
+        if out:
+            yield pos[i], sorted(map(pos.__getitem__, out))
+
+
+def _udz_blocks(verts, families, line, pos, entered):
+    """``_udz_loop``'s rows from the predicates ``reachable`` uses, applied to
+    parameter arrays, at most ``_LANES`` lanes a block."""
+    _, udz, pair, _, hyp, delta = families
     import numpy as np
 
-    R = _relation(verts, families)
-    zero, udz, _, anti, _, delta = families
-    R[zero] &= ~R[udz + anti].any(axis=0)
-    if udz and anti:
-        u, a = np.array(udz)[:, None], np.array(anti)
-        k, j = np.nonzero(R[a[:, None], delta])  # the arrows antipodal pair a[k] -> delta[j]
-        implied = np.zeros((len(delta), len(udz)), dtype=bool)
-        np.logical_or.at(implied, j, R[u, a[k]].T)  # implied[j] |= (udz -> a[k]), for every such k
-        R[u, delta] &= ~implied.T
-    src = np.flatnonzero(R.any(axis=1))
-    rows, cols = np.divmod(np.flatnonzero(R[src]), len(verts))
-    return HasseSubgraph(verts, np.stack((src[rows], cols), axis=1))
+    cols = sorted(hyp + pair + delta, key=pos.__getitem__)  # the targets, a column each
+    col = {j: c for c, j in enumerate(cols)}
+    pair_c, delta_c = [col[j] for j in pair], [col[j] for j in delta]
+    links = [(col[k], col[j]) for k, js in line.items() for j in js]
+    kc, dc = np.array(links, dtype=np.intp).reshape(-1, 2).T  # antipodal pair kc[m] reaches delta dc[m]
+    (mr, mi), (nr, ni) = _parts([verts[j].mu for j in pair]), _parts([verts[j].nu for j in pair])
+    tr, ti = _parts([verts[j].tau for j in delta])
+    keys = np.array([pos[j] for j in cols], dtype=np.int64)
+    hit = np.zeros(len(cols), dtype=bool)
+    order = sorted(udz, key=pos.__getitem__)
+    step = max(1, _LANES // max(1, len(cols)))
+    for start in range(0, len(order), step):
+        block = order[start:start + step]
+        lr, li = (x[:, None] for x in _parts([verts[i].lam for i in block]))
+        mask = np.ones((len(block), len(cols)), dtype=bool)  # every hyp column
+        mask[:, pair_c] = _in_cone(lr, li, mr, mi, nr, ni)
+        mask[:, delta_c] = _im_lam_conj_tau(lr, li, tr, ti) >= 0.0
+        np.logical_and.at(mask, (slice(None), dc), ~mask[:, kc])  # drop what a reached antipodal pair implies
+        hit |= mask.any(axis=0)
+        r, c = np.nonzero(mask)
+        targets = keys[c].tolist()
+        cuts = np.searchsorted(r, np.arange(len(block) + 1)).tolist()
+        for i, lo, hi in zip(block, cuts, cuts[1:]):
+            if lo < hi:
+                yield pos[i], targets[lo:hi]
+    entered.update(j for j, h in zip(cols, hit.tolist()) if h)
+
+
+def _sorted_rows(edges: np.ndarray, pos):
+    """The rows of an edge array keyed by ``pos``, ties merged: its
+    (pos[source], pos[target]) keys sorted once."""
+    import numpy as np
+
+    p = np.array(pos, dtype=np.int64)
+    a, b = np.divmod(np.sort(p[edges[:, 0]] * len(p) + p[edges[:, 1]]), max(len(p), 1))
+    starts = np.flatnonzero(np.diff(a, prepend=-1)).tolist()
+    for s, lo, hi in zip(a[starts].tolist(), starts, starts[1:] + [len(a)]):
+        yield s, b[lo:hi].tolist()
 
 
 def hasse_subgraph(vertices) -> HasseSubgraph:
@@ -314,26 +328,20 @@ def hasse_subgraph(vertices) -> HasseSubgraph:
         i is zero, and j has an in-arrow from a non-zero vertex, or
         i is udz, j is delta, and i -> k -> j for an antipodal pair k.
 
-    Both paths test these two cases on the relation's bits as computed, so the
-    result is the reduction of that relation whatever its rounding, with no
-    transitivity assumed and no matrix product.  Up to ``_SCALAR_GRAPH_MAX``
-    (12) vertices, the size a command line holds, the relation is n(n - 1)
-    ``reachable`` calls and nothing imports numpy; the graph's ``edges``
-    array is built only when read.  Larger sets build the relation one
-    (source family, target family) block at a time with the predicates
-    ``reachable`` uses, over parameter arrays.  Both paths give the same
-    edges, bit for bit; the crossover is where the scalar path stops being
-    faster even with numpy already loaded.
+    Each row is read off the three layers (``_rows``) and the rule is tested
+    on the arrows as computed, so the result is the reduction of that relation
+    whatever its rounding, with no transitivity assumed, no matrix product and
+    no n x n relation.  The graph computes its rows when it is read.
 
-    Served size, random vertex sets of all families (Intel Xeon, 2 vCPUs,
-    Python 3.11, numpy 2.4, one BLAS thread), with ``to_dot`` after it:
+    Served size, bench sets of all families (a tenth antipodal pairs with
+    their deltas; Intel Xeon, 2 vCPUs, Python 3.11, numpy 2.4, one BLAS
+    thread), ``to_dot`` to a file, then to one string:
 
-        10^3 vertices:  0.008 s + 0.012 s,   49 k edges,  5.5 MB of DOT,    50 MB peak RSS
-        10^4 vertices:  0.70 s  + 0.93 s,   4.8 M edges,  518 MB of DOT,  1.08 GB peak RSS
+        10^3 vertices:  0.02 s,   44 k edges,  5.0 MB of DOT,  31 MB peak RSS (40 MB)
+        10^4 vertices:  0.64 s,  4.7 M edges,  516 MB of DOT,  47 MB peak RSS (1.4 s, 1.03 GB)
 
-    Time and memory grow with the number of edges, about n^2 / 20; at 10^4
-    vertices the peak RSS is 0.34 GB before ``to_dot``, and ``graph``, which
-    has ``to_dot`` write the DOT to stdout as it is made, peaks at 0.34 GB too.
+    Time grows with the number of edges, about n^2 / 20; written to a file,
+    as ``starcong graph`` writes it, memory grows with n alone.
     """
     verts = tuple(vertices)
     if len(verts) > 10**4:
@@ -345,17 +353,18 @@ def hasse_subgraph(vertices) -> HasseSubgraph:
             if v in seen:
                 raise DuplicateVertex(f"duplicate vertex {format_form(v)}")
             seen.add(v)
-    return (_scalar_graph if len(verts) <= _SCALAR_GRAPH_MAX else _array_graph)(verts, families)
+    graph = HasseSubgraph.__new__(HasseSubgraph)
+    graph.__dict__.update(vertices=verts, _families=families)  # its rows are computed when it is read
+    return graph
 
 
 def iter_dot(graph: HasseSubgraph) -> Iterator[str]:
     """``to_dot(graph)`` in chunks: the header, rank layers and labels in one,
-    then the edge lines of one source vertex at a time (in two chunks where
-    they straddle two blocks of 2^16 sorted edges), then the closing brace.
+    then the edge lines of one source vertex at a time, then the closing brace.
 
-    Edge lines are ordered by the (source, target) ranks of their ids, sorted
-    once: with ``sorted`` for a graph that holds its edges as int pairs, which
-    imports no numpy, and in numpy for one that holds an array.
+    Edge lines are ordered by the (source, target) ranks of their ids: a
+    graph from ``hasse_subgraph`` computes its rows in that order, and one
+    built from an edge list sorts its rank keys once.
     """
     ids = [format_form(v) for v in graph.vertices]
     codims = [codimension(v) for v in graph.vertices]
@@ -370,30 +379,17 @@ def iter_dot(graph: HasseSubgraph) -> Iterator[str]:
     # prefix of another (each is "zero" or ends in its only ")"), so that is
     # the order of the (a, b) ranks among the distinct sorted ids.  Equal ids
     # share a rank, so their lines tie as equal strings do.  A row of lines
-    # with source a is head[a] + head[a].join(their tails).
+    # with source a is head[a] + head[a].join(their tails).  "zero" ranks
+    # after every other id, so zero's row, which ``_rows`` yields last, is last.
     uniq = list(dict.fromkeys(ids[k] for k in order))
     rank = dict(zip(uniq, range(len(uniq))))
     head = [f'  "{u}" -> "' for u in uniq]
     tail = [f'{u}";\n' for u in uniq]
-    pairs = graph.__dict__.get("_pairs")
-    if pairs is not None:
-        r = [rank[nid] for nid in ids]
-        for a, row in groupby(sorted([(r[i], r[j]) for i, j in pairs]), itemgetter(0)):
-            yield head[a] + head[a].join([tail[b] for _, b in row])
-    else:
-        import numpy as np
-
-        r = np.array([rank[nid] for nid in ids], dtype=np.int64)
-        keys = np.sort(r[graph.edges[:, 0]] * len(uniq) + r[graph.edges[:, 1]])
-        tail = np.array(tail, dtype=object)
-        # 2^16 keys at a time: at 10^4 vertices there are millions
-        for start in range(0, len(keys), 1 << 16):
-            a, b = np.divmod(keys[start:start + (1 << 16)], len(uniq))
-            cuts = (np.flatnonzero(a[1:] != a[:-1]) + 1).tolist()
-            tails = tail[b].tolist()
-            bounds = [0, *cuts, len(tails)]
-            for h, lo, hi in zip(map(head.__getitem__, a[bounds[:-1]].tolist()), bounds, bounds[1:]):
-                yield h + h.join(tails[lo:hi])
+    r = [rank[nid] for nid in ids]
+    families = graph.__dict__.get("_families")
+    rows = _sorted_rows(graph.edges, r) if families is None else _rows(graph.vertices, families, r)
+    for a, row in rows:
+        yield head[a] + head[a].join([tail[b] for b in row])
     yield "}\n"
 
 

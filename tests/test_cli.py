@@ -289,8 +289,8 @@ def test_graph_golden_file():
     assert res.stdout == GOLDEN.read_text()
 
 
-#: 13 forms, one more than the scalar path takes, with udz -> delta arrows
-#: that an antipodal pair implies; tests/data/golden_13vertex.dot is their DOT.
+#: 13 forms, one more than the udz rows' Python loop takes, with udz -> delta
+#: arrows that an antipodal pair implies; tests/data/golden_13vertex.dot is their DOT.
 THIRTEEN = ["zero", "udz(1)", "udz(1i)", "udz(-1)", "pair(1,-1)", "pair(1,1)", "pair(1,1i)", "pair(0.6+0.8i,-0.6-0.8i)",
             "hyp(0)", "hyp(0.3)", "delta(1)", "delta(-1)", "delta(1i)"]
 
@@ -506,13 +506,17 @@ def test_scalar_commands_leave_numpy_unloaded(args):
 
 
 def test_graph_past_the_scalar_size_loads_numpy():
+    # past 12 forms the udz rows are numpy blocks: 13 forms with a udz load
+    # numpy, 13 hyp forms, which have no udz row, do not
     from starcong.closure import _SCALAR_GRAPH_MAX
 
-    forms = [f"hyp({k / 100})" for k in range(_SCALAR_GRAPH_MAX + 1)]
-    res = run_no_numpy_probe("graph", *forms)
-    assert res.returncode == 0, res.stderr
-    code, loaded = res.stdout.split("\n", 1)
-    assert code == "0" and {"numpy", "starcong.closure"} <= set(loaded.split())  # numpy brings inspect
+    hyps = [f"hyp({k / 100})" for k in range(_SCALAR_GRAPH_MAX + 1)]
+    for forms, numpy in ((hyps, False), (["udz(1)", *hyps[1:]], True)):
+        res = run_no_numpy_probe("graph", *forms)
+        assert res.returncode == 0, res.stderr
+        code, loaded = res.stdout.split("\n", 1)
+        assert code == "0" and "starcong.closure" in loaded.split()
+        assert ("numpy" in loaded.split()) == numpy, loaded  # numpy brings inspect
 
 
 JSON_PROBE = """

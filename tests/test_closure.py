@@ -215,9 +215,8 @@ def test_hasse_duplicate_vertex():
 
 @pytest.mark.parametrize("bad", ["x", CanonicalForm()])
 def test_hasse_rejects_non_forms(bad):
-    # the vertices are bucketed by family before either path runs (the scalar
-    # one up to 12 vertices, the array one past it) and before the duplicate
-    # check formats a repeated vertex
+    # the vertices are bucketed by family on both sides of the size that picks
+    # the udz path (12) and before the duplicate check formats a repeated vertex
     forms = [Zero()] + [UnitDirectZero(unit(k)) for k in range(11)]
     for verts in ([bad], forms + [bad], [bad, bad], forms + [bad, bad]):
         with pytest.raises(InvalidInput, match=r"^not a canonical form: "):
@@ -283,15 +282,37 @@ def brute_force(verts):
 
 
 def relation(verts):
-    """``closure._relation`` of a vertex sequence."""
+    """R[i, j] = reachable(verts[i], verts[j]) for i != j, from the predicates
+    ``reachable`` uses applied to parameter arrays, one family block at a time:
+    the reference the reduction rule is checked against."""
     verts = tuple(verts)
-    return closure._relation(verts, closure._families(verts))
+    zero, udz, pair, anti, hyp, delta = closure._families(verts)
+    R = np.zeros((len(verts), len(verts)), dtype=bool)
+    R[zero, :] = True
+    R[zero, zero] = False
+    tr, ti = closure._parts([verts[j].tau for j in delta])
+    if udz:
+        u = np.array(udz)[:, None]
+        lr, li = (x[:, None] for x in closure._parts([verts[i].lam for i in udz]))
+        R[u, hyp] = True
+        mr, mi = closure._parts([verts[j].mu for j in pair])
+        nr, ni = closure._parts([verts[j].nu for j in pair])
+        R[u, pair] = closure._in_cone(lr, li, mr, mi, nr, ni)
+        R[u, delta] = closure._im_lam_conj_tau(lr, li, tr, ti) >= 0.0
+    if anti:
+        mr, mi = closure._parts([verts[i].mu for i in anti])
+        R[np.array(anti)[:, None], delta] = closure._on_line(tr, ti, mr[:, None], mi[:, None])
+    return R
 
 
-def graph(path, verts):
-    """The Hasse graph of a vertex sequence by one path, ``closure._scalar_graph`` or ``_array_graph``."""
-    verts = tuple(verts)
-    return path(verts, closure._families(verts))
+def udz_paths(monkeypatch):
+    """Yield "loop", then "blocks", with every udz row computed by that path
+    whatever the size, then restore the size split."""
+    size = closure._SCALAR_GRAPH_MAX
+    for path, scalar_max in (("loop", 10**4), ("blocks", -1)):
+        monkeypatch.setattr(closure, "_SCALAR_GRAPH_MAX", scalar_max)
+        yield path
+    monkeypatch.setattr(closure, "_SCALAR_GRAPH_MAX", size)
 
 
 def reference_array_graph(verts):
@@ -348,50 +369,64 @@ def test_reduction_rule_matches_the_float32_product():
         assert to_dot(g) == to_dot(ref) == reference_to_dot(ref)
     verts = tuple(random_set(rng, 4000))
     g, ref = hasse_subgraph(verts), reference_array_graph(verts)
-    assert len(g.edges) > 1 << 16  # more than one block of iter_dot's sorted keys
+    assert len(g.edges) > 1 << 16  # its udz rows span many blocks of _LANES lanes
     assert np.array_equal(g.edges, ref.edges)
     assert to_dot(g) == to_dot(ref)
 
 
-def test_iter_dot_chunks():
-    # the header once, then one chunk per source row, then the closing brace
-    for g in (hasse_subgraph(seven_class_set()), graph(closure._array_graph, seven_class_set())):
-        chunks = list(iter_dot(g))
-        assert "".join(chunks) == to_dot(g)
-        assert chunks[0].endswith('"zero" [label="zero\\ncodim 8"];\n') and chunks[-1] == "}\n"
-        rows = chunks[1:-1]
-        assert [row.split('"')[1] for row in rows] == ["pair(1,-1)", "udz(1)", "zero"]
-        assert all(len({line.split(" -> ")[0] for line in row.splitlines()}) == 1 for row in rows)
+def test_iter_dot_chunks(monkeypatch):
+    # the header once, then one chunk per source row, then the closing brace,
+    # with the udz rows from either path and from the graph's edges alike
+    chunk_lists = []
+    for _ in udz_paths(monkeypatch):
+        g = hasse_subgraph(seven_class_set())
+        chunk_lists += [list(iter_dot(g)), list(iter_dot(HasseSubgraph(g.vertices, g.edges)))]
         out = io.StringIO()
-        assert to_dot(g, out) is None and out.getvalue() == "".join(chunks)
+        assert to_dot(g, out) is None and out.getvalue() == "".join(chunk_lists[-1])
+    chunks = chunk_lists[0]
+    assert all(c == chunks for c in chunk_lists)
+    assert "".join(chunks) == to_dot(g)
+    assert chunks[0].endswith('"zero" [label="zero\\ncodim 8"];\n') and chunks[-1] == "}\n"
+    rows = chunks[1:-1]
+    assert [row.split('"')[1] for row in rows] == ["pair(1,-1)", "udz(1)", "zero"]
+    assert all(len({line.split(" -> ")[0] for line in row.splitlines()}) == 1 for row in rows)
 
 
-def test_scalar_and_array_paths_agree():
-    # every prefix of a ladder set and a random set, across the size that
-    # selects the path: both paths give brute_force's edges and the same DOT
+def test_scalar_and_array_paths_agree(monkeypatch):
+    # every prefix of three sets, one with a udz -> delta arrow that an
+    # antipodal pair implies, across the size that selects the udz path: the
+    # Python loop and the numpy blocks both give brute_force's edges, pair
+    # list and DOT, as does a graph built from those edges; each pickles to
+    # the same edges before and after they are read
     rng = SplitMix64(31)
-    sizes = range(closure._SCALAR_GRAPH_MAX + 3)
-    for base in (ladder_set(rng), random_set(rng, sizes[-1])):
+    sizes = range(closure._SCALAR_GRAPH_MAX + 4)
+    blocks = []
+    udz_blocks = closure._udz_blocks
+    monkeypatch.setattr(closure, "_udz_blocks", lambda *args: blocks.append(1) or udz_blocks(*args))
+    bases = (ladder_set(rng), random_set(rng, sizes[-1]), list(dict.fromkeys(seven_class_set() + random_set(rng, 9))))
+    for base in bases:
         for n in sizes:
             verts = tuple(base[:n])
             _, edges = brute_force(verts)
-            scalar, array = graph(closure._scalar_graph, verts), graph(closure._array_graph, verts)
-            dot = reference_to_dot(HasseSubgraph(verts, edges))
-            for g in (scalar, array):
-                assert g.vertices == verts
-                assert edge_tuples(g) == edges
-                assert to_dot(g) == dot
-            g = hasse_subgraph(verts)
-            assert edge_tuples(g) == edges
-            assert ("_pairs" in g.__dict__) == (n <= closure._SCALAR_GRAPH_MAX)  # the size selects the path
-            assert repr(scalar) == repr(array)
-            assert scalar.edges.dtype == np.int32 and scalar.edges.shape == (len(edges), 2)
-            assert not scalar.edges.flags.writeable
-            for g in (graph(closure._scalar_graph, verts), scalar, array):  # edges not yet read, and read
-                twin = pickle.loads(pickle.dumps(g))
-                assert type(twin) is HasseSubgraph and twin.vertices == verts
-                assert edge_tuples(twin) == edges and not twin.edges.flags.writeable
-                assert to_dot(twin) == dot
+            built = HasseSubgraph(verts, edges)
+            dot = reference_to_dot(built)
+            blocks.clear()
+            assert to_dot(hasse_subgraph(verts)) == dot
+            assert bool(blocks) == (n > closure._SCALAR_GRAPH_MAX)  # the size selects the path
+            reprs = {repr(built)}
+            for _ in udz_paths(monkeypatch):
+                g = hasse_subgraph(verts)
+                assert g.vertices == verts and to_dot(g) == dot and list(iter_dot(g)) == list(iter_dot(built))
+                assert g._pair_list() == list(edges)
+                unread = pickle.loads(pickle.dumps(g))  # before its edges are read
+                assert edge_tuples(g) == edges and g.edges.dtype == np.int32 and g.edges.shape == (len(edges), 2)
+                assert not g.edges.flags.writeable and to_dot(g) == dot
+                reprs.add(repr(g))
+                for twin in (unread, pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(built))):
+                    assert type(twin) is HasseSubgraph and twin.vertices == verts
+                    assert edge_tuples(twin) == edges and not twin.edges.flags.writeable
+                    assert to_dot(twin) == dot
+            assert len(reprs) == 1
 
 
 def test_hasse_small_and_sparse_sets():
@@ -442,17 +477,29 @@ def test_edges_are_a_read_only_int32_array():
         empty = HasseSubgraph((Zero(),), edges)
         assert empty.edges.shape == (0, 2)
         assert empty.edges.dtype == np.int32
-    # wrong shapes, and indices outside [0, len(vertices))
-    for edges in ([(0, 1, 1)], [0, 1], np.zeros((2, 3)), [(-1, 0)], [(0, 2)]):
+    # wrong shapes, indices outside [0, len(vertices)), at any width, and non-integers
+    bad = ([(0, 1, 1)], [0, 1], np.zeros((2, 3)), [(-1, 0)], [(0, 2)], np.array([[0, 2**33]]), [(0, 2**40)],
+           [(0, 2**70)], [(0.7, 1)], [(0, 1.9)], np.array([[0.0, 1.0]]))
+    for edges in bad:
         with pytest.raises(ValueError):
             HasseSubgraph((Zero(), UnitDirectZero(1)), edges)
+    # the graph keeps its own tuple of vertices, so its edges keep pointing at them
+    verts = [Zero(), UnitDirectZero(1)]
+    g = HasseSubgraph(verts, [(0, 1)])
+    dot = to_dot(g)
+    verts[1] = Hyperbolic(0.5)
+    assert to_dot(g) == dot and '"zero" -> "udz(1)";' in dot
+    verts.clear()
+    assert g.vertices == (Zero(), UnitDirectZero(1)) and to_dot(g) == dot
 
 
 def test_hasse_limits_checked_first(monkeypatch):
-    def no_blocks(verts, families):
-        raise AssertionError("relation built before the size check")
+    def no_rows(verts, families, pos):
+        raise AssertionError("rows computed before the size check")
 
-    monkeypatch.setattr(closure, "_relation", no_blocks)
+    monkeypatch.setattr(closure, "_rows", no_rows)
+    with pytest.raises(AssertionError):
+        to_dot(hasse_subgraph([Zero()]))  # reading a graph computes its rows
     with pytest.raises(InvalidInput):
         hasse_subgraph([Zero()] * (10**4 + 1))
     with pytest.raises(DuplicateVertex):
