@@ -83,19 +83,24 @@ class CanonicalForm(_Record):
     """Base of the five-variant tagged union.
 
     Each variant names its family in the class attribute ``family``, the head
-    of its text syntax (a subclass inherits it; the base has None), and stores
-    its parameters as the tuple ``_key``, in ``__match_args__`` order.
+    of its text syntax, and its real codimension in ``codim``, the table
+    ``stratify.codimension`` serves (a subclass inherits both; the base has
+    None).  It stores its parameters as the tuple ``_key``, in
+    ``__match_args__`` order.
     """
 
     family = None
+    codim = None
 
 
 class Zero(CanonicalForm):
     family = "zero"
+    codim = 8
 
 
 class UnitDirectZero(CanonicalForm):
     family = "udz"
+    codim = 5
     __match_args__ = ("lam",)
 
     def __init__(self, lam: complex):
@@ -125,9 +130,16 @@ class UnitPair(CanonicalForm):
     def equal_pair(self) -> bool:
         return self.nu == self.mu
 
+    @property
+    def codim(self) -> int:
+        """4 for pair(m, +-m), 2 for a generic pair."""
+        mu, nu = self.mu, self.nu
+        return 4 if nu == mu or nu == -mu else 2
+
 
 class Hyperbolic(CanonicalForm):
     family = "hyp"
+    codim = 2
     __match_args__ = ("sigma",)
 
     def __init__(self, sigma: complex):
@@ -141,6 +153,7 @@ class Hyperbolic(CanonicalForm):
 
 class DeltaTau(CanonicalForm):
     family = "delta"
+    codim = 2
     __match_args__ = ("tau",)
 
     def __init__(self, tau: complex):

@@ -298,9 +298,14 @@ def _spectral_spread(form) -> float:
 def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> ObstructionCertificate:
     """First applicable obstruction proving there is no arrow source -> target.
 
-    Past CodimMonotonicity only udz and pair(m, +-m) sources remain, and each
-    certificate reads the numbers ``reachable`` refused on, so its margin is
-    positive by construction.  udz gives ConeMargin (-> pair) or
+    CodimMonotonicity comes first, before ``reachable`` is asked: every arrow
+    of the closure order goes to a class of strictly lower codimension, so
+    codim(source) <= codim(target) refuses the pair from the two table
+    entries alone (most pairs of a vertex set), and a non-form is refused by
+    ``codimension`` before anything formats it.  Only past that does an
+    arrow raise ArrowExists.  Then only udz and pair(m, +-m) sources remain,
+    and each certificate reads the numbers ``reachable`` refused on, so its
+    margin is positive by construction.  udz gives ConeMargin (-> pair) or
     HalfPlaneMargin (-> delta).  pair(m, +-m) gives SpectrumGap (-> pair(mu,
     nu != +-mu) or hyp(sigma != 0)), DetPhaseGap (-> hyp(0), or delta(t) with
     t != +-m', where m' = m for pair(m, -m) and i m for pair(m, m)) or
@@ -308,9 +313,6 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
     """
     if source == target:
         raise InvalidInput("source and target must differ")
-    if reachable(source, target):
-        raise ArrowExists(f"{format_form(source)} -> {format_form(target)} is reachable")
-
     cm, cn = codimension(source), codimension(target)
     if cm <= cn:
         return ObstructionCertificate(
@@ -318,6 +320,8 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
             margin=float(cn - cm + 1),
             data={"codim_source": cm, "codim_target": cn},
         )
+    if reachable(source, target):
+        raise ArrowExists(f"{format_form(source)} -> {format_form(target)} is reachable")
 
     if isinstance(source, UnitDirectZero):
         lam = source.lam

@@ -4,7 +4,8 @@ The tangent space to the *congruence class of A at A is the real span of
 {C* A + A C}; its dimension is the exact rank of the induced 8x8 map on the
 basis {E_jk, i E_jk}, built over the integers from A's stored doubles without
 numpy.  Codimension is 8 minus that; it is served from the closed-form family
-table, with the rank as its cross-check.
+table, which lives on the form classes as their ``codim`` attribute (next to
+``family``), with the rank as its cross-check.
 
 The deformation template of a canonical form is the minimal parametric
 normal form to which all nearby matrices can be reduced by transformations
@@ -70,18 +71,16 @@ def _tangent_map(A) -> list[list[int]]:
 def codimension(form: CanonicalForm) -> int:
     """Real codimension of the class of ``form``, from the family table.
 
-    The definition is ``8 - tangent_space_dim(realize(form))``; the tests and
-    ``starcong selftest`` check the table against it.
+    The table is the forms' ``codim`` attribute: zero 8, udz 5, pair(m, +-m)
+    4, and 2 for a generic pair, hyp and delta.  A non-form and the bare
+    ``CanonicalForm`` raise InvalidInput.  The definition is
+    ``8 - tangent_space_dim(realize(form))``; the tests and ``starcong
+    selftest`` check the table against it.
     """
-    if isinstance(form, Zero):
-        return 8
-    if isinstance(form, UnitDirectZero):
-        return 5
-    if isinstance(form, UnitPair):
-        return 4 if (form.equal_pair or form.antipodal) else 2
-    if isinstance(form, (Hyperbolic, DeltaTau)):
-        return 2
-    raise InvalidInput(f"not a canonical form: {form!r}")
+    codim = form.codim if isinstance(form, CanonicalForm) else None
+    if codim is None:
+        raise InvalidInput(f"not a canonical form: {form!r}")
+    return codim
 
 
 def _eps_kind(param: complex) -> str:
@@ -96,7 +95,7 @@ def versal_profile(form: CanonicalForm) -> VersalProfile:
     elif isinstance(form, UnitDirectZero):
         grid = ((_eps_kind(form.lam), FIXED_ZERO), (STAR, STAR))
     elif isinstance(form, UnitPair):
-        if form.equal_pair or form.antipodal:
+        if form.codim == 4:  # pair(m, +-m)
             grid = ((_eps_kind(form.mu), FIXED_ZERO), (STAR, _eps_kind(form.nu)))
         else:
             grid = ((_eps_kind(form.mu), FIXED_ZERO), (FIXED_ZERO, _eps_kind(form.nu)))

@@ -145,10 +145,22 @@ def test_codim_monotone_examples():
 
 
 def test_codim_monotone_random():
-    rng = SplitMix64(5)
-    for _ in range(300):
-        a, b = random_form(rng), random_form(rng)
-        assert codim_monotone(a, b)
+    # no_arrow_certificate refuses codim(source) <= codim(target) before it
+    # asks reachable, so this must hold on every pair it can be given: the
+    # random streams of both test modules, the seven classes and the ladders
+    # on both sides of every edge of the order
+    from test_perturb import random_form as certificate_form
+
+    rng, other = SplitMix64(5), SplitMix64(99)
+    pairs = [(random_form(rng), random_form(rng)) for _ in range(300)]
+    pairs += [(certificate_form(other), certificate_form(other)) for _ in range(2000)]
+    seven = seven_class_set()
+    pairs += [(s, t) for s in seven for t in seven]
+    ladder = SplitMix64(2026)
+    for _ in range(4):
+        pairs += edge_ladder(ladder)
+    assert all(codim_monotone(a, b) for a, b in pairs)
+    assert sum(a != b and reachable(a, b) for a, b in pairs) > 500
 
 
 def edge_tuples(g):

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -499,6 +500,18 @@ def test_certificate_errors():
         no_arrow_certificate(Zero(), DeltaTau(1))
     with pytest.raises(InvalidInput):
         no_arrow_certificate(DeltaTau(1), DeltaTau(1))
+
+
+@pytest.mark.parametrize("form", [Zero(), UnitDirectZero(1), UnitPair(1, -1), Hyperbolic(0.3)])
+@pytest.mark.parametrize("bad", [None, 3, "x"])
+def test_certificate_refuses_non_forms(form, bad):
+    # reachable(zero, anything) is True, so a non-form must be refused before
+    # ArrowExists formats it
+    message = rf"^not a canonical form: {re.escape(repr(bad))}$"
+    with pytest.raises(InvalidInput, match=message):
+        no_arrow_certificate(form, bad)
+    with pytest.raises(InvalidInput, match=message):
+        no_arrow_certificate(bad, form)
 
 
 @pytest.mark.parametrize("k", range(10, 17))

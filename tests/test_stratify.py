@@ -1,11 +1,14 @@
 import cmath
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from starcong import (
+    CanonicalForm,
     DeltaTau,
     Hyperbolic,
+    InvalidInput,
     UnitDirectZero,
     UnitPair,
     Zero,
@@ -45,6 +48,12 @@ def test_codimension_examples():
     assert codimension(Zero()) == 8
 
 
+@pytest.mark.parametrize("bad", [None, 3, "x", CanonicalForm(), SimpleNamespace(codim=2, family="hyp")])
+def test_codimension_refuses_non_forms(bad):
+    with pytest.raises(InvalidInput, match=r"^not a canonical form: "):
+        codimension(bad)
+
+
 @pytest.mark.parametrize("k", range(12))
 def test_codimension_level_table(k):
     u = unit(0.5 * k + 0.05)
@@ -55,10 +64,11 @@ def test_codimension_level_table(k):
     assert codimension(UnitPair(u, u)) == 4
     assert codimension(UnitPair(u, -u)) == 4
     assert codimension(UnitDirectZero(u)) == 5
-    # the table agrees with the definition, 8 - dim of the tangent space
+    # the table, the forms' codim attribute, agrees with the definition,
+    # 8 - dim of the tangent space
     for form in (UnitPair(u, v), Hyperbolic(0.7 * u * (0.1 + 0.05 * k)), DeltaTau(u),
                  UnitPair(u, u), UnitPair(u, -u), UnitDirectZero(u), Zero()):
-        assert codimension(form) == 8 - tangent_space_dim(realize(form)), form
+        assert form.codim == codimension(form) == 8 - tangent_space_dim(realize(form)), form
 
 
 def test_tangent_dim_congruence_invariant():
