@@ -19,10 +19,11 @@ rho2 = -det R = h^2 - |det A|^2, which is real.  K's eigenvalues are
        4b. otherwise (K a Jordan block)        -> delta(+-l), the sign of Im(conj(l) tr A)
 
 Every threshold is tol plus the rounding bound of its statistic, derived from
-the unit roundoff below.  The report's ``margin`` is the smallest normalized
-slack of the comparisons; an input whose margin falls below half the
-tolerance, or whose sign test (3b, 4a, 4b) sits within its rounding bound of
-zero, raises AmbiguousClassification instead of being assigned a class.
+the unit roundoff below.  Each comparison records its normalized slack, and a
+sign test (2, 3b, 4, 4a, 4b) that sits within its rounding bound of zero records
+slack 0.  The report's ``margin`` is the smallest slack; an input whose margin
+falls below half the tolerance raises AmbiguousClassification, naming the
+branches of that comparison, instead of being assigned a class.
 
 Inside this module a 2x2 matrix is the tuple of its entries (m00, m01, m10,
 m11): Python complex scalars in classify, arrays over the stack in
@@ -30,8 +31,8 @@ classify_many.  Both run the one decision tree, ``_tree``; the norm and the
 form x* A y come from ``linalg``.  classify and classify_many reject NaN/Inf.
 
 classify reads two rows of Python floats or complex numbers, as ``starcong
-classify`` passes them, without numpy.  numpy is imported only inside the
-functions that build or read arrays, so a ``classify`` process never loads it.
+classify`` passes them, without numpy.  numpy and ``rng`` are imported only
+inside the functions that use them, so a ``classify`` process loads neither.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import math
 from .errors import AmbiguousClassification, InvalidInput
 from .forms import CanonicalForm, DeltaTau, Hyperbolic, UnitDirectZero, UnitPair, Zero, _entries, _Record
 from .linalg import EPS, _form, _mat2_entries, _norm4, hermitian_eigenvalues
-from .rng import seeded_rng
 
 #: Ambiguity cutoff as a fraction of the requested tolerance.  Exact
 #: canonical representatives sit at slack ~ tol on the rank test, so the
@@ -52,8 +52,9 @@ AMBIG_FRACTION = 0.5
 FAMILY_CODES = ("zero", "udz", "pair", "hyp", "delta", "boundary")
 
 _BOUNDARIES = (("rank<=1", "nonsingular"), ("udz", "hyp(0)"), ("coincident spectrum", "distinct spectrum"),
-               ("pair(l,+-l)", "delta"), ("definite", "indefinite"))  # the (branch, contender) of each slack
-_RANK, _RESIDUAL, _COINCIDENCE, _DEPARTURE, _INERTIA = range(5)  # its index: the tree's four tests, then inertia
+               ("pair(l,+-l)", "delta"), ("definite", "indefinite"), ("pair", "delta"), ("delta(l)", "delta(-l)"))
+# the (branch, contender) of each slack, and its index: the tree's four tests, then the leaves' three
+_RANK, _RESIDUAL, _COINCIDENCE, _DEPARTURE, _INERTIA, _PAIR_SIGN, _DELTA_SIGN = range(7)
 
 # Rounding noise (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
 # ed., 3.1 and 3.6), u = 2^-53: a complex sum rounds by <= u, a complex
@@ -85,7 +86,8 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     eigenvalue-coincidence test, scalar-cosquare test) and must lie in (0, 0.5):
     the normalized |det A| is at most 1/2, so a larger ``tol`` would send
     every matrix to the rank <= 1 branch.  Raises AmbiguousClassification
-    when the input is closer than ``tol / 2`` to a decision boundary.
+    when the input is closer than ``tol / 2`` to a decision boundary, or a
+    sign test sits within its rounding bound of zero, naming that comparison.
     """
     entries = _mat2_entries(A)
     if not 0.0 < tol < 0.5:
@@ -98,7 +100,7 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     a, b, c, d = (m / norm for m in entries)
     code, slacks, nonsingular, inv, t = _tree(a, b, c, d, tol)
     form = (_classify_nonsingular(a, b, c, d, code, slacks, inv, t) if nonsingular
-            else _classify_rank1(a, b, c, d, code))
+            else _classify_rank1(a, b, c, d, code, slacks))
 
     margin, worst = min(slacks)  # on a tie the earlier comparison, which has the lower index
     if margin < AMBIG_FRACTION * tol:
@@ -108,20 +110,20 @@ def classify(A, tol: float = 1e-9) -> ClassificationReport:
     return ClassificationReport(form, margin, scale)
 
 
-def _classify_rank1(a, b, c, d, code):
+def _classify_rank1(a, b, c, d, code, slacks):
     if code == 3:
         return Hyperbolic(0.0)
     tr = a + d
-    if abs(tr) < 0.5:
-        # a proportional rank-1 matrix has |tr| == ||A||_F exactly
-        raise AmbiguousClassification(
-            "rank-1 proportional matrix with inconsistent trace", _BOUNDARIES[_RESIDUAL], abs(tr))
+    if abs(tr) < 0.5:  # a proportional rank-1 matrix has |tr| == ||A||_F exactly
+        slacks.append((0.0, _RESIDUAL))
+        return None
     return UnitDirectZero(tr / abs(tr))
 
 
 # --- kernels ------------------------------------------------------------------
 # Down to _tree, the decision tree of classify and classify_many, they take
-# complex scalars or ndarrays alike.  The leaves after it serve classify alone.
+# complex scalars or ndarrays alike.  The leaves after it serve classify alone;
+# a sign test within its rounding bound appends slack 0 to the tree's list.
 
 
 def _prescale(entries):
@@ -254,11 +256,12 @@ def _classify_nonsingular(a, b, c, d, code, slacks, inv, t):
         # (2E + n_t) / |det A|; its square root and the normalization add 3u
         n_lam = (2.0 * _E + n_t) / absdet + 3.0 * _U
         n_m = 3.2 * _E + 1.5 * n_t  # ||R -+ root I - (exact)||_F
-        mu = _pair_entry(a, b, c, d, r, root, (h + root) / det.conjugate(), n_m, n_lam)
-        nu = _pair_entry(a, b, c, d, r, -root, det / (h + root), n_m, n_lam)
+        mu = _pair_entry(a, b, c, d, r, root, (h + root) / det.conjugate(), n_m, n_lam, slacks)
+        nu = _pair_entry(a, b, c, d, r, -root, det / (h + root), n_m, n_lam, slacks)
         return UnitPair(mu, nu)
     if abs(h) <= _E:  # l^2 = h / conj(det A) has no phase above its rounding
-        raise AmbiguousClassification("cosquare eigenvalue within its rounding of zero", ("pair", "delta"), abs(h))
+        slacks.append((0.0, _PAIR_SIGN))
+        return None
     xi = h / det.conjugate()
     lam = cmath.sqrt(xi / abs(xi))
     # xi = h / conj(det A) is unimodular up to rounding and errs by E / |h| +
@@ -274,13 +277,11 @@ def _classify_nonsingular(a, b, c, d, code, slacks, inv, t):
     tr = a + d
     stat = (lam.conjugate() * tr).imag
     if abs(stat) <= abs(tr) * n_lam + _E:
-        raise AmbiguousClassification(
-            "anti-Hermitian part of conj(l) A within its rounding of zero",
-            ("delta(l)", "delta(-l)"), abs(stat))
+        slacks.append((0.0, _DELTA_SIGN))
     return DeltaTau(lam if stat > 0.0 else -lam)
 
 
-def _pair_entry(a, b, c, d, r, root, eig, n_m, n_lam):
+def _pair_entry(a, b, c, d, r, root, eig, n_m, n_lam, slacks):
     """The pair entry whose square is the cosquare eigenvalue ``eig`` = (h + root) / conj(det A)."""
     m00, m01, m10, m11 = r[0] - root, r[1], r[2], r[3] - root
     n1, n2 = _norm4(m01, m00, 0.0, 0.0), _norm4(m11, m10, 0.0, 0.0)
@@ -296,9 +297,7 @@ def _pair_entry(a, b, c, d, r, root, eig, n_m, n_lam):
     dx = min(n_m / (row - n_m), 2.0) if row > n_m else 2.0
     stat = (w.conjugate() * v).real
     if abs(stat) <= (2.0 * _norm4(ax0, ax1, 0.0, 0.0) + 3.0 * dx) * dx + 12.0 * _U + abs(v) * n_lam:
-        raise AmbiguousClassification(
-            "vanishing quadratic form on a cosquare eigenvector",
-            ("pair", "delta"), abs(v))
+        slacks.append((0.0, _PAIR_SIGN))
     return w if stat > 0.0 else -w
 
 
@@ -312,12 +311,7 @@ def _branch_scalar(a, b, c, d, lam, n_lam, slacks):
     # phi <= n_lam of l turns H into e^{-i phi} H, whose Hermitian part moves
     # by <= phi ||(H - H*) / 2|| + phi^2 ||H||.
     noise = 12.0 * _U + n_lam * (anti + n_lam)
-    slack = min(abs(eig_lo), abs(eig_hi)) - noise
-    slacks.append((slack, _INERTIA))
-    if slack <= 0.0:
-        raise AmbiguousClassification(
-            "inertia of the scaled matrix could not be resolved",
-            ("pair(l,l)", "pair(l,-l)"), min(abs(eig_lo), abs(eig_hi)))
+    slacks.append((max(min(abs(eig_lo), abs(eig_hi)) - noise, 0.0), _INERTIA))
     if eig_lo > 0.0:
         return UnitPair(lam, lam)
     if eig_hi < 0.0:
@@ -412,6 +406,8 @@ def random_congruence(form: CanonicalForm, seed: int):
     resampled until cond(S) <= 20.  Deterministic per seed, which must lie in
     [0, 2^64).
     """
+    from .rng import seeded_rng
+
     if not 0 <= seed < 2**64:  # the generator reads the seed modulo 2^64
         raise InvalidInput("seed must lie in [0, 2^64)")
     rng = seeded_rng(seed)

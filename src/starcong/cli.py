@@ -14,7 +14,7 @@ the keys ``command``, ``version``, ``inputs`` and ``outputs`` in that order;
 Every subcommand loads ``forms``, ``stratify``, ``linalg`` and ``errors``;
 ``jsonutil`` is loaded only to print a JSON report and ``json`` only to read
 a JSON matrix or print a report.  Each handler imports what else it runs:
-``codim`` nothing more; ``classify`` ``canonical`` (with ``rng``); ``arrow``
+``codim`` nothing more; ``classify`` ``canonical``; ``arrow``
 and ``witness`` ``perturb`` (with ``closure`` and ``rng``); ``graph``
 ``closure``; ``sample`` ``perturb`` and ``canonical``; ``selftest`` all of
 these.  ``classify``, ``codim``, ``arrow``, ``witness``, ``selftest``, and

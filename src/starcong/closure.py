@@ -130,9 +130,11 @@ def reachable(source: CanonicalForm, target: CanonicalForm) -> bool:
 
     Reflexivity is tested last, where only targets of the source's own family
     remain (and zero is already True): on forms of different families ``==``
-    costs two ``__eq__`` calls before it falls back to identity.
+    costs two ``__eq__`` calls before it falls back to identity.  A non-form or
+    bare ``CanonicalForm`` on either side raises InvalidInput, checked there and
+    on the zero path; the other branches answer only for a target of their class.
     """
-    if isinstance(source, Zero):
+    if isinstance(source, Zero) and isinstance(target, CanonicalForm) and target.family is not None:
         return True
     if isinstance(source, UnitDirectZero):
         lr, li = source.lam.real, source.lam.imag
@@ -144,7 +146,10 @@ def reachable(source: CanonicalForm, target: CanonicalForm) -> bool:
             return _im_lam_conj_tau(lr, li, target.tau.real, target.tau.imag) >= 0.0
     elif isinstance(source, UnitPair) and source.antipodal and isinstance(target, DeltaTau):
         return _on_line(target.tau.real, target.tau.imag, source.mu.real, source.mu.imag)
-    return source == target
+    valid = isinstance(source, CanonicalForm) and source.family is not None
+    if valid and isinstance(target, CanonicalForm) and target.family is not None:
+        return source == target
+    raise InvalidInput(f"not a canonical form: {target if valid else source!r}")
 
 
 def _edge_array(edges, n: int) -> np.ndarray:

@@ -127,10 +127,6 @@ class UnitPair(CanonicalForm):
         return self.nu == -self.mu
 
     @property
-    def equal_pair(self) -> bool:
-        return self.nu == self.mu
-
-    @property
     def codim(self) -> int:
         """4 for pair(m, +-m), 2 for a generic pair."""
         mu, nu = self.mu, self.nu

@@ -302,7 +302,7 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
     of the closure order goes to a class of strictly lower codimension, so
     codim(source) <= codim(target) refuses the pair from the two table
     entries alone (most pairs of a vertex set), and a non-form is refused by
-    ``codimension`` before anything formats it.  Only past that does an
+    ``codimension`` before it is compared or formatted.  Only past that does an
     arrow raise ArrowExists.  Then only udz and pair(m, +-m) sources remain,
     and each certificate reads the numbers ``reachable`` refused on, so its
     margin is positive by construction.  udz gives ConeMargin (-> pair) or
@@ -311,9 +311,9 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
     t != +-m', where m' = m for pair(m, -m) and i m for pair(m, m)) or
     HermitianRankGap (pair(m, m) -> delta(+-i m)).
     """
+    cm, cn = codimension(source), codimension(target)
     if source == target:
         raise InvalidInput("source and target must differ")
-    cm, cn = codimension(source), codimension(target)
     if cm <= cn:
         return ObstructionCertificate(
             "CodimMonotonicity",

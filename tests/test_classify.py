@@ -354,37 +354,35 @@ def test_ambiguous_near_rank_boundary():
     assert len(info.value.candidates) == 2
 
 
-def _contending(margin, branch, contender):
-    return (f"margin {margin} below 5.000e-10: contending branches {branch!r} vs {contender!r}",
+def _contending(margin, branch, contender, cutoff="5.000e-10"):
+    return (f"margin {margin} below {cutoff}: contending branches {branch!r} vs {contender!r}",
             (branch, contender))
 
 
 # one input per refusal that a seeded search reaches: the tree's four
 # boundaries, then the sign tests of the udz, pair and delta leaves, the
 # |h| <= E test of the coincident branch and the inertia test of the scalar
-# cosquare.  The rank test sends |det A| <= tol + E (E about 8.9e-16) to the
-# rank-1 branch, so at tol 1e-15 diag(1, 2e-15i), whose h is 0, passes as
-# nonsingular and reaches the |h| test; at tol 1e-14 it is udz.  diag(1, -1e-14)
-# is exactly pair(1,-1), and every slack of the tree clears the cutoff 5e-19
-# at tol 1e-18, but the phase of l, read from h / conj(det A), errs by about
-# E / |det A|, and that noise swamps the Hermitian part's smaller eigenvalue.
-# 10^6 draws at tol 1e-9 ... 0.49 reach no inertia refusal; diag(1, +-d)
-# reaches it at tol 1e-20 ... 1e-10.
+# cosquare.  Every refusal comes from the one margin check: a leaf's sign test
+# within its rounding bound records slack 0, so it refuses at margin 0 and names
+# its own boundary.  The rank test sends |det A| <= tol + E (E about 8.9e-16)
+# to the rank-1 branch, so at tol 1e-15 diag(1, 2e-15i), whose h is 0, passes
+# as nonsingular and reaches the |h| test; at tol 1e-14 it is udz.
+# diag(1, -1e-14) is exactly pair(1,-1), and every slack of the tree clears
+# the cutoff 5e-19 at tol 1e-18, but the phase of l, read from h / conj(det A),
+# errs by about E / |det A|, and that noise swamps the Hermitian part's
+# smaller eigenvalue.  10^6 draws at tol 1e-9 ... 0.49 reach no inertia
+# refusal; diag(1, +-d) reaches it at tol 1e-20 ... 1e-10.
 @pytest.mark.parametrize("A, tol, message, candidates, margin", [
     ([[1.0, 0.0], [0.0, 1e-9]], 1e-9, *_contending("8.882e-16", "rank<=1", "nonsingular"), 8.881784197001252e-16),
     ([[1.0, 1e-9], [0.0, 0.0]], 1e-9, *_contending("4.142e-10", "udz", "hyp(0)"), 4.1421178601625564e-10),
     ([[1.0, 4e-10], [0.0, 1.0]], 1e-9, *_contending("2.063e-10", "coincident spectrum", "distinct spectrum"),
      2.0633991313888898e-10),
     ([[0.0, 1.0], [1.0, 3e-10j]], 1e-9, *_contending("4.000e-10", "pair(l,+-l)", "delta"), 4.000056841018828e-10),
-    ([[1.0, 3.0], [3.0, 0.0]], 0.49, "rank-1 proportional matrix with inconsistent trace", ("udz", "hyp(0)"),
-     0.22941573387056174),
-    ([[1.0, -5e-9], [1e-9, 2e-6]], 1e-9, "vanishing quadratic form on a cosquare eigenvector", ("pair", "delta"),
-     3.999991978981612e-06),
-    ([[1.0, 1.00000001], [1.0, 1.0]], 1e-9, "anti-Hermitian part of conj(l) A within its rounding of zero",
-     ("delta(l)", "delta(-l)"), 0.0),
-    ([[1.0, 0.0], [0.0, 2e-15j]], 1e-15, "cosquare eigenvalue within its rounding of zero", ("pair", "delta"), 0.0),
-    ([[1.0, 0.0], [0.0, -1e-14]], 1e-18, "inertia of the scaled matrix could not be resolved",
-     ("pair(l,l)", "pair(l,-l)"), 9.992007221626409e-15),
+    ([[1.0, 3.0], [3.0, 0.0]], 0.49, *_contending("0.000e+00", "udz", "hyp(0)", "2.450e-01"), 0.0),
+    ([[1.0, -5e-9], [1e-9, 2e-6]], 1e-9, *_contending("0.000e+00", "pair", "delta"), 0.0),
+    ([[1.0, 1.00000001], [1.0, 1.0]], 1e-9, *_contending("0.000e+00", "delta(l)", "delta(-l)"), 0.0),
+    ([[1.0, 0.0], [0.0, 2e-15j]], 1e-15, *_contending("0.000e+00", "pair", "delta", "5.000e-16"), 0.0),
+    ([[1.0, 0.0], [0.0, -1e-14]], 1e-18, *_contending("0.000e+00", "definite", "indefinite", "5.000e-19"), 0.0),
 ], ids=["rank", "residual", "coincidence", "departure", "udz-trace", "pair-form", "delta-sign", "coincident-h",
         "inertia"])
 def test_refusal_bookkeeping(A, tol, message, candidates, margin):
@@ -511,7 +509,7 @@ def test_classify_many_matches_scalar():
     mats.append(np.zeros((2, 2), dtype=complex))
     stack = np.array(mats)
     res = classify_many(stack)
-    from starcong.canonical import FAMILY_CODES
+    from starcong.canonical import _BOUNDARIES, FAMILY_CODES
 
     for i, A in enumerate(mats):
         try:
@@ -525,7 +523,9 @@ def test_classify_many_matches_scalar():
     # 300 congruence members of eleven forms.  The one tree makes the lane
     # contract structural: where classify answers, the lane holds its family;
     # where it refuses at one of the tree's boundaries, the lane is boundary;
-    # its other refusals are the pair leaf's sign test
+    # its other refusals are the pair leaf's sign test.  Every refusal comes
+    # from the one margin check, so its margin is under the cutoff and its
+    # candidates are a row of the boundary table
     near_rng = np.random.default_rng(3)
     near = []
     for k, form in enumerate(form_grid(8)):
@@ -540,15 +540,14 @@ def test_classify_many_matches_scalar():
             for eps in (0, 1e-6, 1e-8, 1e-9, 1e-10, 1e-12, 1e-15):
                 E = near_rng.standard_normal((2, 2)) + 1j * near_rng.standard_normal((2, 2))
                 near.append(member + eps * E / np.linalg.norm(E))
-    boundaries = (("rank<=1", "nonsingular"), ("udz", "hyp(0)"), ("coincident spectrum", "distinct spectrum"),
-                  ("pair(l,+-l)", "delta"))
     codes = classify_many(np.array(near))["family"]
     agreed = at_boundary = at_leaf = 0
     for A, code in zip(near, codes):
         try:
             fam = classify(A).form.family
         except AmbiguousClassification as exc:
-            if exc.candidates in boundaries:
+            assert exc.margin < AMBIG_FRACTION * 1e-9 and exc.candidates in _BOUNDARIES, (A, exc)
+            if exc.candidates in _BOUNDARIES[:4]:  # the tree's four comparisons
                 assert FAMILY_CODES[code] == "boundary", (A, exc)
                 at_boundary += 1
             else:

@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,18 @@ def test_reachable_examples():
 def test_reachable_lazy_path():
     for form in (Zero(), UnitDirectZero(1j), UnitPair(1, -1), Hyperbolic(0.3), DeltaTau(-1)):
         assert reachable(form, form)
+
+
+@pytest.mark.parametrize("source, target, bad", [
+    (Zero(), None, None), (3, 3, 3), (CanonicalForm(), CanonicalForm(), CanonicalForm()),
+    (Zero(), CanonicalForm(), CanonicalForm()), (None, Zero(), None), (UnitDirectZero(1), "x", "x"),
+    (UnitPair(1, -1), None, None), (Hyperbolic(0.3), 3, 3), ("x", DeltaTau(1), "x"),
+])
+def test_reachable_refuses_non_forms(source, target, bad):
+    # the zero path and the reflexive fall-through check both sides; an equal
+    # pair of non-forms or of bare CanonicalForms is no arrow either
+    with pytest.raises(InvalidInput, match=rf"^not a canonical form: {re.escape(repr(bad))}$"):
+        reachable(source, target)
 
 
 def random_form(rng: SplitMix64):

@@ -81,11 +81,11 @@ def test_near_unit_renormalized():
 def test_pair_ordering_and_flags():
     f = UnitPair(-1, 1)
     assert f.mu == 1 and f.nu == -1
-    assert f.antipodal and not f.equal_pair
+    assert f.antipodal and f.nu != f.mu
     g = UnitPair(1j, 1j)
-    assert g.equal_pair and not g.antipodal
+    assert g.nu == g.mu and not g.antipodal
     h = UnitPair(np.exp(0.3j), np.exp(-0.4j))
-    assert not h.antipodal and not h.equal_pair
+    assert not h.antipodal and h.nu != h.mu
     assert UnitPair(1, -1) == UnitPair(-1, 1)
 
 

@@ -512,6 +512,9 @@ def test_certificate_refuses_non_forms(form, bad):
         no_arrow_certificate(form, bad)
     with pytest.raises(InvalidInput, match=message):
         no_arrow_certificate(bad, form)
+    # an equal pair is validated before it is refused as equal
+    with pytest.raises(InvalidInput, match=message):
+        no_arrow_certificate(bad, bad)
 
 
 @pytest.mark.parametrize("k", range(10, 17))
