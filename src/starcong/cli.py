@@ -15,12 +15,13 @@ Every subcommand loads ``forms``, ``stratify``, ``linalg`` and ``errors``;
 ``jsonutil`` is loaded only to print a JSON report and ``json`` only to read
 a JSON matrix or print a report.  Each handler imports what else it runs:
 ``codim`` nothing more; ``classify`` ``canonical``; ``arrow``
-and ``witness`` ``perturb`` (with ``closure`` and ``rng``); ``graph``
-``closure``; ``sample`` ``perturb`` and ``canonical``; ``selftest`` all of
-these.  ``classify``, ``codim``, ``arrow``, ``witness``, ``selftest``, and
-``graph`` on at most 12 forms (``closure._SCALAR_GRAPH_MAX``) or on no udz
-form, run on Python scalars and never import numpy; only ``sample``, and
-``graph`` on more than 12 forms with a udz among them, load it.
+and ``witness`` ``perturb`` (with ``closure``); ``graph`` ``closure``;
+``sample`` ``perturb``, ``canonical`` and ``rng``; ``selftest`` all of
+these (``rng`` for ``canonical.random_congruence``).  ``classify``,
+``codim``, ``arrow``, ``witness``, ``selftest``, and ``graph`` on at most 12
+forms (``closure._SCALAR_GRAPH_MAX``) or on no udz form, run on Python
+scalars and never import numpy; only ``sample``, and ``graph`` on more than
+12 forms with a udz among them, load it.
 """
 
 from __future__ import annotations
@@ -69,12 +70,17 @@ def _format_entries(m) -> str:
     return ";".join(",".join(format_complex(z) for z in row) for row in (m[:2], m[2:]))
 
 
+def _report(args, inputs: dict, outputs: dict, **head) -> str:
+    """The JSON report envelope, rendered."""
+    from .jsonutil import render_json
+
+    return render_json({"command": args.cmd, "version": __version__, **head, "inputs": inputs, "outputs": outputs})
+
+
 def _emit(args, inputs: dict, outputs: dict, lines, **head) -> int:
     """Print the report envelope under ``--format json``, else the text ``lines``."""
     if args.format == "json":
-        from .jsonutil import render_json
-
-        print(render_json({"command": args.cmd, "version": __version__, **head, "inputs": inputs, "outputs": outputs}))
+        print(_report(args, inputs, outputs, **head))
     else:
         print(*lines, sep="\n")
     return 0
@@ -176,8 +182,22 @@ def _cmd_graph(args) -> int:
     if args.format == "dot":
         to_dot(graph, sys.stdout)  # written as made: 10^4 forms give half a GB of DOT
         return 0
-    outputs = {"vertices": [format_form(v) for v in graph.vertices], "edges": graph._pair_list()}
-    return _emit(args, {"forms": [format_form(f) for f in forms]}, outputs, [])
+    # rendered with no edges, the report ends '"edges": []' and the closing
+    # braces; the edges, millions at 10^4 forms, are written row by row in between
+    outputs = {"vertices": [format_form(v) for v in graph.vertices], "edges": []}
+    text = _report(args, {"forms": [format_form(f) for f in forms]}, outputs)
+    heads, dst = graph._index_rows()
+    if not heads:
+        print(text)
+        return 0
+    from .jsonutil import render_json
+
+    cut, write = text.rindex("[]"), sys.stdout.write
+    write(text[:cut] + "[\n")
+    for k, (s, lo, n) in enumerate(heads):
+        write(",\n" * (k > 0) + ",\n".join(["      " + render_json([s, t], 3) for t in dst[lo:lo + n]]))
+    write("\n    ]" + text[cut + 2:] + "\n")
+    return 0
 
 
 def _cmd_selftest(args) -> int:

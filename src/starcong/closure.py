@@ -193,12 +193,7 @@ class HasseSubgraph(_Record):
         if "_edges" not in d:
             import numpy as np
 
-            heads, dst = [], array("i")  # (source, offset in dst, length) of each row
-            for s, out in _rows(self.vertices, self._families, range(len(self.vertices))):
-                heads.append((s, len(dst), len(out)))
-                dst.fromlist(out)
-            if heads:  # zero's row came last: it goes where its source splits the others'
-                heads.insert(bisect(heads, heads[-1][0], hi=len(heads) - 1, key=itemgetter(0)), heads.pop())
+            heads, dst = self._index_rows()
             targets = np.frombuffer(dst, dtype=np.int32)
             edges = np.empty((len(dst), 2), dtype=np.int32)  # its indices are in range by construction
             at = 0
@@ -210,9 +205,18 @@ class HasseSubgraph(_Record):
             d["_edges"] = edges
         return d["_edges"]
 
-    def _pair_list(self) -> list:
-        """The edges of a graph from ``hasse_subgraph`` as (source, target) pairs of Python ints."""
-        return sorted((s, t) for s, out in _rows(self.vertices, self._families, range(len(self.vertices))) for t in out)
+    def _index_rows(self) -> tuple[list, array]:
+        """The rows of a graph from ``hasse_subgraph`` in index order, 4 bytes an
+        edge: their targets, row after row, in one ``array('i')``, and the
+        (source, offset, length) of each row.  Zero's row, which ``_rows``
+        yields last, goes where its source splits the others'."""
+        heads, dst = [], array("i")
+        for s, out in _rows(self.vertices, self._families, range(len(self.vertices))):
+            heads.append((s, len(dst), len(out)))
+            dst.fromlist(out)
+        if heads:
+            heads.insert(bisect(heads, heads[-1][0], hi=len(heads) - 1, key=itemgetter(0)), heads.pop())
+        return heads, dst
 
     def __reduce__(self):
         # rebuilt through the constructor, so a copy's edges are read-only too

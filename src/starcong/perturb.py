@@ -4,11 +4,15 @@ For every arrow of the closure order, :func:`witness` builds a *congruence S
 and from it E = S* realize(target) S - realize(source), certified by a rounding
 bound to fit ||E||_F <= delta (1 + 1e-12), so realize(source) + E lies in the
 target class.  For every non-arrow, :func:`no_arrow_certificate` returns a
-named invariant with a positive margin proving the arrow cannot exist.
+named invariant with a positive margin proving the arrow cannot exist; it
+decides the arrow itself, with the predicate :func:`closure.reachable` uses,
+and keeps the numbers it refused on, which are formatted only when the
+certificate is rendered.
 
 :func:`sample_neighborhood` probes the defining property empirically: it
 classifies a deterministic Monte Carlo sample of the Frobenius delta-ball
-around a class representative.
+around a class representative.  Only the sampler loads ``rng``, so witnesses
+and certificates never import it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .closure import _cone_coefficients, _cone_distance, _im_lam_conj_tau, _in_sector, _on_ray, reachable
+from .closure import _cone_coefficients, _cone_distance, _im_lam_conj_tau, _in_sector, _on_line, _on_ray, reachable
 from .errors import (
     ArrowExists,
     CertificateNotFound,
@@ -38,7 +42,6 @@ from .forms import (
     realize,
 )
 from .linalg import EPS, _norm4
-from .rng import substream_seeds, uniform_step
 from .stratify import codimension
 
 _G, _TINY = 5.0 * EPS, sys.float_info.min * (16.0 * EPS)  # g = 10u and tiny, u = EPS / 2, of _residual's bound
@@ -89,6 +92,15 @@ class Witness(_Record):
 
 
 class ObstructionCertificate(_Record):
+    """A named invariant refusing an arrow: its ``kind`` (one of
+    CERTIFICATE_KINDS), a positive ``margin`` and the numbers behind it.
+
+    ``data`` holds Python numbers as the certificate computed them: complex,
+    float, int, or a tuple of complex (a cosquare spectrum).  ``to_json_dict``
+    renders each complex value, alone or in a tuple, as a ``format_complex``
+    string and leaves the others to the JSON renderer.
+    """
+
     __match_args__ = ("kind", "margin", "data")
 
     def __init__(self, kind: str, margin: float, data: dict | None = None):
@@ -99,7 +111,9 @@ class ObstructionCertificate(_Record):
         d["_key"] = (kind, margin, data)
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "margin": self.margin, "data": dict(self.data)}
+        data = {k: format_complex(v) if isinstance(v, complex)
+                else [format_complex(z) for z in v] if isinstance(v, tuple) else v for k, v in self.data.items()}
+        return {"kind": self.kind, "margin": self.margin, "data": data}
 
 
 class NeighborhoodReport(_Record):
@@ -298,17 +312,21 @@ def _spectral_spread(form) -> float:
 def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> ObstructionCertificate:
     """First applicable obstruction proving there is no arrow source -> target.
 
-    CodimMonotonicity comes first, before ``reachable`` is asked: every arrow
-    of the closure order goes to a class of strictly lower codimension, so
-    codim(source) <= codim(target) refuses the pair from the two table
-    entries alone (most pairs of a vertex set), and a non-form is refused by
-    ``codimension`` before it is compared or formatted.  Only past that does an
-    arrow raise ArrowExists.  Then only udz and pair(m, +-m) sources remain,
-    and each certificate reads the numbers ``reachable`` refused on, so its
-    margin is positive by construction.  udz gives ConeMargin (-> pair) or
-    HalfPlaneMargin (-> delta).  pair(m, +-m) gives SpectrumGap (-> pair(mu,
-    nu != +-mu) or hyp(sigma != 0)), DetPhaseGap (-> hyp(0), or delta(t) with
-    t != +-m', where m' = m for pair(m, -m) and i m for pair(m, m)) or
+    CodimMonotonicity comes first: every arrow of the closure order goes to a
+    class of strictly lower codimension, so codim(source) <= codim(target)
+    refuses the pair from the two table entries alone (most pairs of a vertex
+    set), and a non-form is refused by ``codimension`` before it is compared
+    or formatted.  Past that only zero, udz and pair(m, +-m) sources remain,
+    and each branch decides its arrow once, with the predicate ``reachable``
+    uses on the same stored doubles: it raises ArrowExists where that holds
+    (zero -> anything and udz -> hyp always) and otherwise returns the
+    certificate whose margin the refusing numbers give, positive by
+    construction.  udz gives ConeMargin (-> pair; the distance to the cone,
+    0.0 exactly where ``_in_cone`` holds) or HalfPlaneMargin (-> delta;
+    -Im(lam conj(tau)) where that is negative).  pair(m, +-m) gives
+    SpectrumGap (-> pair(mu, nu != +-mu) or hyp(sigma != 0)), DetPhaseGap (->
+    hyp(0), or delta(t) with t != +-m', where m' = m for pair(m, -m), whose
+    arrows go to delta(+-m) by ``_on_line``, and i m for pair(m, m)) or
     HermitianRankGap (pair(m, m) -> delta(+-i m)).
     """
     cm, cn = codimension(source), codimension(target)
@@ -320,18 +338,20 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
             margin=float(cn - cm + 1),
             data={"codim_source": cm, "codim_target": cn},
         )
-    if reachable(source, target):
-        raise ArrowExists(f"{format_form(source)} -> {format_form(target)} is reachable")
 
+    if isinstance(source, Zero):  # zero reaches every class
+        raise _arrow_exists(source, target)
     if isinstance(source, UnitDirectZero):
         lam = source.lam
         if isinstance(target, UnitPair):
-            return ObstructionCertificate(
-                "ConeMargin", margin=_cone_distance(lam, target.mu, target.nu),
-                data={"lambda": format_complex(lam)})
-        # udz -> hyp is always an arrow: the target is a delta
-        im = _im_lam_conj_tau(lam.real, lam.imag, target.tau.real, target.tau.imag)
-        return ObstructionCertificate("HalfPlaneMargin", margin=-im, data={"im_lambda_conj_tau": im})
+            margin = _cone_distance(lam, target.mu, target.nu)
+            if margin > 0.0:
+                return ObstructionCertificate("ConeMargin", margin=margin, data={"lambda": lam})
+        elif isinstance(target, DeltaTau):
+            im = _im_lam_conj_tau(lam.real, lam.imag, target.tau.real, target.tau.imag)
+            if im < 0.0:
+                return ObstructionCertificate("HalfPlaneMargin", margin=-im, data={"im_lambda_conj_tau": im})
+        raise _arrow_exists(source, target)  # in the cone or half-plane, or a hyp target
 
     # pair(m, +-m) -> a class of codimension 2: a generic pair, hyp or delta
     if isinstance(target, UnitPair) or (isinstance(target, Hyperbolic) and target.sigma != 0):
@@ -341,30 +361,30 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
         spec_m, spec_n = _cosquare_spectrum(source), _cosquare_spectrum(target)
         gap = max(abs(spec_m[0] - s) for s in spec_n)
         return ObstructionCertificate(
-            "SpectrumGap", margin=max(gap, _spectral_spread(target) / 2.0), data={
-                "spectrum_source": [format_complex(s) for s in spec_m],
-                "spectrum_target": [format_complex(s) for s in spec_n]})
+            "SpectrumGap", margin=max(gap, _spectral_spread(target) / 2.0),
+            data={"spectrum_source": spec_m, "spectrum_target": spec_n})
 
-    m, n = _entries(source), _entries(target)
-    det_m, det_n = m[0] * m[3] - m[1] * m[2], n[0] * n[3] - n[1] * n[2]
     if isinstance(target, Hyperbolic):  # hyp(0), the singular target
+        m = _entries(source)
+        det_m = m[0] * m[3] - m[1] * m[2]
         return ObstructionCertificate(
-            "DetPhaseGap", margin=abs(det_m) / _norm4(*m) ** 2,
-            data={"det_source": format_complex(det_m), "det_target": "0"})
+            "DetPhaseGap", margin=abs(det_m) / _norm4(*m) ** 2, data={"det_source": det_m, "det_target": 0j})
 
     if isinstance(target, DeltaTau):
+        tau, mu = target.tau, source.mu
+        if source.antipodal and _on_line(tau.real, tau.imag, mu.real, mu.imag):
+            raise _arrow_exists(source, target)
         # the det phases -t^2 of the target and -m'^2 of the source (its det is
         # +-m^2) differ by |t^2 - m'^2| = |t - m'| |t + m'|, positive exactly
         # when t != +-m'
-        mp = source.mu if source.antipodal else 1j * source.mu
-        margin = abs(target.tau - mp) * abs(target.tau + mp)
+        mp = mu if source.antipodal else 1j * mu
+        margin = abs(tau - mp) * abs(tau + mp)
         if margin > 0.0:
+            m, n = _entries(source), _entries(target)
+            det_m, det_n = m[0] * m[3] - m[1] * m[2], n[0] * n[3] - n[1] * n[2]
             return ObstructionCertificate(
                 "DetPhaseGap", margin=margin,
-                data={
-                    "det_phase_source": format_complex(det_m / abs(det_m)),
-                    "det_phase_target": format_complex(det_n / abs(det_n)),
-                })
+                data={"det_phase_source": det_m / abs(det_m), "det_phase_target": det_n / abs(det_n)})
         # pair(m, m) -> delta(+-i m): c = conj(m) t = +-i, so the Hermitian part
         # [[0, 2 Re c], [2 Re c, -2 Im c]] of c Delta_2 has rank 1, that of
         # conj(m) diag(m, m) rank 2
@@ -373,6 +393,10 @@ def no_arrow_certificate(source: CanonicalForm, target: CanonicalForm) -> Obstru
 
     raise CertificateNotFound(
         f"no obstruction certificate for {format_form(source)} -> {format_form(target)}")
+
+
+def _arrow_exists(source: CanonicalForm, target: CanonicalForm) -> ArrowExists:
+    return ArrowExists(f"{format_form(source)} -> {format_form(target)} is reachable")
 
 
 # --- neighborhood sampling -------------------------------------------------------
@@ -407,6 +431,8 @@ def _ball_sample(seed: int, samples: int, delta: float, centre, start: int = 0) 
     """
     import numpy as np
 
+    from .rng import substream_seeds, uniform_step
+
     states = substream_seeds(seed, samples, start)
     u = []
     for _ in range(4):
@@ -440,6 +466,8 @@ def _ball_sample(seed: int, samples: int, delta: float, centre, start: int = 0) 
 def _disk_draw(states: np.ndarray) -> tuple:
     """One point (x, y) of the square [-1, 1)^2 per state: (new states, x, y,
     r2 = x^2 + y^2, rejected), a point being rejected unless 0 < r2 <= 1."""
+    from .rng import uniform_step
+
     states, x = uniform_step(states)
     states, y = uniform_step(states)
     x *= 2.0  # 2u - 1, in place

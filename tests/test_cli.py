@@ -458,7 +458,7 @@ if argv:
         code = cli.main(argv)
     print(code)
 print(*sorted(m for m in ("numpy", "dataclasses", "inspect", "fractions", "decimal", "starcong.closure",
-                         "starcong.perturb") if m in sys.modules))
+                         "starcong.perturb", "starcong.rng") if m in sys.modules))
 """
 
 
@@ -466,11 +466,37 @@ def run_no_numpy_probe(*args):
     """Run ``cli.main(args)`` in a fresh process.
 
     Its stdout is the exit code, if any, then which of numpy, dataclasses,
-    inspect, fractions, decimal, ``starcong.closure`` and ``starcong.perturb``
-    loaded.
+    inspect, fractions, decimal, ``starcong.closure``, ``starcong.perturb``
+    and ``starcong.rng`` loaded.
     """
     return subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE, *args],
                           capture_output=True, text=True, env=src_env(), timeout=300)
+
+
+def test_graph_json_streams_the_whole_report():
+    # the edges are written row by row, in index order, zero's row where its
+    # index falls: the bytes are render_json's of the whole report, on the
+    # loop path (at most 12 forms) and the array path, zero first, in the
+    # middle and last, and with no edges
+    import contextlib
+    import io
+
+    from starcong import __version__, cli, format_form, hasse_subgraph, parse_form
+    from starcong.jsonutil import render_json
+
+    texts = ["zero", "udz(1)", "udz(1i)", "udz(-1)", "pair(1,-1)", "pair(1,1)", "pair(1,1i)",
+             "pair(0.6+0.8i,-0.6-0.8i)", "hyp(0)", "hyp(0.3)", "delta(1)", "delta(-1)", "delta(1i)", "delta(-1i)"]
+    forms = [parse_form(t) for t in texts]
+    for verts in (forms, forms[::-1], forms[7:] + forms[:7], forms[:6], forms[9:10], []):
+        args = [format_form(v) for v in verts]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["graph", *args, "--format", "json"]) == 0
+        edges = hasse_subgraph(verts).edges.tolist()
+        assert bool(edges) == (len(verts) > 1)
+        report = {"command": "graph", "version": __version__, "inputs": {"forms": args},
+                  "outputs": {"vertices": args, "edges": edges}}
+        assert out.getvalue() == render_json(report) + "\n"
 
 
 SEVEN_FORMS = ("zero", "udz(1)", "pair(1,1i)", "pair(1,-1)", "hyp(0.3)", "delta(1)", "delta(1i)")
@@ -497,11 +523,13 @@ SEVEN_FORMS = ("zero", "udz(1)", "pair(1,1i)", "pair(1,-1)", "hyp(0.3)", "delta(
 def test_scalar_commands_leave_numpy_unloaded(args):
     # no scalar subcommand loads numpy, dataclasses or inspect, the exact rank
     # runs on Python ints without fractions or decimal, classify and codim
-    # load neither closure nor perturb, and graph on a few forms loads closure
+    # load neither closure nor perturb, arrow and witness not rng (only the
+    # sampler and selftest's random congruences use it), and graph on a few
+    # forms loads closure
     res = run_no_numpy_probe(*args)
     assert res.returncode == 0, res.stderr
     loaded = {"arrow": "starcong.closure starcong.perturb", "witness": "starcong.closure starcong.perturb",
-              "selftest": "starcong.closure starcong.perturb", "graph": "starcong.closure"}
+              "selftest": "starcong.closure starcong.perturb starcong.rng", "graph": "starcong.closure"}
     assert res.stdout == ("0\n" if args else "") + loaded.get(args[0] if args else "", "") + "\n"
 
 

@@ -2,6 +2,8 @@ import io
 import math
 import pickle
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,7 +444,8 @@ def test_scalar_and_array_paths_agree(monkeypatch):
             for _ in udz_paths(monkeypatch):
                 g = hasse_subgraph(verts)
                 assert g.vertices == verts and to_dot(g) == dot and list(iter_dot(g)) == list(iter_dot(built))
-                assert g._pair_list() == list(edges)
+                heads, dst = g._index_rows()
+                assert [(s, t) for s, lo, n in heads for t in dst[lo:lo + n]] == list(edges)
                 unread = pickle.loads(pickle.dumps(g))  # before its edges are read
                 assert edge_tuples(g) == edges and g.edges.dtype == np.int32 and g.edges.shape == (len(edges), 2)
                 assert not g.edges.flags.writeable and to_dot(g) == dot
@@ -574,16 +577,28 @@ def edge_ladder(rng: SplitMix64):
     return [(s, t) for s, t in cases if s != t]
 
 
+def assert_certificate_agrees(s, t):
+    """``no_arrow_certificate`` raises ArrowExists exactly where ``reachable``
+    grants the arrow; elsewhere its margin is positive, and a ConeMargin or
+    HalfPlaneMargin is the distance or product the closure predicate reads."""
+    if reachable(s, t):
+        with pytest.raises(ArrowExists):
+            no_arrow_certificate(s, t)
+        return
+    cert = no_arrow_certificate(s, t)
+    assert cert.margin > 0.0, (s, t, cert)
+    if cert.kind == "ConeMargin":
+        assert cert.margin == closure._cone_distance(s.lam, t.mu, t.nu), (s, t, cert)
+    elif cert.kind == "HalfPlaneMargin":
+        assert cert.margin == -(s.lam * t.tau.conjugate()).imag, (s, t, cert)
+
+
 def test_edge_ladders_reachable_xor_certificate():
     rng = SplitMix64(2026)
     for _ in range(4):
         cases = edge_ladder(rng)
         for s, t in cases:
-            if reachable(s, t):
-                with pytest.raises(ArrowExists):
-                    no_arrow_certificate(s, t)
-            else:
-                assert no_arrow_certificate(s, t).margin > 0.0, (s, t)
+            assert_certificate_agrees(s, t)
             if isinstance(s, UnitDirectZero) and isinstance(t, UnitPair):
                 assert (closure._cone_distance(s.lam, t.mu, t.nu) == 0.0) == reachable(s, t), (s, t)
         # the array relation and its reduction are those of n^2 reachable calls
@@ -593,6 +608,24 @@ def test_edge_ladders_reachable_xor_certificate():
         assert np.array_equal(relation(verts), R)
         implied = (R.astype(np.int64) @ R.astype(np.int64)) > 0
         assert edge_tuples(hasse_subgraph(verts)) == tuple(zip(*np.nonzero(R & ~implied)))
+
+
+def test_certificates_agree_with_reachable_near_boundaries():
+    # every ordered pair of the closure-arrow benchmark's 80-form vertex sets,
+    # 52 of them 10^-3 .. 10^-15 off a boundary, at seeds 1-3 (the ladders are
+    # checked in test_edge_ladders_reachable_xor_certificate)
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "bench"))
+    from workloads import ClosureArrow
+
+    for seed in (1, 2, 3):
+        verts = ClosureArrow(seed, root)._vertex_set(0, near=True)
+        assert len(verts) == 80 and sum(near for _, _, near in verts) == 52
+        forms = [form for form, _, _ in verts]
+        for s in forms:
+            for t in forms:
+                if s != t:
+                    assert_certificate_agrees(s, t)
 
 
 def test_edge_ladders_decide_without_slack():

@@ -14,7 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from starcong import StarcongError, format_form, no_arrow_certificate, parse_form
+from starcong import Hyperbolic, StarcongError, UnitPair, format_form, no_arrow_certificate, parse_form
+from starcong.perturb import CERTIFICATE_KINDS
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_certificates.jsonl"
 
@@ -38,6 +39,36 @@ def test_certificates_golden_bytes():
     assert all(format_form(f) == t for t, f in forms.items())
     got = [golden_line(forms[s], forms[t]) for s, t in pairs]
     assert got == lines
+
+
+def test_certificate_data_holds_numbers():
+    # data keeps the certificate's numbers; to_json_dict formats the complex
+    # ones, and gives the golden line's certificate for one pair of each kind
+    lines = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    first = {}
+    for rec in lines:
+        if "certificate" in rec:
+            first.setdefault(rec["certificate"]["kind"], rec)
+    assert sorted(first) == sorted(CERTIFICATE_KINDS)
+    types = {
+        "codim_source": int, "codim_target": int, "lambda": complex, "im_lambda_conj_tau": float,
+        "spectrum_source": tuple, "spectrum_target": tuple, "det_source": complex, "det_target": complex,
+        "det_phase_source": complex, "det_phase_target": complex, "rank_source_sum": int, "rank_target_sum": int,
+    }
+    for kind, rec in first.items():
+        cert = no_arrow_certificate(parse_form(rec["source"]), parse_form(rec["target"]))
+        assert cert.kind == kind and cert.data
+        for key, value in cert.data.items():
+            assert type(value) is types[key], (kind, key, value)
+            if type(value) is tuple:
+                assert len(value) == 2 and all(type(z) is complex for z in value), (kind, key, value)
+        assert cert.to_json_dict() == rec["certificate"]
+    cert = no_arrow_certificate(UnitPair(1, 1), Hyperbolic(0.3))
+    assert cert.data["spectrum_source"] == (1 + 0j, 1 + 0j)
+    assert cert.to_json_dict()["data"]["spectrum_source"] == ["1", "1"]
+    pair = (format_form(UnitPair(1, 1)), format_form(Hyperbolic(0.3)))
+    golden = next(rec for rec in lines if (rec["source"], rec["target"]) == pair)
+    assert cert.to_json_dict() == golden["certificate"]
 
 
 def _golden_forms() -> list:
